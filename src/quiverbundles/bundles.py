@@ -13,16 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import linalg
 from .polynomials import (
     HomogPoly,
     PolyMatrix,
+    _minor_gcd,
     generic_rank,
-    poly_det,
-    poly_gcd,
     poly_mat_eval,
     poly_mat_is_zero,
     poly_matmul,
@@ -350,11 +348,12 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
 
     The form at a vertex is the content-normalized gcd of the maximal
     minors of the generation matrix (each minor is homogeneous because
-    all columns of a fixed word twist share a degree pattern).  The
-    returned product vanishes exactly where some fiber fails framed
-    stability; the verdict is full generic rank everywhere, equivalently
-    a nonzero product.  Multiplicities are not contractual, the zero set
-    is.
+    all columns of a fixed word twist share a degree pattern).  It comes
+    from one echelon of the transposed matrix over Q[t], which gives the
+    generic rank too; see polynomials._minor_gcd.  The returned product
+    vanishes exactly where some fiber fails framed stability; the verdict
+    is full generic rank everywhere, equivalently a nonzero product.
+    Multiplicities are not contractual, the zero set is.
     """
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
@@ -366,28 +365,11 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
     for i in e.double.ordinary_vertices:
         n = e.bundles[i].rank
         matrix, _ = matrices[i]
-        cols = len(matrix[0]) if matrix else 0
-        if n == 0:
-            ranks.append((i, 0))
-            polys.append((i, HomogPoly.constant(1)))
-            continue
-        g = HomogPoly.zero()
-        best_rank = 0
-        if cols >= n:
-            for subset in combinations(range(cols), n):
-                minor = poly_det(
-                    tuple(tuple(row[j] for j in subset) for row in matrix)
-                )
-                if not minor.is_zero():
-                    best_rank = n
-                    g = poly_gcd(g, minor)
-                    if g.degree == 0:
-                        break
-        if best_rank < n:
-            best_rank = generic_rank(matrix)
+        pivots, g = _minor_gcd(tuple(zip(*matrix)))
+        if len(pivots) < n:
             g = HomogPoly.zero()
             stable = False
-        ranks.append((i, best_rank))
+        ranks.append((i, len(pivots)))
         polys.append((i, g))
         total = total * g
     return BaseLocusReport(total, stable, tuple(ranks), tuple(polys))
@@ -398,14 +380,10 @@ def is_stable_quasimap(e: TwistedQuiverBundle) -> bool:
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
     matrices = _generation_matrices(e)
-    for i in e.double.ordinary_vertices:
-        n = e.bundles[i].rank
-        if n == 0:
-            continue
-        matrix, _ = matrices[i]
-        if not matrix or not matrix[0] or generic_rank(matrix) < n:
-            return False
-    return True
+    return all(
+        generic_rank(matrices[i][0]) == e.bundles[i].rank
+        for i in e.double.ordinary_vertices
+    )
 
 
 @dataclass(frozen=True)
@@ -426,11 +404,14 @@ class GeneratedSummary:
 def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
     """Numerical data of the framing-generated subsheaf.
 
-    The rank at a vertex is the generic rank of the generation matrix.
-    The degree comes from the wedge trick: all rank-size minors of the
-    columns indexed by a set J factor through the saturated image's
-    determinant line, so the gcd over row sets has degree deg + twist(J);
-    consistency across choices of J is asserted.
+    At a vertex with generation matrix M, the generated subsheaf F is
+    saturated, so det F sits in the rho-th exterior power of the vertex
+    bundle (rho the generic rank of M) with Plücker coordinates p_K, K a
+    set of rho rows, that have no common zero.  For rho independent
+    columns J with summed twist tw_J, every rho x rho minor of M[:, J] on
+    the rows K is s_J * p_K, where the wedge s_J of those columns is a
+    section of det F(tw_J).  So the gcd of those minors has degree
+    deg F + tw_J for every such J; J is the pivot columns of M's echelon.
     """
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
@@ -438,38 +419,10 @@ def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
     ranks: list[tuple[str, int]] = []
     degs: list[tuple[str, int]] = []
     for i in e.double.ordinary_vertices:
-        n = e.bundles[i].rank
         matrix, twists = matrices[i]
-        cols = len(twists)
-        rho = generic_rank(matrix) if (n and cols) else 0
-        ranks.append((i, rho))
-        if rho == 0:
-            degs.append((i, 0))
-            continue
-        degree: int | None = None
-        for j_set in combinations(range(cols), rho):
-            minors = []
-            for k_set in combinations(range(n), rho):
-                minor = poly_det(
-                    tuple(tuple(matrix[k][j] for j in j_set) for k in k_set)
-                )
-                if not minor.is_zero():
-                    minors.append(minor)
-            if not minors:
-                continue
-            g = minors[0]
-            for m in minors[1:]:
-                g = poly_gcd(g, m)
-                if g.degree == 0:
-                    break
-            m_j = sum(twists[j] for j in j_set)
-            cand = g.degree - m_j
-            if degree is None:
-                degree = cand
-            else:
-                assert degree == cand, "inconsistent generated-subsheaf degree"
-        assert degree is not None
-        degs.append((i, degree))
+        pivots, g = _minor_gcd(matrix)
+        ranks.append((i, len(pivots)))
+        degs.append((i, g.degree - sum(twists[j] for j in pivots)))
     return GeneratedSummary(tuple(ranks), tuple(degs))
 
 

@@ -4,13 +4,17 @@ A form of degree d is stored as the coefficient tuple of
 (s^d, s^(d-1) t, ..., t^d).  The zero form is a distinguished value with
 degree None so that matrices of forms can mix entry degrees without
 ambiguity.  Includes gcd (via the s/t-power split and univariate Euclid),
-determinants of form matrices, and rational-root factoring for display.
+a Euclidean row echelon of form matrices over Q[t], which gives generic
+ranks and gcds of maximal minors without enumerating minors, the cofactor
+determinant of a square form matrix, and rational-root factoring for
+display.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
@@ -18,6 +22,9 @@ from . import linalg
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# ascending coefficients of a polynomial in one variable, () for zero
+_Univ = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -167,30 +174,32 @@ def _split(p: HomogPoly) -> tuple[int, int, tuple[Fraction, ...]]:
     return a, b, core
 
 
-def _univ_mod(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Remainder of u by v; both ascending t-coefficient lists, v[-1] != 0."""
+def _univ_divmod(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[_Univ, _Univ]:
+    """Quotient and remainder of u by v, ascending coefficients, v[-1] != 0."""
     r = list(u)
-    dv = len(v) - 1
-    lead = v[-1]
-    while len(r) - 1 >= dv and any(c != 0 for c in r):
+    q = [ZERO] * max(0, len(r) - len(v) + 1)
+    while True:
         while r and r[-1] == 0:
             r.pop()
-        if len(r) - 1 < dv:
-            break
-        f = r[-1] / lead
-        off = len(r) - 1 - dv
+        if len(r) < len(v):
+            return tuple(q), tuple(r)
+        off = len(r) - len(v)
+        q[off] = f = r[-1] / v[-1]
         for i, c in enumerate(v):
             r[off + i] -= f * c
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(r)
 
 
-def _univ_gcd(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _trimmed(u: Sequence[Fraction]) -> _Univ:
+    k = len(u)
+    while k and u[k - 1] == 0:
+        k -= 1
+    return tuple(u[:k])
+
+
+def _univ_gcd(u: Sequence[Fraction], v: Sequence[Fraction]) -> _Univ:
     a, b = tuple(u), tuple(v)
     while b:
-        a, b = b, _univ_mod(a, b)
+        a, b = b, _univ_divmod(a, b)[1]
     return a
 
 
@@ -238,15 +247,6 @@ def _normalized(p: HomogPoly) -> HomogPoly:
     return HomogPoly.of(p.degree, coeffs)
 
 
-def poly_gcd_many(ps: Iterable[HomogPoly]) -> HomogPoly:
-    g = _ZERO_POLY
-    for p in ps:
-        g = poly_gcd(g, p)
-        if g.degree == 0:
-            break
-    return g
-
-
 # ---------------------------------------------------------------------------
 # matrices of forms
 
@@ -283,14 +283,6 @@ def poly_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
             orow.append(acc)
         out.append(tuple(orow))
     return tuple(out)
-
-
-def poly_mat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def poly_mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def poly_mat_eval(a: PolyMatrix, s0: object, t0: object) -> tuple[tuple[Fraction, ...], ...]:
@@ -331,28 +323,82 @@ def poly_det(a: PolyMatrix) -> HomogPoly:
 
 
 def generic_rank(a: PolyMatrix) -> int:
-    """Rank of a form matrix over the function field of the line.
+    """Rank of a form matrix over the function field of the line: the
+    number of pivots of its echelon over Q[t] on the chart s = 1."""
+    return len(_echelon(_chart(a))[0])
 
-    Evaluates at deterministic rational points until the numeric rank
-    stops growing; a point count of (max entry degree * min(m,n) + 1)
-    distinct evaluations certifies the maximum found is the true generic
-    rank, since any nonzero minor is a nonzero form vanishing at no more
-    than its degree many points of the projective line.
+
+def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
+    """Entries of a dehomogenized at s = 1, as ascending t-coefficients,
+    or at t = 1 when at_t, as ascending s-coefficients; () is zero."""
+    return [[_trimmed(e.coeffs[::-1] if at_t else e.coeffs) for e in row] for row in a]
+
+
+def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
+    """Pivot columns and pivot polynomials of a row echelon over Q[x].
+
+    In each column the live row of least degree divides the others until
+    one is left.  A step subtracts a Q[x]-multiple of one row from another
+    and scales the result to be primitive over Z (else coefficient sizes
+    compound), so it is unimodular: for every column set J it keeps the
+    gcd of the k x k minors of the columns J.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    if m == 0 or n == 0:
-        return 0
-    maxdeg = max((e.degree for row in a for e in row if not e.is_zero()), default=0)
-    bound = maxdeg * min(m, n) + 1
-    best = 0
-    for k in range(bound + 1):
-        s0, t0 = ONE, Fraction(k)
-        pt = poly_mat_eval(a, s0, t0)
-        best = max(best, linalg.rank(pt))
-        if best == min(m, n):
-            return best
-    return best
+    rows = [list(r) for r in rows]
+    free = list(range(len(rows)))
+    cols, pivots = [], []
+    for c in range(len(rows[0]) if rows else 0):
+        live = [i for i in free if rows[i][c]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: len(rows[i][c]))
+            for i in live:
+                if i != p:
+                    rows[i] = _sub_multiple(rows[i], rows[p], c)
+            live = [i for i in live if rows[i][c]]
+        if live:
+            free.remove(live[0])
+            cols.append(c)
+            pivots.append(rows[live[0]][c])
+    return cols, pivots
+
+
+def _sub_multiple(row: list[_Univ], pivot_row: list[_Univ], c: int) -> list[_Univ]:
+    """row - q * pivot_row, q the quotient of their entries in column c,
+    made primitive over Z; both rows vanish before column c."""
+    q = _univ_divmod(row[c], pivot_row[c])[0]
+    out = row[:c]
+    for u, v in zip(row[c:], pivot_row[c:]):
+        diff = list(u) + [ZERO] * max(0, len(q) + len(v) - 1 - len(u))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(v):
+                    diff[i + j] -= x * y
+        out.append(_trimmed(diff))
+    flat = iter(_primitive([x for e in out for x in e]))
+    return [tuple(islice(flat, len(e))) for e in out]
+
+
+def _minor_gcd(a: PolyMatrix) -> tuple[list[int], HomogPoly]:
+    """Pivot columns J of the echelon of a on the chart s = 1, and the
+    normalized gcd of the maximal minors of the columns J.
+
+    The columns J of the echelon are triangular with the pivots on the
+    diagonal, so on the chart the gcd is their product (Kannan & Bachem,
+    SIAM J. Comput. 8(4), 1979).  Homogenizing it misses only s^m, m the
+    order of the gcd at [0:1]: zero when the fiber of the columns J there
+    has full rank, else the summed order at s = 0 of their pivots on the
+    chart t = 1.
+    """
+    cols, pivots = _echelon(_chart(a))
+    g = HomogPoly.constant(1)
+    for p in pivots:
+        g = g * HomogPoly(len(p) - 1, p)
+    sub = tuple(tuple(row[j] for j in cols) for row in a)
+    if linalg.rank(poly_mat_eval(sub, 0, 1)) < len(cols):
+        order = sum(
+            next(k for k, x in enumerate(p) if x) for p in _echelon(_chart(sub, True))[1]
+        )
+        g = g * HomogPoly.monomial(order, 0)
+    return cols, _normalized(g)
 
 
 # ---------------------------------------------------------------------------

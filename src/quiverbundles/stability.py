@@ -23,9 +23,9 @@ from .bundles import (
     generated_subsheaf_summary,
     hn_filtration_split,
     hn_step_indices,
-    is_stable_quasimap,
     subbundle_is_arrow_invariant,
 )
+from .polynomials import HomogPoly
 from .quivers import HypothesisError
 from .representations import is_stable_framed
 
@@ -358,12 +358,9 @@ def subobject_family(e: TwistedQuiverBundle) -> tuple[NumericalClass, ...]:
     return tuple(fam)
 
 
-def _point_off_base_locus(e: TwistedQuiverBundle) -> tuple[Fraction, Fraction]:
-    g = base_locus(e).polynomial
-    if g.is_zero():
-        return (Fraction(1), Fraction(1))
+def _point_off_base_locus(g: HomogPoly) -> tuple[Fraction, Fraction]:
     k = 1
-    while g.evaluate(Fraction(1), Fraction(k)) == 0:
+    while not g.is_zero() and g.evaluate(1, k) == 0:
         k += 1  # a nonzero form has finitely many roots
     return (Fraction(1), Fraction(k))
 
@@ -402,8 +399,9 @@ def asymptotic_equivalence_check(
     """
     delta0 = instance_threshold(e)
     delta = delta0 if delta is None else Fraction(delta)
-    cond_rank = is_stable_quasimap(e)
-    z = _point_off_base_locus(e)
+    locus = base_locus(e)
+    cond_rank = locus.stable
+    z = _point_off_base_locus(locus.polynomial)
     cond_fiber = is_stable_framed(fiber_at(e, z)).stable
     verdict = check_delta_stability(e, delta, subobject_family(e))
     return AsymReport(

@@ -8,7 +8,6 @@ from quiverbundles.polynomials import (
     generic_rank,
     poly_det,
     poly_gcd,
-    poly_gcd_many,
     poly_mat,
     poly_matmul,
 )
@@ -63,7 +62,7 @@ def test_gcd_random_products_recover_common_factor_degree():
         b = common * _random_form(rng, rng.randint(0, 2))
         if a.is_zero() or b.is_zero():
             continue
-        g = poly_gcd_many([a, b])
+        g = poly_gcd(a, b)
         # gcd divides both and is divisible by the common factor
         assert g.degree >= common.degree
 
