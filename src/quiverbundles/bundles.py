@@ -266,7 +266,7 @@ def generation_columns(
     out: dict[str, list[tuple[int, tuple[HomogPoly, ...]]]] = {
         i: [] for i in e.double.ordinary_vertices
     }
-    bases: dict[tuple[str, int], list[tuple[Fraction, ...]]] = {}
+    tables: dict[tuple[str, int], dict[int, dict[int, int]]] = {}
     frontier: list[tuple[str, int, tuple[HomogPoly, ...]]] = [
         (
             framing,
@@ -288,12 +288,9 @@ def generation_columns(
                     continue
                 new_twist = twist + e.twist.degree(a.name)
                 flat = _flatten_column(image, new_twist, e.bundles[a.head].multidegree)
-                key = (a.head, new_twist)
-                basis = bases.setdefault(key, [])
-                reduced = linalg.row_space_basis(tuple(basis) + (flat,))
-                if len(reduced) == len(basis):
+                pivots = tables.setdefault((a.head, new_twist), {})
+                if not linalg.add_row(pivots, linalg.integer_row(dict(enumerate(flat)))):
                     continue
-                bases[key] = list(reduced)
                 out[a.head].append((new_twist, image))
                 nxt.append((a.head, new_twist, image))
         frontier = nxt

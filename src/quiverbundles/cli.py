@@ -83,8 +83,12 @@ def _load(path: str) -> InstanceDocument:
 
 
 def _need_bundle(item: InstanceDocument) -> TwistedQuiverBundle:
+    """The document's bundle, refused unless `validate` finds no violation."""
     if item.kind != "bundle" or item.bundle is None:
         raise _InputError("this subcommand needs a bundle document")
+    violations = validate(item.bundle).violations
+    if violations:
+        raise _InputError(violations[0])
     return item.bundle
 
 
@@ -135,9 +139,10 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         payload = {i: encode_scalar_matrix(m) for i, m in residual.items()}
         zero = all(linalg.is_zero_matrix(m) for m in residual.values())
     else:
-        residual = moment_residual_sheaf(item.bundle)
+        e = _need_bundle(item)
+        residual = moment_residual_sheaf(e)
         payload = {i: encode_form_matrix(m) for i, m in residual.items()}
-        zero = residual_is_zero(item.bundle)
+        zero = residual_is_zero(e)
     _emit({"zero": zero, "residual": payload})
     return 0
 
@@ -155,7 +160,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         payload: dict = {"stable": verdict.stable, "witness": witness}
         refuted = not verdict.stable
     else:
-        e = item.bundle
+        e = _need_bundle(item)
         stable = is_stable_quasimap(e)
         payload = {"stable": stable, "witness": None}
         refuted = not stable

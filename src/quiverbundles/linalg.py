@@ -1,16 +1,20 @@
 """Exact rational linear algebra.
 
 Dense routines work on immutable tuple-of-tuples matrices over
-`fractions.Fraction`; there is no floating point anywhere.  The sparse
-integer rank routine exists for the large, very sparse matrices that show
-up in truncated Čech complexes, where dense elimination would be wasteful.
+`fractions.Fraction`; there is no floating point anywhere.  Every rank and
+span-membership test runs on one kernel, `add_row`, which keeps a table of
+primitive integer pivot rows and reduces each new row fraction-free against
+it; `sparse_rank` feeds it the rows of a {column: value} matrix shortest
+first, and `rank` is `sparse_rank` of a dense matrix.  Gauss-Jordan `rref`
+remains behind the routines whose output is reduced rows: `nullspace`,
+`solve` and `row_space_basis`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -124,7 +128,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return sparse_rank({c: x for c, x in enumerate(row) if x != 0} for row in a)
 
 
 def nullspace(a: Matrix) -> tuple[Vector, ...]:
@@ -168,17 +172,6 @@ def row_space_basis(rows: Sequence[Vector]) -> tuple[Vector, ...]:
     return reduced[: len(pivots)]
 
 
-def in_row_span(basis: Sequence[Vector], v: Vector) -> bool:
-    """Membership test against an rref row basis (reduces v to zero)."""
-    w = list(v)
-    for row in basis:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if w[p] != 0:
-            f = w[p] / row[p]
-            w = [x - f * y for x, y in zip(w, row)]
-    return all(x == 0 for x in w)
-
-
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     g = 0
     for v in row.values():
@@ -190,69 +183,56 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Rank of a sparse matrix given as one {column: value} dict per row.
+def integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """The nonzero entries of a rational row, scaled to coprime integers."""
+    den = 1
+    for v in row.values():
+        den = den * v.denominator // gcd(den, v.denominator)
+    return _normalize_int_row(
+        {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    )
 
-    Fraction entries are cleared to integers row by row, then eliminated
-    with Markowitz-style pivoting and gcd normalization to keep entry
-    growth in check.  Exact; no pivoting thresholds.
+
+def add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """Add an integer row to a pivot table; True iff it was independent.
+
+    The table maps each stored row's least column to that row, so its rows
+    are in echelon form and span the rows added so far.  The new row is
+    reduced fraction-free against the pivot at its leading column and made
+    primitive, until it vanishes or leads at a free column, where it is
+    stored.  The row must hold no zero entries; it is reduced in place.
     """
-    work: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    rid = 0
-    for row in rows:
-        ints: dict[int, int] = {}
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        for c, v in row.items():
-            if v != 0:
-                ints[c] = int(v * den)
-        if not ints:
-            continue
-        ints = _normalize_int_row(ints)
-        work[rid] = ints
-        for c in ints:
-            col_rows.setdefault(c, set()).add(rid)
-        rid += 1
-
-    rank_ = 0
-    while work:
-        best = None
-        for r, row in work.items():
-            rcost = len(row) - 1
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return True
+        g = gcd(pivot[lead], row[lead])
+        p, f = pivot[lead] // g, row[lead] // g
+        if p != 1:
             for c in row:
-                cost = rcost * (len(col_rows[c]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, r, c)
-            if best is not None and best[0] == 0:
-                break
-        assert best is not None
-        _, pr, pc = best
-        prow = work.pop(pr)
-        for c in prow:
-            col_rows[c].discard(pr)
-        pval = prow[pc]
-        rank_ += 1
-        for r in list(col_rows.get(pc, ())):
-            row = work[r]
-            f = row[pc]
-            for c in row:
-                col_rows[c].discard(r)
-            merged: dict[int, int] = {}
-            for c, v in row.items():
-                merged[c] = v * pval
-            for c, v in prow.items():
-                newv = merged.get(c, 0) - f * v
-                if newv:
-                    merged[c] = newv
-                elif c in merged:
-                    del merged[c]
-            if merged:
-                merged = _normalize_int_row(merged)
-                work[r] = merged
-                for c in merged:
-                    col_rows[c].add(r)
+                row[c] *= p
+        for c, v in pivot.items():
+            # pivot entries are nonzero, so w == 0 only where row has c
+            w = row.get(c, 0) - f * v
+            if w:
+                row[c] = w
             else:
-                del work[r]
-    return rank_
+                del row[c]
+        row = _normalize_int_row(row)
+    return False
+
+
+def sparse_rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
+    """Rank of a sparse matrix given as one {column: value} mapping per row.
+
+    Rows are cleared to primitive integer rows and added to one pivot table
+    (`add_row`) shortest first, the ordering of structured Gaussian
+    elimination: sparse rows become pivots early, so the long rows reduced
+    against them meet little fill-in.  Exact; no pivoting thresholds.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted((integer_row(r) for r in rows), key=len):
+        add_row(pivots, row)
+    return len(pivots)

@@ -218,6 +218,29 @@ def test_input_problems_exit_2():
     assert code == 2
 
 
+def test_invalid_bundle_documents_exit_2_without_traceback(tmp_path):
+    doc = json.loads(Path(BUNDLE_STABLE).read_text())
+    doc["data"]["frame+"][1][0] = ["2", "1"]
+    wrong_degree = tmp_path / "wrong_degree.json"
+    wrong_degree.write_text(json.dumps(doc))
+    assert run(["validate", "--input", str(wrong_degree)])[0] == 2
+    for path in (BROKEN_TWIST, str(wrong_degree)):
+        for argv in (
+            ["moment"],
+            ["stability"],
+            ["stability", "--delta", "40"],
+            ["base-locus"],
+            ["slope"],
+            ["delta-threshold"],
+            ["asym-check"],
+            ["hn-bound"],
+            ["defcomplex"],
+        ):
+            code, out, err = run(argv + ["--input", path])
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_output_is_byte_deterministic_across_runs():
     calls = [
         ["validate", "--input", CHAIN_STABLE],

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from quiverbundles.complexes import (
@@ -6,6 +8,7 @@ from quiverbundles.complexes import (
     hypercoh_dims,
     symmetry_check,
 )
+from quiverbundles.generators import InstanceSpec, gen_bundle
 from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero, poly_matmul
 from quiverbundles.quivers import HypothesisError
 
@@ -171,3 +174,14 @@ def test_symmetry_check_stable_instances():
 def test_symmetry_check_rejects_unstable():
     with pytest.raises(HypothesisError):
         symmetry_check(adhm_bundle([0]))
+
+
+def test_hypercoh_rank_six_instance_within_budget():
+    # rescanning every row and column for each pivot took about 26 s here
+    e = gen_bundle(InstanceSpec("adhm", (6,), framing=2, degree_bound=6, seed=2))
+    start = time.perf_counter()
+    report = hypercoh_dims(build_complex(e))
+    elapsed = time.perf_counter() - start
+    assert report.h == ((-1, 0), (0, 44), (1, 44), (2, 0))
+    assert report.stabilized
+    assert elapsed < 12.0, f"{elapsed:.1f} s"
