@@ -26,7 +26,7 @@ from .polynomials import (
     poly_matmul,
     poly_zeros,
 )
-from .quivers import DimensionVector, DoubleQuiver, HypothesisError
+from .quivers import DimensionVector, DoubleQuiver, HypothesisError, InvariantError
 from .representations import FramedRep
 
 ZERO = Fraction(0)
@@ -240,7 +240,8 @@ def _flatten_column(
     for r, entry in enumerate(col):
         width = max(0, row_degrees[r] + twist + 1)
         cs = list(entry.coeffs) if not entry.is_zero() else []
-        assert len(cs) <= width
+        if len(cs) > width:
+            raise InvariantError(f"entry of degree {len(cs) - 1} in a row of width {width}")
         flat.extend(cs + [ZERO] * (width - len(cs)))
     return tuple(flat)
 

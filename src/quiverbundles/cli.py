@@ -5,7 +5,7 @@ stability routines, slope and threshold arithmetic, the deformation
 complex, instance generation, and named property suites.  Machine output
 is a single JSON object with sorted keys and exact "p/q" scalars; exit 0
 on computed verdicts, 1 for refuted verdicts under --strict, 2 on input
-problems.
+problems, 3 when an internal invariant fails.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .bundles import (
 from .complexes import build_complex, euler_char_rr, hypercoh_dims
 from .generators import InstanceSpec, gen_bundle, gen_rep, run_suite
 from .polynomials import format_factored
-from .quivers import HypothesisError
+from .quivers import HypothesisError, InvariantError
 from .representations import is_stable_framed, moment
 from .serialization import (
     DocumentError,
@@ -432,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args)
+    except InvariantError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

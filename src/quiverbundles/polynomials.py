@@ -19,6 +19,7 @@ from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
 from . import linalg
+from .quivers import InvariantError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -166,7 +167,8 @@ def _monomial_str(s_pow: int, t_pow: int) -> str:
 
 def _split(p: HomogPoly) -> tuple[int, int, tuple[Fraction, ...]]:
     """Factor p = s^a * t^b * core, core with nonzero ends, as t-coefficients."""
-    assert not p.is_zero()
+    if p.is_zero():
+        raise InvariantError("split of the zero form")
     ks = [k for k, c in enumerate(p.coeffs) if c != 0]
     b, kmax = ks[0], ks[-1]
     a = p.degree - kmax
@@ -439,7 +441,8 @@ def factor_binary_form(p: HomogPoly) -> tuple[Fraction, list[tuple[HomogPoly, in
             prod = prod * f
     idx = next(k for k, c in enumerate(prod.coeffs) if c != 0)
     const = p.coeffs[idx] / prod.coeffs[idx]
-    assert p == prod.scaled(const)
+    if p != prod.scaled(const):
+        raise InvariantError(f"factors of {p} do not multiply back to it")
     return const, factors
 
 
@@ -485,12 +488,14 @@ def _deflate(core: Sequence[Fraction], root: Fraction) -> list[Fraction]:
     for c in desc[1:-1]:
         out.append(c + root * out[-1])
     rem = desc[-1] + root * out[-1]
-    assert rem == 0
+    if rem != 0:
+        raise InvariantError(f"{root} is not a root: remainder {rem}")
     return list(reversed(out))
 
 
 def _divisors(n: int) -> list[int]:
-    assert n > 0
+    if n <= 0:
+        raise InvariantError(f"divisors of non-positive {n}")
     out = []
     d = 1
     while d * d <= n:

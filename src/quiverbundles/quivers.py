@@ -21,6 +21,13 @@ class HypothesisError(ValueError):
     """A stated hypothesis of an operation fails (distinct from a negative verdict)."""
 
 
+class InvariantError(AssertionError):
+    """An internal invariant fails: a defect in the library, not in its input.
+
+    Raised explicitly, so the checks still run under `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class Arrow:
     name: str

@@ -21,6 +21,7 @@ from .quivers import (
     DimensionVector,
     DoubleQuiver,
     HypothesisError,
+    InvariantError,
     StabilityWeights,
     TorusElement,
     theta_value,
@@ -423,7 +424,8 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
     mu = tuple(tuple(col[r] for col in mu_cols) for r in range(dim_g))
 
     if mu and kappa:
-        assert linalg.is_zero_matrix(linalg.matmul(mu, kappa)), "complex condition failed"
+        if not linalg.is_zero_matrix(linalg.matmul(mu, kappa)):
+            raise InvariantError("complex condition failed")
 
     rank_kappa = linalg.rank(kappa) if kappa else 0
     if dim_g:

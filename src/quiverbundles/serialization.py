@@ -21,7 +21,7 @@ import jsonschema
 from .bundles import SplitBundle, TwistData, TwistedQuiverBundle
 from .linalg import Matrix
 from .polynomials import HomogPoly, PolyMatrix
-from .quivers import Arrow, DimensionVector, DoubleQuiver, Quiver, double
+from .quivers import Arrow, DimensionVector, DoubleQuiver, InvariantError, Quiver, double
 from .representations import FramedRep
 
 VERSION = 1
@@ -245,7 +245,8 @@ def parse_document(doc: object) -> InstanceDocument:
     errors = schema_errors(doc)
     if errors:
         raise DocumentError(*errors[0])
-    assert isinstance(doc, dict)
+    if not isinstance(doc, dict):
+        raise InvariantError("schema-valid document is not an object")
     dq = _parse_quiver(doc["quiver"])
     meta = dict(doc.get("meta", {}))
     if doc["kind"] == "rep":
@@ -257,9 +258,11 @@ def parse_document(doc: object) -> InstanceDocument:
 
 def instance_to_doc(item: InstanceDocument) -> dict:
     if item.kind == "rep":
-        assert item.rep is not None
+        if item.rep is None:
+            raise InvariantError("rep document without a representation")
         return rep_to_doc(item.rep, level=item.level, meta=item.meta)
-    assert item.bundle is not None
+    if item.bundle is None:
+        raise InvariantError("bundle document without a bundle")
     return bundle_to_doc(item.bundle, meta=item.meta)
 
 

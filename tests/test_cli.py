@@ -8,6 +8,7 @@ import io
 import json
 from pathlib import Path
 
+from quiverbundles import complexes
 from quiverbundles.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -256,3 +257,12 @@ def test_output_is_byte_deterministic_across_runs():
     ]
     for argv in calls:
         assert run(argv) == run(argv)
+
+
+def test_invariant_failure_exits_3(monkeypatch):
+    # a composition check that fails on a good document is a library
+    # defect: exit 3, one error line, nothing on stdout
+    monkeypatch.setattr(complexes, "poly_mat_is_zero", lambda m: False)
+    code, out, err = run(["defcomplex", "--input", BUNDLE_STABLE])
+    assert (code, out) == (3, "")
+    assert err == "error: composition not zero\n"

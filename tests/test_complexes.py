@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from quiverbundles import complexes
 from quiverbundles.complexes import (
     build_complex,
     euler_char_rr,
@@ -9,6 +10,7 @@ from quiverbundles.complexes import (
     symmetry_check,
 )
 from quiverbundles.generators import InstanceSpec, gen_bundle
+from quiverbundles.linalg import sparse_rank
 from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero, poly_matmul
 from quiverbundles.quivers import HypothesisError
 
@@ -152,6 +154,20 @@ def test_hypercoh_zero_data_has_automorphisms():
     assert dict(report.h) == {-1: 1, 0: 1, 1: 1, 2: 1}
     assert report.euler == 0
     assert report.stabilized
+
+
+def test_hypercoh_makes_one_cech_pass(monkeypatch):
+    # one rank per Cech differential D(-1), D(0), D(1); no wider recompute
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(complexes, "sparse_rank", counting_rank)
+    report = hypercoh_dims(build_complex(line_adhm(2)))
+    assert dict(report.h) == {-1: 0, 0: 2, 1: 2, 2: 0}
+    assert len(calls) == 3
 
 
 def test_hypercoh_rejects_small_window():

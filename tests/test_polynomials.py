@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import quiverbundles
 from quiverbundles.polynomials import (
     HomogPoly,
     factor_binary_form,
@@ -121,3 +126,28 @@ def test_format_factored_deterministic():
     p = S * T * T
     assert format_factored(p) == format_factored(HomogPoly.of(3, [0, 0, 1, 0]))
     assert format_factored(HomogPoly.zero()) == "0"
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # synthetic division of t^2 + 1 by t - 1 leaves remainder 2; the check
+    # is an explicit raise, so `python -O`, which strips asserts, keeps it
+    probe = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from quiverbundles import InvariantError\n"
+        "from quiverbundles.polynomials import _deflate\n"
+        "assert sys.flags.optimize == 0, 'unreachable under -O'\n"
+        "try:\n"
+        "    _deflate([Fraction(1), Fraction(0), Fraction(1)], Fraction(1))\n"
+        "except InvariantError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    src = str(Path(quiverbundles.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 1 is not a root: remainder 2\n"
