@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -70,6 +71,23 @@ def _fraction_flag(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({err})") from None
+
+
+# the options whose type is _fraction_flag
+_FRACTION_OPTIONS = ("--delta", "--mu1", "--level")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Spell `--mu1 -5/2` as `--mu1=-5/2`: argparse takes a token that
+    starts with "-" for an option unless it reads as a negative decimal,
+    and would leave the option without its value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FRACTION_OPTIONS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _load(path: str) -> InstanceDocument:
@@ -420,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:
         return int(err.code or 0)
     if args.schema:

@@ -4,17 +4,17 @@ A form of degree d is stored as the coefficient tuple of
 (s^d, s^(d-1) t, ..., t^d).  The zero form is a distinguished value with
 degree None so that matrices of forms can mix entry degrees without
 ambiguity.  Includes gcd (via the s/t-power split and univariate Euclid),
-a Euclidean row echelon of form matrices over Q[t], which gives generic
-ranks and gcds of maximal minors without enumerating minors, the cofactor
-determinant of a square form matrix, and rational-root factoring for
-display.
+a fraction-free row echelon of form matrices over Q[t], which gives
+generic ranks and gcds of maximal minors without enumerating minors, the
+cofactor determinant of a square form matrix, and rational-root factoring
+for display.  Forms in and out are exact rationals; inside, the echelon
+clears denominators once and works on integer rows by pseudo-division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
 
@@ -339,13 +339,18 @@ def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
 def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
     """Pivot columns and pivot polynomials of a row echelon over Q[x].
 
-    In each column the live row of least degree divides the others until
-    one is left.  A step subtracts a Q[x]-multiple of one row from another
-    and scales the result to be primitive over Z (else coefficient sizes
-    compound), so it is unimodular: for every column set J it keeps the
-    gcd of the k x k minors of the columns J.
+    Each row is first multiplied by the common denominator of its
+    coefficients, so the elimination runs on integer rows.  In each column
+    the live row of least degree pseudo-divides the others until one is
+    left (`_sub_multiple`).  A step replaces a row by a * row - q * pivot
+    row, a a nonzero integer and q in Z[x], and divides the result by an
+    integer, its content.  Subtracting a multiple of another row has
+    determinant 1, and scaling a row by a nonzero rational is a unit over
+    Q[x], so every step is unimodular over Q[x]: for every column set J it
+    keeps the gcd of the k x k minors of the columns J up to a constant.
+    The pivots are returned with `Fraction` coefficients.
     """
-    rows = [list(r) for r in rows]
+    rows = [_cleared(r) for r in rows]
     free = list(range(len(rows)))
     cols, pivots = [], []
     for c in range(len(rows[0]) if rows else 0):
@@ -359,24 +364,57 @@ def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
         if live:
             free.remove(live[0])
             cols.append(c)
-            pivots.append(rows[live[0]][c])
+            pivots.append(tuple(Fraction(x) for x in rows[live[0]][c]))
     return cols, pivots
 
 
-def _sub_multiple(row: list[_Univ], pivot_row: list[_Univ], c: int) -> list[_Univ]:
-    """row - q * pivot_row, q the quotient of their entries in column c,
-    made primitive over Z; both rows vanish before column c."""
-    q = _univ_divmod(row[c], pivot_row[c])[0]
-    out = row[:c]
-    for u, v in zip(row[c:], pivot_row[c:]):
-        diff = list(u) + [ZERO] * max(0, len(q) + len(v) - 1 - len(u))
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(v):
-                    diff[i + j] -= x * y
-        out.append(_trimmed(diff))
-    flat = iter(_primitive([x for e in out for x in e]))
-    return [tuple(islice(flat, len(e))) for e in out]
+_IntRow = list[tuple[int, ...]]
+
+
+def _cleared(row: list[_Univ]) -> _IntRow:
+    """A chart row times the common denominator of its coefficients."""
+    den = 1
+    for e in row:
+        for x in e:
+            den = den * x.denominator // int_gcd(den, x.denominator)
+    return [tuple(x.numerator * (den // x.denominator) for x in e) for e in row]
+
+
+def _sub_multiple(row: _IntRow, pivot_row: _IntRow, c: int) -> _IntRow:
+    """Pseudo-remainder of row by pivot_row in column c, divided by its content.
+
+    Both rows vanish before column c and deg row[c] >= deg pivot_row[c].
+    One leading term at a time, with g = gcd(lc u, lc v) of the entries u
+    of row and v of pivot_row in column c, the row becomes
+    (lc v / g) * row - (lc u / g) * t^off * pivot_row, until deg u < deg v.
+    The result is divided by the gcd of its coefficients, signed so that
+    its last nonzero coefficient is positive (`_primitive`'s convention).
+    """
+    v = pivot_row[c]
+    while len(row[c]) >= len(v):
+        u = row[c]
+        g = int_gcd(u[-1], v[-1])
+        f, h, off = v[-1] // g, u[-1] // g, len(u) - len(v)
+        row = row[:c] + [_combine(f, x, h, off, y) for x, y in zip(row[c:], pivot_row[c:])]
+    g = 0
+    for e in row:
+        g = int_gcd(g, *e)
+        if g == 1:
+            break
+    if next((e[-1] for e in reversed(row) if e), 0) < 0:
+        g = -g
+    if g in (0, 1):
+        return row
+    return [tuple(x // g for x in e) for e in row]
+
+
+def _combine(f: int, x: tuple[int, ...], h: int, off: int, y: tuple[int, ...]) -> tuple[int, ...]:
+    """f * x - h * t^off * y, ascending coefficients, trimmed."""
+    out = [f * w for w in x]
+    out += [0] * (off + len(y) - len(out))
+    for j, w in enumerate(y):
+        out[off + j] -= h * w
+    return _trimmed(out)
 
 
 def _minor_gcd(a: PolyMatrix) -> tuple[list[int], HomogPoly]:

@@ -266,3 +266,51 @@ def test_invariant_failure_exits_3(monkeypatch):
     code, out, err = run(["defcomplex", "--input", BUNDLE_STABLE])
     assert (code, out) == (3, "")
     assert err == "error: composition not zero\n"
+
+
+EXPECTED = FIXTURES / "expected"
+PINNED = ("stability", "base-locus", "asym-check", "hn-bound")
+
+
+def test_verdict_stdout_matches_pinned_files():
+    # one <fixture>.<subcommand>.out per valid fixture, exit codes alongside
+    codes = json.loads((EXPECTED / "exit_codes.json").read_text())
+    seen = set()
+    for path in sorted(FIXTURES.glob("*.json")):
+        if run(["validate", "--input", str(path)])[0] != 0:
+            continue
+        for command in PINNED:
+            name = f"{path.stem}.{command}"
+            code, out, _ = run([command, "--input", str(path)])
+            assert out == (EXPECTED / f"{name}.out").read_text(), name
+            assert code == codes[name], name
+            seen.add(name)
+    assert seen == set(codes)
+
+
+def test_negative_rational_flag_values_after_a_space():
+    cases = [
+        (["delta-threshold", "--v0", "1", "--v1", "2", "--N", "3"], "--mu1", "-5/2"),
+        (["slope", "--v0", "1", "--v1", "2", "--d", "3"], "--delta", "-7/3"),
+        (["stability", "--input", BUNDLE_STABLE], "--delta", "-1/2"),
+        (["asym-check", "--input", BUNDLE_STABLE], "--delta", "-3/2"),
+        (["hn-bound", "--input", BUNDLE_STABLE], "--delta", "-3/2"),
+        (
+            ["gen", "--kind", "rep", "--preset", "adhm", "--dims", "2", "--framing", "2",
+             "--out", "-"],
+            "--level",
+            "-1/2",
+        ),
+    ]
+    codes = []
+    for argv, flag, value in cases:
+        code, out, err = run(argv + [flag, value])
+        assert "expected one argument" not in err
+        assert (code, out) == run(argv + [f"{flag}={value}"])[:2]
+        codes.append(code)
+    # a negative delta is refused by the slope and stability routines
+    assert codes == [0, 2, 2, 2, 2, 0]
+    assert json.loads(run(cases[0][0] + ["--mu1", "-5/2"])[1]) == {"delta0": "12"}
+    # a flag followed by another option still lacks its value
+    code, _, err = run(["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "--v0"])
+    assert code == 2 and "expected one argument" in err

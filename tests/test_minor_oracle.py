@@ -23,6 +23,7 @@ from quiverbundles.bundles import (
     _generation_matrices,
     base_locus,
     generated_subsheaf_summary,
+    is_stable_quasimap,
     residual_is_zero,
 )
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
@@ -226,3 +227,15 @@ def test_rank_eight_instance_within_budget():
     elapsed = time.perf_counter() - start
     assert report.stable and asym.agree
     assert elapsed < 10.0, f"{elapsed:.1f} s"
+
+
+def test_rank_ten_instance_within_budget():
+    # 13-17 s with the echelon in `Fraction` arithmetic, 3-4.5 s on integer rows
+    # (shared 2-CPU host)
+    e = gen_bundle(InstanceSpec("adhm", (10,), framing=2, degree_bound=10, seed=2))
+    start = time.perf_counter()
+    report = base_locus(e)
+    stable = is_stable_quasimap(e)
+    elapsed = time.perf_counter() - start
+    assert report.stable and report.polynomial.degree == 21 and stable
+    assert elapsed < 8.0, f"{elapsed:.1f} s"
