@@ -4,7 +4,7 @@ The three-term complex at a stable instance
 
 Every zero-residual instance carries a complex in degrees -1, 0, 1:
 symmetries, arrow deformations, relation values.  Its hypercohomology
-is computed by exact rank arithmetic on a truncated two-chart model,
+is computed by exact rank arithmetic on its minimal model H0 + H1[-1],
 and at a stable instance the dimensions pair up symmetrically.
 """
 
@@ -21,8 +21,8 @@ print("term ranks (-1, 0, 1):", (k.term_minus1.rank, k.term_zero.rank, k.term_on
 # the differentials compose to zero exactly because the residual is zero
 assert poly_mat_is_zero(poly_matmul(k.d_mu, k.d_kappa))
 
-# hypercohomology at the minimal window, in one pass: the truncation is
-# exact there by the proof in the complexes module docstring
+# hypercohomology from the minimal model of the Cech complex (complexes
+# module docstring); the window is only echoed, no dimension depends on it
 report = hypercoh_dims(k)
 print("hypercohomology dims:", dict(report.h))
 print("window:", report.window, "stabilized:", report.stabilized)

@@ -73,17 +73,14 @@ def _fraction_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({err})") from None
 
 
-# the options whose type is _fraction_flag
-_FRACTION_OPTIONS = ("--delta", "--mu1", "--level")
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Spell `--mu1 -5/2` as `--mu1=-5/2`: argparse takes a token that
-    starts with "-" for an option unless it reads as a negative decimal,
-    and would leave the option without its value."""
+    """Spell `--mu1 -5/2` as `--mu1=-5/2`, for every option name and its
+    abbreviations: argparse takes a token that starts with "-" for an
+    option unless it reads as a negative decimal, and would leave the
+    option without its value."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _FRACTION_OPTIONS and re.match(r"-[\d.]", arg):
+        if out and re.fullmatch(r"--[\w-]+", out[-1]) and re.match(r"-[\d.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

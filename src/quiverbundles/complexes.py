@@ -2,25 +2,45 @@
 
 Degree -1 holds the infinitesimal symmetries, degree 0 the first-order
 arrow deformations, degree 1 the linearized relation.  Hypercohomology
-is computed from the two-chart Cech bicomplex with Laurent exponents
-truncated to a window W.  The truncation is exact whenever W is at least
-max(0, every summand degree), which `min_window` guarantees:
+is read off a minimal model of the two-chart Cech bicomplex: each Cech
+column is contracted onto the sheaf cohomology H0 + H1[-1] of its term,
+and the homological perturbation lemma gives the exact differential
+(R. Brown, "The twisted Eilenberg-Zilber theorem", 1965; M. Crainic,
+arXiv:math/0403266).
 
 Index every Cech piece of a summand O(n) by the exponent e of u = t/s in
-the chart-0 trivialization.  Chart 0 holds u^e for 0 <= e <= W; chart 1
-holds v^j = u^(n-j), that is n-W <= e <= n; the overlap holds
-n-W <= e <= W.  Multiplying by s^(d-i) t^i, from O(n) to O(n+d), sends e
-to e+i on all three pieces.  The Cech map is the identity on e, with
-sign + from chart 0 and - from chart 1.
+the chart-0 trivialization.  Chart 0 holds u^e for e >= 0, chart 1 holds
+v^j = u^(n-j), that is e <= n, and the overlap holds every e; the Cech
+map is (f0, f1) -> f0 - f1.  Multiplying by s^(d-i) t^i, from O(n) to
+O(n+d), sends e to e+i on every piece.  So H0 is spanned by 0 <= e <= n
+and H1 by the classes of n < e < 0.  A strong deformation retract
+(iota, pi, h) of the column onto H0 + H1[-1]:
 
-The monomials outside these ranges span a subcomplex S of the full
-Laurent Cech total complex: an exponent above W stays above W, and one
-below n-W stays below n+d-W because i <= d.  In each term the Cech map
-of S is a bijection: its chart-0 part {e > W} and chart-1 part
-{e < n-W} (W >= 0 puts both inside the charts) are disjoint because
-n-W <= 0 <= W, and together they give the whole overlap part of S.  So
-S has acyclic rows, its total complex is acyclic, and the truncation,
-the quotient by S, has the hypercohomology of the full complex.
+- iota puts u^e of H0 on both charts and u^e of H1 on the overlap;
+- pi reads chart-1 exponents 0 <= e <= n and overlap exponents n < e < 0;
+- h sends overlap u^e to u^e on chart 0 if e >= 0, to -u^e on chart 1 if
+  e < 0 and e <= n, and to 0 otherwise.
+
+Then pi iota = 1, delta h + h delta = 1 - iota pi and h iota = pi h =
+h h = 0.  The form multiplications kappa and mu perturb the column
+differential, and the lemma gives the model's differential as the sum
+over k of pi (mult) (h mult)^k iota.  Each h lowers the Cech degree by
+one and multiplication keeps it; a column has only two Cech degrees, so
+the series stops at k = 1.  The k = 0 term is multiplication on H0, and
+multiplication then projection on H1.  The k = 1 term, d2 = pi mu h kappa
+iota, can only start on H1(K-1) and end on H0(K1), because the complex
+has three terms.  The model is
+
+    M(-1) = H0(K-1),  M0 = H0(K0) + H1(K-1),  M1 = H0(K1) + H1(K0),
+    M2 = H1(K1),
+
+with D(-1) = kappa on H0, D0 = mu on H0, kappa on H1 and d2, and D1 = mu
+on H1; it has the hypercohomology of the full Laurent total complex, and
+no window enters it.  The sign of d2 depends on the sign convention of
+the total complex, but no rank does: scaling the H1 parts of M0 and M1
+and all of M2 by -1 flips d2 and leaves every other block as it is.
+`min_window` bounds no computation here; `hypercoh_dims` still refuses
+a window below it and echoes the window it was given.
 """
 from __future__ import annotations
 
@@ -219,16 +239,16 @@ def euler_char_rr(e: TwistedQuiverBundle, g: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# truncated two-chart Cech hypercohomology
+# hypercohomology from the minimal model
 
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Hypercohomology dimensions in degrees -1..2 at one window.
+    """Hypercohomology dimensions in degrees -1..2.
 
-    `stabilized` is always True: every accepted window is at least the
-    largest summand degree, where the truncation is exact (module
-    docstring), so a wider window gives the same dimensions.
+    The dimensions come from the minimal model (module docstring), which
+    has no window; `window` is the validated window echoed back, and
+    `stabilized` is always True because no answer depends on it.
     """
 
     h: tuple[tuple[int, int], ...]
@@ -241,7 +261,7 @@ class CohomologyReport:
 
 
 # (base, lo, hi) per summand: exponents lo..hi of summand c sit at
-# positions base .. base + hi - lo
+# positions base .. base + hi - lo; an empty range takes no positions
 Layout = tuple[tuple[int, int, int], ...]
 
 
@@ -249,16 +269,16 @@ def _layout(ranges: list[tuple[int, int]], base: int) -> tuple[Layout, int]:
     out = []
     for lo, hi in ranges:
         out.append((base, lo, hi))
-        base += hi - lo + 1
+        base += max(0, hi - lo + 1)
     return tuple(out), base
 
 
 def _scatter(
-    rows: list[dict[int, Fraction]], matrix: PolyMatrix, src: Layout, tgt: Layout, sign: int
+    rows: list[dict[int, Fraction]], matrix: PolyMatrix, src: Layout, tgt: Layout
 ) -> None:
-    # sign times multiplication by matrix; s^(d-i) t^i sends e to e + i,
-    # and exponents leaving the target range fall into the subcomplex S.
-    # Distinct (entry, i, e) hit distinct positions, so nothing accumulates.
+    # multiplication by matrix; s^(d-i) t^i sends e to e + i, and
+    # exponents leaving the target range are dropped.  Distinct
+    # (entry, i, e) hit distinct positions, so nothing accumulates.
     for r, row in enumerate(matrix):
         t_base, t_lo, t_hi = tgt[r]
         for c, entry in enumerate(row):
@@ -268,85 +288,74 @@ def _scatter(
             for i, coeff in enumerate(entry.coeffs):
                 if coeff == 0:
                     continue
-                value = sign * coeff
                 for e in range(max(s_lo, t_lo - i), min(s_hi, t_hi - i) + 1):
-                    rows[t_base + e + i - t_lo][s_base + e - s_lo] = value
+                    rows[t_base + e + i - t_lo][s_base + e - s_lo] = coeff
 
 
-def _identity(size: int) -> PolyMatrix:
-    one, zero = HomogPoly.constant(1), HomogPoly.zero()
-    return tuple(tuple(one if r == c else zero for c in range(size)) for r in range(size))
-
-
-def _cech_dims(k: DeformationComplex, window: int) -> tuple[int, int, int, int]:
-    w = window
-
-    def charts(degrees: tuple[int, ...]) -> tuple[Layout, Layout, int]:
-        c0, end = _layout([(0, w) for _ in degrees], 0)
-        c1, end = _layout([(n - w, n) for n in degrees], end)
-        return c0, c1, end
-
-    def overlap(degrees: tuple[int, ...], base: int) -> tuple[Layout, int]:
-        return _layout([(n - w, w) for n in degrees], base)
-
-    # terms -1 (m1_), 0 (z_), 1 (o_); pieces chart 0, chart 1, overlap
+def _minimal_dims(k: DeformationComplex) -> tuple[int, int, int, int]:
     deg_m1 = k.term_minus1.multidegree
     deg_0 = k.term_zero.multidegree
     deg_1 = k.term_one.multidegree
-    m1_c0, m1_c1, dim_tm1 = charts(deg_m1)
-    z_c0, z_c1, end = charts(deg_0)
-    m1_ov, dim_t0 = overlap(deg_m1, end)
-    o_c0, o_c1, end = charts(deg_1)
-    z_ov, dim_t1 = overlap(deg_0, end)
-    o_ov, dim_t2 = overlap(deg_1, 0)
-    id_m1, id_0, id_1 = (_identity(len(d)) for d in (deg_m1, deg_0, deg_1))
 
-    # D(-1): charts of term -1 into charts of term 0 and its own overlap
-    d_m1: list[dict[int, Fraction]] = [{} for _ in range(dim_t0)]
-    _scatter(d_m1, k.d_kappa, m1_c0, z_c0, 1)
-    _scatter(d_m1, k.d_kappa, m1_c1, z_c1, 1)
-    _scatter(d_m1, id_m1, m1_c0, m1_ov, -1)
-    _scatter(d_m1, id_m1, m1_c1, m1_ov, 1)
+    def h0(degrees: tuple[int, ...], base: int) -> tuple[Layout, int]:
+        return _layout([(0, n) for n in degrees], base)
 
-    # D(0): charts of term 0 and overlap of term -1 into degree-one total
-    d_0: list[dict[int, Fraction]] = [{} for _ in range(dim_t1)]
-    _scatter(d_0, k.d_mu, z_c0, o_c0, 1)
-    _scatter(d_0, k.d_mu, z_c1, o_c1, 1)
-    _scatter(d_0, id_0, z_c0, z_ov, 1)
-    _scatter(d_0, id_0, z_c1, z_ov, -1)
-    _scatter(d_0, k.d_kappa, m1_ov, z_ov, 1)
+    def h1(degrees: tuple[int, ...], base: int) -> tuple[Layout, int]:
+        return _layout([(n + 1, -1) for n in degrees], base)
 
-    # D(1): charts of term 1 and overlap of term 0 into overlap of term 1
-    d_1: list[dict[int, Fraction]] = [{} for _ in range(dim_t2)]
-    _scatter(d_1, id_1, o_c0, o_ov, -1)
-    _scatter(d_1, id_1, o_c1, o_ov, 1)
-    _scatter(d_1, k.d_mu, z_ov, o_ov, 1)
+    # M(-1) = H0(K-1), M0 = H0(K0) + H1(K-1), M1 = H0(K1) + H1(K0), M2 = H1(K1)
+    m1_h0, dim_m1 = h0(deg_m1, 0)
+    z_h0, end = h0(deg_0, 0)
+    m1_h1, dim_0 = h1(deg_m1, end)
+    o_h0, h0_k1 = h0(deg_1, 0)
+    z_h1, dim_1 = h1(deg_0, h0_k1)
+    o_h1, dim_2 = h1(deg_1, 0)
+
+    d_m1: list[dict[int, Fraction]] = [{} for _ in range(dim_0)]
+    _scatter(d_m1, k.d_kappa, m1_h0, z_h0)
+    d_0: list[dict[int, Fraction]] = [{} for _ in range(dim_1)]
+    _scatter(d_0, k.d_mu, z_h0, o_h0)
+    _scatter(d_0, k.d_kappa, m1_h1, z_h1)
+    d_1: list[dict[int, Fraction]] = [{} for _ in range(dim_2)]
+    _scatter(d_1, k.d_mu, z_h1, o_h1)
+
+    # d2 = pi mu h kappa iota into the H0(K1) rows of D(0), sign dropped:
+    # h keeps the exponents e' < 0, e' <= n of a K0 summand O(n), and pi
+    # the exponents 0..n of K1; e' < n - max(deg K1) never reaches 0
+    top = max(deg_1, default=0)
+    mid, size = _layout([(n - top, min(n, -1)) for n in deg_0], 0)
+    h_kappa: list[dict[int, Fraction]] = [{} for _ in range(size)]
+    _scatter(h_kappa, k.d_kappa, m1_h1, mid)
+    pi_mu: list[dict[int, Fraction]] = [{} for _ in range(h0_k1)]
+    _scatter(pi_mu, k.d_mu, mid, o_h0)
+    for row, products in zip(d_0, pi_mu):
+        for p, b in products.items():
+            for c, a in h_kappa[p].items():
+                row[c] = row.get(c, 0) + a * b
 
     r_m1 = sparse_rank(d_m1)
     r_0 = sparse_rank(d_0)
     r_1 = sparse_rank(d_1)
     return (
-        dim_tm1 - r_m1,
-        dim_t0 - r_0 - r_m1,
-        dim_t1 - r_1 - r_0,
-        dim_t2 - r_1,
+        dim_m1 - r_m1,
+        dim_0 - r_0 - r_m1,
+        dim_1 - r_1 - r_0,
+        dim_2 - r_1,
     )
 
 
 def hypercoh_dims(k: DeformationComplex, window: int | None = None) -> CohomologyReport:
     """Hypercohomology dimensions in degrees -1..2 by exact ranks of the
-    truncated total complex, in one pass: the truncation is exact at
-    every window from `min_window` up (module docstring), so the report
-    is stabilized by proof rather than by recomputing wider.
+    minimal model's three differentials (module docstring).
 
-    The alternating sum is window-independent bookkeeping (each chart
-    block contributes exactly the euler number of its summand), and is
-    checked against the split-data count.
+    `window` defaults to `min_window` and is refused below it; it is
+    echoed in the report, and the dimensions do not depend on it.  The
+    alternating sum is checked against the split-data count.
     """
     window = k.min_window if window is None else int(window)
     if window < k.min_window:
         raise ValueError(f"window {window} below the required {k.min_window}")
-    dims = _cech_dims(k, window)
+    dims = _minimal_dims(k)
     euler = -dims[0] + dims[1] - dims[2] + dims[3]
     chi = (
         -sum(d + 1 for d in k.term_minus1.multidegree)

@@ -1,15 +1,32 @@
-"""The Cech scatter against the four-routine version it replaced.
+"""The minimal model against the truncated two-chart Cech complex.
 
-`complexes._cech_dims` lays every Cech piece of a summand out by the
-exponent of u in the chart-0 trivialization and runs every block of the
-total differential through one `_scatter`.  The reference below is the
-earlier code, kept verbatim: a `_Block` index per term, separate chart,
-overlap and Cech scatters, and dims that `hypercoh_dims` recomputed at
-window + 5 to certify the truncation.  On the 352 residual-zero instances
-both must give the same four dimensions at `min_window`, the reference
-the same at `min_window + 5` (every second instance), and the new code
-the same again at the smallest window the truncation proof in the
-`complexes` docstring covers, max(0, largest summand degree).
+`complexes.hypercoh_dims` reads the dimensions off the minimal model
+H0 + H1[-1] (the `complexes` module docstring).  The reference below is
+the Cech code it replaced, kept verbatim: a `_Block` index per term,
+separate chart, overlap and Cech scatters, and the total complex
+truncated to a window W of Laurent exponents.  On the 352 residual-zero
+instances the model must give the reference's four dimensions at
+`min_window`, at `min_window + 5` (every second instance), and at the
+smallest window the truncation proof below covers, max(0, every summand
+degree).
+
+The truncation is exact whenever W is at least max(0, every summand
+degree), which `min_window` guarantees.  Index every Cech piece of a
+summand O(n) by the exponent e of u = t/s in the chart-0
+trivialization.  Chart 0 holds u^e for 0 <= e <= W; chart 1 holds
+v^j = u^(n-j), that is n-W <= e <= n; the overlap holds n-W <= e <= W.
+Multiplying by s^(d-i) t^i, from O(n) to O(n+d), sends e to e+i on all
+three pieces.  The Cech map is the identity on e, with sign + from
+chart 0 and - from chart 1.
+
+The monomials outside these ranges span a subcomplex S of the full
+Laurent Cech total complex: an exponent above W stays above W, and one
+below n-W stays below n+d-W because i <= d.  In each term the Cech map
+of S is a bijection: its chart-0 part {e > W} and chart-1 part
+{e < n-W} (W >= 0 puts both inside the charts) are disjoint because
+n-W <= 0 <= W, and together they give the whole overlap part of S.  So
+S has acyclic rows, its total complex is acyclic, and the truncation,
+the quotient by S, has the hypercohomology of the full complex.
 """
 
 from __future__ import annotations
@@ -18,9 +35,8 @@ from fractions import Fraction
 
 import pytest
 
-from quiverbundles import complexes
 from quiverbundles.bundles import residual_is_zero
-from quiverbundles.complexes import DeformationComplex, build_complex
+from quiverbundles.complexes import DeformationComplex, build_complex, hypercoh_dims
 from quiverbundles.generators import bundle_spec, gen_bundle, stable_bundles
 from quiverbundles.linalg import sparse_rank
 from quiverbundles.polynomials import PolyMatrix
@@ -181,12 +197,12 @@ def _cech_dims(k: DeformationComplex, window: int) -> tuple[int, int, int, int]:
 
 @pytest.fixture(scope="module")
 def pool():
-    """The 352 residual-zero instances, each with the new dims at min_window."""
+    """The 352 residual-zero instances, each with the minimal model's dims."""
     bundles = list(stable_bundles(100, seed=23, degree_bound=4))
     bundles += [gen_bundle(bundle_spec(k, 0)) for k in range(192)]
     bundles += [gen_bundle(bundle_spec(k, 7, degree_bound=4)) for k in range(60)]
     ks = [build_complex(e) for e in bundles if residual_is_zero(e)]
-    return [(k, complexes._cech_dims(k, k.min_window)) for k in ks]
+    return [(k, tuple(d for _, d in hypercoh_dims(k).h)) for k in ks]
 
 
 def test_pool_size(pool):
@@ -210,4 +226,4 @@ def test_proof_boundary_window_gives_same_dims(pool):
         degrees = k.term_minus1.multidegree + k.term_zero.multidegree + k.term_one.multidegree
         w = max(0, *degrees)
         assert w <= k.min_window
-        assert complexes._cech_dims(k, w) == dims
+        assert _cech_dims(k, w) == dims

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 from quiverbundles import complexes
@@ -269,23 +270,39 @@ def test_invariant_failure_exits_3(monkeypatch):
 
 
 EXPECTED = FIXTURES / "expected"
-PINNED = ("stability", "base-locus", "asym-check", "hn-bound")
+PINNED = ("stability", "base-locus", "asym-check", "hn-bound", "defcomplex")
 
 
 def test_verdict_stdout_matches_pinned_files():
-    # one <fixture>.<subcommand>.out per valid fixture, exit codes alongside
+    # one <fixture>.<subcommand>.out per valid fixture, exit codes alongside;
+    # defcomplex-window is defcomplex --window <min_window + 3>, min_window
+    # read from the pinned defcomplex output (0 where that output is empty)
     codes = json.loads((EXPECTED / "exit_codes.json").read_text())
     seen = set()
     for path in sorted(FIXTURES.glob("*.json")):
         if run(["validate", "--input", str(path)])[0] != 0:
             continue
-        for command in PINNED:
-            name = f"{path.stem}.{command}"
-            code, out, _ = run([command, "--input", str(path)])
+        plain = (EXPECTED / f"{path.stem}.defcomplex.out").read_text()
+        window = str(int(json.loads(plain)["min_window"]) + 3 if plain else 3)
+        invocations = [(command, [command]) for command in PINNED]
+        invocations.append(("defcomplex-window", ["defcomplex", "--window", window]))
+        for label, argv in invocations:
+            name = f"{path.stem}.{label}"
+            code, out, _ = run(argv + ["--input", str(path)])
             assert out == (EXPECTED / f"{name}.out").read_text(), name
             assert code == codes[name], name
             seen.add(name)
     assert seen == set(codes)
+
+
+def test_defcomplex_huge_window_answers_quickly():
+    # the window is validated and echoed; no computation grows with it
+    start = time.perf_counter()
+    code, out, _ = run(["defcomplex", "--input", BUNDLE_STABLE, "--window", "1000000000"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert '"window": "1000000000"' in out
+    assert elapsed < 5.0, f"{elapsed:.1f} s"
 
 
 def test_negative_rational_flag_values_after_a_space():
@@ -310,6 +327,12 @@ def test_negative_rational_flag_values_after_a_space():
         codes.append(code)
     # a negative delta is refused by the slope and stability routines
     assert codes == [0, 2, 2, 2, 2, 0]
+    # abbreviated option names take the value after a space too
+    shorts = ("--mu", "--del", "--del", "--del", "--del", "--lev")
+    for (argv, flag, value), short in zip(cases, shorts):
+        code, out, err = run(argv + [short, value])
+        assert "expected one argument" not in err
+        assert (code, out) == run(argv + [f"{flag}={value}"])[:2]
     assert json.loads(run(cases[0][0] + ["--mu1", "-5/2"])[1]) == {"delta0": "12"}
     # a flag followed by another option still lacks its value
     code, _, err = run(["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "--v0"])

@@ -9,7 +9,7 @@ from quiverbundles.complexes import (
     hypercoh_dims,
     symmetry_check,
 )
-from quiverbundles.generators import InstanceSpec, gen_bundle
+from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.linalg import sparse_rank
 from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero, poly_matmul
 from quiverbundles.quivers import HypothesisError
@@ -201,3 +201,22 @@ def test_hypercoh_rank_six_instance_within_budget():
     assert report.h == ((-1, 0), (0, 44), (1, 44), (2, 0))
     assert report.stabilized
     assert elapsed < 12.0, f"{elapsed:.1f} s"
+
+
+def test_hypercoh_needs_the_d2_block():
+    # adhm (2), framing 2: the E2 page alone gives h0 = h1 = 8; the d2
+    # block H1(K-1) -> H0(K1) of the minimal model cuts both to 7
+    report = hypercoh_dims(build_complex(gen_bundle(bundle_spec(98, 0))))
+    assert report.h == ((-1, 0), (0, 7), (1, 7), (2, 0))
+
+
+def test_hypercoh_rank_ten_instance_within_budget():
+    # the Cech total complex at the proven window took about 10 s on a
+    # shared 2-CPU host
+    e = gen_bundle(InstanceSpec("adhm", (10,), framing=2, degree_bound=10, seed=2))
+    k = build_complex(e)
+    start = time.perf_counter()
+    report = hypercoh_dims(k)
+    elapsed = time.perf_counter() - start
+    assert report.h == ((-1, 0), (0, 144), (1, 144), (2, 0))
+    assert elapsed < 5.0, f"{elapsed:.1f} s"
