@@ -4,8 +4,9 @@ Generators sample every arrow block except one designated solvable block
 (the framing-return arrow by default) and solve the linear system the
 moment relation imposes on that block; when that system is not generically
 solvable they fall back to data satisfying the relation by construction:
-commuting loop pairs, zero return arrows.  All sampling is exact over the
-rationals and bit-for-bit deterministic in the seed.
+commuting loop pairs, zero return arrows, and for adhm at a nonzero level
+a Calogero-Moser point.  All sampling is exact over the rationals and
+bit-for-bit deterministic in the seed.
 
 The comparison corpus enumerates column-selecting 0/1 instances, the class
 on which the independent subset-enumeration stability oracle is total, in
@@ -222,6 +223,27 @@ def _try_rep_adhm(spec: InstanceSpec, rng: random.Random, solve_mode: bool) -> F
     return FramedRep(spec.double, spec.dimension_vector(), x)
 
 
+def _calogero_moser(spec: InstanceSpec, rng: random.Random) -> FramedRep:
+    """An adhm point at level lam != 0 for any framing: B1 = diag(x) with
+    distinct x, B2 with off-diagonal entries lam / (x_l - x_k), so that
+    [B1, B2] = lam (I - J) for J the all-ones matrix, and iota j = lam J
+    through framing coordinate 0."""
+    (n,), r, lam = spec.dims, spec.framing, spec.level
+    xs = rng.sample(range(-n * spec.height, n * spec.height + 1), n)
+    b1 = tuple(tuple(Fraction(x) if k == l else ZERO for l in range(n)) for k, x in enumerate(xs))
+    b2 = tuple(
+        tuple(
+            Fraction(rng.randint(-spec.height, spec.height)) if k == l else lam / (xs[l] - xs[k])
+            for l in range(n)
+        )
+        for k in range(n)
+    )
+    iota = tuple((lam,) + (ZERO,) * (r - 1) for _ in range(n))
+    j = ((Fraction(1),) * n,) + linalg.zeros(r - 1, n)
+    x = {"loop+": b1, "loop-": b2, "frame+": iota, "frame-": j}
+    return FramedRep(spec.double, spec.dimension_vector(), x)
+
+
 def _try_rep_chain(spec: InstanceSpec, rng: random.Random, solve_mode: bool) -> FramedRep | None:
     (n1, n2), r = spec.dims, spec.framing
     f_plus = _rand_matrix(rng, n1, r, spec.height)
@@ -251,7 +273,12 @@ def gen_rep(spec: InstanceSpec) -> FramedRep:
     Even attempts sample all blocks but the framing-return arrow and solve
     the relation for it column by column; odd attempts (level zero only)
     use commuting loops and zero return arrows, which satisfy the relation
-    by construction.  Raises RuntimeError once every attempt fails.
+    by construction.  At a nonzero level the solves generically fail
+    unless the framing covers the dimensions (n <= framing for adhm,
+    n2 <= n1 <= framing for the chain).  Once every attempt fails, an adhm
+    spec at a nonzero level falls back to a Calogero-Moser point
+    (`_calogero_moser`); the chain has no fallback, and any other spec
+    raises RuntimeError.
     """
     _require_positive_ordinary(spec)
     rng = random.Random(spec.seed)
@@ -265,6 +292,8 @@ def gen_rep(spec: InstanceSpec) -> FramedRep:
             linalg.is_zero_matrix(m) for m in moment(x, level).values()
         ):
             return x
+    if spec.preset == "adhm" and spec.level != 0:
+        return _calogero_moser(spec, rng)
     raise RuntimeError(f"no zero-residual representation for {spec} after {MAX_ATTEMPTS} attempts")
 
 
@@ -702,7 +731,9 @@ def run_suite(name: str, count: int = 50, seed: int = 0) -> SuiteReport:
     hamiltonian       pairing identity on unconstrained samples
     moment-zero       generated representations have zero residual
     sheaf-residual    generated bundles validate with zero residual
-    defcomplex        the two differentials compose to zero
+    defcomplex        the two differentials compose to zero, multiplied
+                      out: the runtime check of the equivariance proof
+                      that lets `build_complex` skip the product
     fiber-consistency fiber verdicts match the symbolic verdict
     closure-brute     closure stability equals the brute-force oracle
                       (count caps the corpus; zero means the whole corpus)

@@ -274,15 +274,14 @@ def poly_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if (a and b) and len(a[0]) != len(b):
         raise ValueError("form matrix shape mismatch")
     n = len(b[0]) if b else 0
+    nonzero = [[(j, f) for j, f in enumerate(row) if not f.is_zero()] for row in b]
     out = []
     for row in a:
-        orow = []
-        for j in range(n):
-            acc = _ZERO_POLY
-            for k, e in enumerate(row):
-                if not e.is_zero() and not b[k][j].is_zero():
-                    acc = acc + e * b[k][j]
-            orow.append(acc)
+        orow = [_ZERO_POLY] * n
+        for e, b_row in zip(row, nonzero):
+            if b_row and not e.is_zero():
+                for j, f in b_row:
+                    orow[j] = orow[j] + e * f
         out.append(tuple(orow))
     return tuple(out)
 

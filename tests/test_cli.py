@@ -187,6 +187,21 @@ def test_gen_writes_parseable_deterministic_documents(tmp_path):
     assert code == 0 and verdict["valid"] is True
 
 
+def test_gen_rep_below_the_framing_at_a_nonzero_level(tmp_path):
+    # framing 1 < dimension 2 at level -1/2: a Calogero-Moser point
+    target = tmp_path / "cm.json"
+    argv = ["gen", "--kind", "rep", "--preset", "adhm", "--dims", "2", "--level", "-1/2"]
+    code, out, err = run(argv + ["--out", "-"])
+    assert (code, err) == (0, "")
+    assert run(argv + ["--out", str(target)])[0] == 0
+    assert json.loads(target.read_text()) == json.loads(out)
+    assert json.loads(out)["lambda"] == {"1": "-1/2"}
+    code, verdict = run_json(["validate", "--input", str(target)])
+    assert code == 0 and verdict["valid"] is True
+    code, verdict = run_json(["stability", "--input", str(target)])
+    assert code == 0 and verdict["stable"] is True
+
+
 def test_suite_smoke_and_unknown_name():
     code, payload = run_json(["suite", "--name", "moment-zero", "--count", "4"])
     assert code == 0
@@ -261,12 +276,12 @@ def test_output_is_byte_deterministic_across_runs():
 
 
 def test_invariant_failure_exits_3(monkeypatch):
-    # a composition check that fails on a good document is a library
-    # defect: exit 3, one error line, nothing on stdout
-    monkeypatch.setattr(complexes, "poly_mat_is_zero", lambda m: False)
+    # a degree check that fails on a good document is a library defect:
+    # exit 3, one error line, nothing on stdout
+    monkeypatch.setattr(complexes, "CANONICAL_DEGREE", -3)
     code, out, err = run(["defcomplex", "--input", BUNDLE_STABLE])
     assert (code, out) == (3, "")
-    assert err == "error: composition not zero\n"
+    assert err == "error: differential degree mismatch\n"
 
 
 EXPECTED = FIXTURES / "expected"

@@ -1,4 +1,6 @@
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,12 @@ from quiverbundles.complexes import (
     euler_char_rr,
     hypercoh_dims,
     symmetry_check,
+)
+from quiverbundles.bundles import (
+    TwistedQuiverBundle,
+    moment_residual_sheaf,
+    residual_is_zero,
+    validate,
 )
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.linalg import sparse_rank
@@ -220,3 +228,58 @@ def test_hypercoh_rank_ten_instance_within_budget():
     elapsed = time.perf_counter() - start
     assert report.h == ((-1, 0), (0, 144), (1, 144), (2, 0))
     assert elapsed < 5.0, f"{elapsed:.1f} s"
+
+
+def _resampled(e, rng):
+    # every arrow matrix drawn afresh at its forced entry degrees
+    phi = {}
+    for a in e.double.arrows:
+        rows = []
+        for k in range(e.bundles[a.head].rank):
+            row = []
+            for l in range(e.bundles[a.tail].rank):
+                d = e.entry_degree(a.name, k, l)
+                coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d + 1)]
+                row.append(HomogPoly.of(d, coeffs) if d >= 0 else ZERO)
+            rows.append(tuple(row))
+        phi[a.name] = tuple(rows)
+    return TwistedQuiverBundle(e.double, e.bundles, e.twist, phi)
+
+
+def test_composition_is_the_commutator_with_the_residual(monkeypatch):
+    # the equivariance proof in `build_complex`: mu kappa(g)_i = [g_i, R_i]
+    # for R the moment residual, so the entry from (i, k, m) to (i, p, q)
+    # is delta_pk R_i[m][q] - delta_mq R_i[p][k], and zero across vertices
+    monkeypatch.setattr(complexes, "residual_is_zero", lambda e: True)
+    rng = random.Random(11)
+    presets = []
+    k = 0
+    while len(presets) < 24:
+        spec = bundle_spec(k)
+        k += 1
+        e = _resampled(gen_bundle(spec), rng)
+        if not validate(e).valid or residual_is_zero(e):
+            continue
+        presets.append(spec.preset)
+        residual = moment_residual_sheaf(e)
+        c = build_complex(e)
+        product = poly_matmul(c.d_mu, c.d_kappa)
+        for r, (i, p, q) in enumerate(c.labels_one):
+            res = residual[i]
+            for col, (j, kk, m) in enumerate(c.labels_minus1):
+                want = ZERO
+                if i == j:
+                    want = (res[m][q] if p == kk else ZERO) - (res[p][kk] if m == q else ZERO)
+                assert product[r][col] == want, (spec, (i, p, q), (j, kk, m))
+    assert set(presets) == {"adhm", "chain"}
+
+
+def test_build_complex_rank_twelve_within_budget():
+    # the dense d_mu d_kappa product took about 2 s here on a shared
+    # 2-CPU host
+    e = gen_bundle(InstanceSpec("adhm", (12,), framing=2, degree_bound=12, seed=2))
+    start = time.perf_counter()
+    k = build_complex(e)
+    elapsed = time.perf_counter() - start
+    assert len(k.labels_minus1) == 144
+    assert elapsed < 1.0, f"{elapsed:.2f} s"

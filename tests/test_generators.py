@@ -97,9 +97,24 @@ def test_gen_rep_rejects_zero_dimensional_vertex():
 
 
 def test_gen_rep_bounded_attempts():
-    # rank of the framing block cannot reach a generic level-1 right side
+    # rank of the framing block cannot reach a generic level-1 right side,
+    # and the chain has no fallback construction
     with pytest.raises(RuntimeError):
-        gen_rep(InstanceSpec("adhm", (2,), framing=1, seed=5, level=1))
+        gen_rep(InstanceSpec("chain", (2, 2), framing=1, seed=5, level=1))
+
+
+@pytest.mark.parametrize(
+    "n, framing, level, seed",
+    [(2, 1, "-1/2", 0), (3, 2, "-1", 0), (3, 1, "2", 0), (5, 2, "1/3", 0), (2, 1, "1", 5)],
+)
+def test_gen_rep_calogero_moser_below_the_framing(n, framing, level, seed):
+    # every solve fails when the framing is below the dimension at a
+    # nonzero level; the fallback point lies on the level set and is stable
+    spec = InstanceSpec("adhm", (n,), framing=framing, seed=seed, level=Fraction(level))
+    x = gen_rep(spec)
+    assert x == gen_rep(spec)
+    assert all(linalg.is_zero_matrix(m) for m in moment(x, {"1": spec.level}).values())
+    assert is_stable_framed(x).stable
 
 
 def test_gen_bundle_valid_zero_residual_deterministic():

@@ -151,3 +151,57 @@ def test_invariant_checks_survive_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "1 1 is not a root: remainder 2\n"
+
+
+def _dense_poly_matmul(a, b):
+    # the dense triple loop poly_matmul replaced, kept verbatim as its oracle
+    if (a and b) and len(a[0]) != len(b):
+        raise ValueError("form matrix shape mismatch")
+    n = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        orow = []
+        for j in range(n):
+            acc = HomogPoly.zero()
+            for k, e in enumerate(row):
+                if not e.is_zero() and not b[k][j].is_zero():
+                    acc = acc + e * b[k][j]
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def test_poly_matmul_matches_dense_loop():
+    # entry degrees x_i + y_k and w_j + 2 - y_k make every product
+    # homogeneous; about half the entries and some whole rows are zero
+    rng = random.Random(7)
+    zero = HomogPoly.zero()
+    for m in range(4):
+        for inner in range(4):
+            for n in range(4):
+                x = [rng.randint(0, 2) for _ in range(m)]
+                y = [rng.randint(0, 2) for _ in range(inner)]
+                w = [rng.randint(0, 2) for _ in range(n)]
+                a = tuple(
+                    tuple(
+                        _random_form(rng, x[i] + y[k]) if rng.random() < 0.5 and i != 1 else zero
+                        for k in range(inner)
+                    )
+                    for i in range(m)
+                )
+                b = tuple(
+                    tuple(
+                        _random_form(rng, w[j] + 2 - y[k]) if rng.random() < 0.5 and k != 0 else zero
+                        for j in range(n)
+                    )
+                    for k in range(inner)
+                )
+                assert poly_matmul(a, b) == _dense_poly_matmul(a, b)
+    for a, b in [(((S, T),), ((S,),)), (((S,),), ((S,), (T,)))]:
+        for mul in (poly_matmul, _dense_poly_matmul):
+            try:
+                mul(a, b)
+            except ValueError as e:
+                assert str(e) == "form matrix shape mismatch"
+            else:
+                raise AssertionError("shape mismatch accepted")
