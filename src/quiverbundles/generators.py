@@ -178,18 +178,6 @@ def random_lie(x: FramedRep, seed: int, height: int = 3) -> LieElement:
 # zero-residual representations
 
 
-def _solve_columns(a: Matrix, rhs: Matrix) -> Matrix | None:
-    """X with a X = rhs, solved one column at a time; None if inconsistent."""
-    cols = []
-    for c in range(len(rhs[0]) if rhs else 0):
-        y = linalg.solve(a, tuple(row[c] for row in rhs))
-        if y is None:
-            return None
-        cols.append(y)
-    width = len(a[0]) if a else 0
-    return tuple(tuple(col[r] for col in cols) for r in range(width))
-
-
 def _commuting_pair(rng: random.Random, n: int, height: int) -> tuple[Matrix, Matrix]:
     """b2 is a seeded quadratic polynomial in b1, so the pair commutes."""
     b1 = _rand_matrix(rng, n, n, height)
@@ -210,7 +198,7 @@ def _try_rep_adhm(spec: InstanceSpec, rng: random.Random, solve_mode: bool) -> F
         rhs = linalg.sub(
             linalg.scale(spec.level, linalg.identity(n)), linalg.commutator(b1, b2)
         )
-        j = _solve_columns(iota, rhs)
+        j = linalg.solve(iota, rhs)
         if j is None:
             return None
     else:
@@ -249,13 +237,13 @@ def _try_rep_chain(spec: InstanceSpec, rng: random.Random, solve_mode: bool) -> 
     f_plus = _rand_matrix(rng, n1, r, spec.height)
     e_plus = _rand_matrix(rng, n2, n1, spec.height)
     if solve_mode:
-        e_minus = _solve_columns(e_plus, linalg.scale(spec.level, linalg.identity(n2)))
+        e_minus = linalg.solve(e_plus, linalg.scale(spec.level, linalg.identity(n2)))
         if e_minus is None:
             return None
         rhs = linalg.add(
             linalg.scale(spec.level, linalg.identity(n1)), linalg.matmul(e_minus, e_plus)
         )
-        f_minus = _solve_columns(f_plus, rhs)
+        f_minus = linalg.solve(f_plus, rhs)
         if f_minus is None:
             return None
     else:

@@ -1,13 +1,13 @@
 """Exact rational linear algebra.
 
 Dense routines work on immutable tuple-of-tuples matrices over
-`fractions.Fraction`; there is no floating point anywhere.  Every rank and
-span-membership test runs on one kernel, `add_row`, which keeps a table of
-primitive integer pivot rows and reduces each new row fraction-free against
-it; `sparse_rank` feeds it the rows of a {column: value} matrix shortest
-first, and `rank` is `sparse_rank` of a dense matrix.  Gauss-Jordan `rref`
-remains behind the routines whose output is reduced rows: `nullspace`,
-`solve` and `row_space_basis`.
+`fractions.Fraction`; there is no floating point anywhere.  One kernel,
+`add_row`, does all elimination: it keeps a table of primitive integer
+pivot rows and reduces each new row fraction-free against it.
+`sparse_rank` feeds it the rows of a {column: value} matrix shortest first,
+and `rank` is `sparse_rank` of a dense matrix; `_rref` back-substitutes its
+table into the reduced row echelon form, from which `nullspace`, `solve`
+and `row_space_basis` read their answers.
 """
 
 from __future__ import annotations
@@ -103,28 +103,26 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return sub(matmul(a, b), matmul(b, a))
 
 
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in a]
-    m, n = shape(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+def _rref(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the rows, as {pivot column: row}.
+
+    The rows go into one `add_row` table; back-substitution from the last
+    pivot clears each table row at the later pivots and divides it by its
+    leading entry.  That form is unique, so these are Gauss-Jordan's rows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        add_row(pivots, integer_row(dict(enumerate(row))))
+    reduced: dict[int, dict[int, int]] = {}
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c in reduced]:
+            row = _clear(row, reduced[c], c)
+        reduced[lead] = row
+    return {
+        lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
+        for lead, row in sorted(reduced.items())
+    }
 
 
 def rank(a: Matrix) -> int:
@@ -133,43 +131,38 @@ def rank(a: Matrix) -> int:
 
 def nullspace(a: Matrix) -> tuple[Vector, ...]:
     """Canonical basis of the right kernel (one vector per free column)."""
-    r, pivots = rref(a)
-    n = shape(a)[1]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * n
-        v[free] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -r[i][free]
-        basis.append(tuple(v))
-    return tuple(basis)
+    n, reduced = shape(a)[1], _rref(a)
+    return tuple(
+        tuple(ONE if c == free else -reduced.get(c, {}).get(free, ZERO) for c in range(n))
+        for free in range(n)
+        if free not in reduced
+    )
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None if inconsistent."""
+def solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """The X with a X = b that is zero at every free coordinate, or None.
+
+    One `_rref` of [a | b], whose pivots left of b are a's.  A pivot in a
+    column of b puts that column outside the span of the columns before it,
+    a's among them, so no X exists; without one, each column of b is read
+    off the reduced rows as a combination of a's pivot columns.  Column j
+    is also the answer for [a | b_j] alone, whose reduced form is this one
+    restricted to its columns.
+    """
     m, n = shape(a)
     if len(b) != m:
         raise ValueError("rhs length mismatch")
-    aug = tuple(row + (bb,) for row, bb in zip(a, b))
-    r, pivots = rref(aug)
-    if n in pivots:
+    k = shape(b)[1]
+    reduced = _rref(ra + rb for ra, rb in zip(a, b))
+    if any(c >= n for c in reduced):
         return None
-    x = [ZERO] * n
-    for i, c in enumerate(pivots):
-        x[c] = r[i][n]
-    return tuple(x)
+    return tuple(tuple(reduced.get(c, {}).get(n + j, ZERO) for j in range(k)) for c in range(n))
 
 
 def row_space_basis(rows: Sequence[Vector]) -> tuple[Vector, ...]:
     """Canonical (rref) basis of the span of the given row vectors."""
-    live = [r for r in rows if any(x != 0 for x in r)]
-    if not live:
-        return ()
-    reduced, pivots = rref(tuple(live))
-    return reduced[: len(pivots)]
+    n = len(rows[0]) if rows else 0
+    return tuple(tuple(row.get(c, ZERO) for c in range(n)) for row in _rref(rows).values())
 
 
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
@@ -193,14 +186,31 @@ def integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
     )
 
 
+def _clear(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """Clear row at col against pivot, fraction-free, and make it primitive."""
+    g = gcd(pivot[col], row[col])
+    p, f = pivot[col] // g, row[col] // g
+    if p != 1:
+        for c in row:
+            row[c] *= p
+    for c, v in pivot.items():
+        # pivot entries are nonzero, so w == 0 only where row has c
+        w = row.get(c, 0) - f * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    return _normalize_int_row(row)
+
+
 def add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     """Add an integer row to a pivot table; True iff it was independent.
 
     The table maps each stored row's least column to that row, so its rows
     are in echelon form and span the rows added so far.  The new row is
-    reduced fraction-free against the pivot at its leading column and made
-    primitive, until it vanishes or leads at a free column, where it is
-    stored.  The row must hold no zero entries; it is reduced in place.
+    cleared against the pivot at its leading column (`_clear`) until it
+    vanishes or leads at a free column, where it is stored.  The row must
+    hold no zero entries; it is reduced in place.
     """
     while row:
         lead = min(row)
@@ -208,19 +218,7 @@ def add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
         if pivot is None:
             pivots[lead] = row
             return True
-        g = gcd(pivot[lead], row[lead])
-        p, f = pivot[lead] // g, row[lead] // g
-        if p != 1:
-            for c in row:
-                row[c] *= p
-        for c, v in pivot.items():
-            # pivot entries are nonzero, so w == 0 only where row has c
-            w = row.get(c, 0) - f * v
-            if w:
-                row[c] = w
-            else:
-                del row[c]
-        row = _normalize_int_row(row)
+        row = _clear(row, pivot, lead)
     return False
 
 

@@ -1,8 +1,77 @@
+"""Tests of the exact linear algebra, with Gauss-Jordan `rref` as the oracle.
+
+`rref` below is the dense `Fraction` elimination that `linalg` used before
+its kernel, nullspace, solve and row basis all ran on `add_row`; the oracle
+test requires their answers to equal the ones derived from it.
+"""
+
 import random
 from fractions import Fraction
 
 from quiverbundles import linalg
-from quiverbundles.linalg import mat, vec
+from quiverbundles.linalg import ONE, ZERO, Matrix, mat, shape, vec
+
+
+def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices."""
+    rows = [list(r) for r in a]
+    m, n = shape(a)
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def rref_nullspace(a):
+    r, pivots = rref(a)
+    n = shape(a)[1]
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [ZERO] * n
+        v[free] = ONE
+        for i, c in enumerate(pivots):
+            v[c] = -r[i][free]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def rref_solve(a, b):
+    """Column by column: the rref of [a | b_j], None once one is inconsistent."""
+    n = shape(a)[1]
+    cols = []
+    for j in range(shape(b)[1]):
+        r, pivots = rref(tuple(row + (bb[j],) for row, bb in zip(a, b)))
+        if n in pivots:
+            return None
+        x = [ZERO] * n
+        for i, c in enumerate(pivots):
+            x[c] = r[i][n]
+        cols.append(x)
+    return tuple(tuple(col[c] for col in cols) for c in range(n))
+
+
+def rref_row_space_basis(rows):
+    live = [r for r in rows if any(x != 0 for x in r)]
+    if not live:
+        return ()
+    reduced, pivots = rref(tuple(live))
+    return reduced[: len(pivots)]
 
 
 def test_matmul_identity_and_trace():
@@ -22,11 +91,11 @@ def test_rref_rank_nullspace_consistency():
 
 def test_solve_consistent_and_inconsistent():
     a = mat([[1, 1], [1, -1]])
-    x = linalg.solve(a, vec([3, 1]))
-    assert x == (Fraction(2), Fraction(1))
+    x = linalg.solve(a, mat([[3], [1]]))
+    assert x == ((Fraction(2),), (Fraction(1),))
     b = mat([[1, 1], [2, 2]])
-    assert linalg.solve(b, vec([1, 3])) is None
-    assert linalg.solve(b, vec([1, 2])) is not None
+    assert linalg.solve(b, mat([[1], [3]])) is None
+    assert linalg.solve(b, mat([[1], [2]])) is not None
 
 
 def test_row_space_basis_canonical_and_membership():
@@ -50,7 +119,7 @@ def test_sparse_rank_matches_dense_on_random_matrices():
             {c: x for c, x in enumerate(row) if x != 0}
             for row in dense
         ]
-        assert linalg.sparse_rank(rows) == len(linalg.rref(dense)[1])
+        assert linalg.sparse_rank(rows) == len(rref(dense)[1])
 
 
 def test_sparse_rank_empty_and_zero_rows():
@@ -78,7 +147,7 @@ def test_sparse_rank_matches_rref_with_zero_entries_and_dependent_rows():
             ca, cb = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2))
             dense.append([ca * x + cb * y for x, y in zip(dense[a], dense[b])])
         matrix = tuple(tuple(row) for row in dense)
-        want = len(linalg.rref(matrix)[1])
+        want = len(rref(matrix)[1])
         # explicit zero entries stay in the sparse rows
         rows = [
             {c: x for c, x in enumerate(row) if x != 0 or rng.random() < 0.5}
@@ -87,3 +156,69 @@ def test_sparse_rank_matches_rref_with_zero_entries_and_dependent_rows():
         rng.shuffle(rows)
         assert linalg.sparse_rank(rows) == want
         assert linalg.rank(matrix) == want
+
+
+def _q(rng, height=9):
+    return Fraction(rng.randint(-height, height), rng.choice((1, 2, 3, 7)))
+
+
+def _random_matrix(rng, m, n):
+    return [[_q(rng) if rng.random() < 0.6 else ZERO for _ in range(n)] for _ in range(m)]
+
+
+def test_nullspace_solve_row_basis_match_rref_oracle():
+    rng = random.Random(2024)
+    inconsistent = one_bad_column = 0
+    for trial in range(3000):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        rows = _random_matrix(rng, m, n)
+        if trial % 5 == 0:
+            rows[rng.randrange(m)] = [ZERO] * n
+        if trial % 7 == 0:
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = ZERO
+        if trial % 3 == 0:
+            i, j = rng.randrange(m), rng.randrange(m)
+            ci, cj = _q(rng, 5), _q(rng, 5)
+            rows.append([ci * x + cj * y for x, y in zip(rows[i], rows[j])])
+        a = tuple(tuple(row) for row in rows)
+        assert linalg.nullspace(a) == rref_nullspace(a)
+        assert linalg.row_space_basis(a) == rref_row_space_basis(a)
+
+        # b = a x is consistent; a left-kernel vector y (y a = 0, y y > 0)
+        # added to one column makes exactly that column inconsistent
+        k = rng.randint(0, 3)
+        x = tuple(tuple(_q(rng, 4) for _ in range(k)) for _ in range(n))
+        b = [list(row) for row in linalg.matmul(a, x)] if k else [[] for _ in a]
+        left = rref_nullspace(linalg.transpose(a))
+        if k and left and trial % 2 == 0:
+            j = rng.randrange(k)
+            for row, yy in zip(b, left[0]):
+                row[j] += yy
+            one_bad_column += k > 1
+        elif k and trial % 4 == 1:
+            for row in b:
+                row[-1] = _q(rng)
+        b = tuple(tuple(row) for row in b)
+        want = rref_solve(a, b)
+        inconsistent += want is None
+        assert linalg.solve(a, b) == want
+        if want is not None and k:
+            assert linalg.matmul(a, want) == b
+    assert inconsistent > 500 and one_bad_column > 200
+
+
+def test_oracle_empty_shapes():
+    assert linalg.nullspace(()) == rref_nullspace(()) == ()
+    assert linalg.row_space_basis(()) == rref_row_space_basis(()) == ()
+    no_cols = ((), (), ())
+    assert linalg.nullspace(no_cols) == rref_nullspace(no_cols) == ()
+    assert linalg.row_space_basis(no_cols) == rref_row_space_basis(no_cols) == ()
+    assert linalg.solve(no_cols, ((), (), ())) == rref_solve(no_cols, ((), (), ())) == ()
+    assert linalg.solve(no_cols, mat([[0], [0], [0]])) == ()
+    assert linalg.solve(no_cols, mat([[0], [1], [0]])) is None
+    zero = linalg.zeros(2, 3)
+    assert linalg.nullspace(zero) == rref_nullspace(zero) == linalg.identity(3)
+    assert linalg.row_space_basis(zero) == ()
+    assert linalg.solve(zero, ((), ())) == rref_solve(zero, ((), ())) == ((), (), ())

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quiverbundles import linalg
+from quiverbundles.generators import gen_rep, random_lie, random_rep, rep_spec
 from quiverbundles.linalg import mat
 from quiverbundles.quivers import (
     Arrow,
@@ -24,6 +25,7 @@ from quiverbundles.representations import (
     hamiltonian_residual,
     is_stable_framed,
     moment,
+    moment_derivative,
     reduced_tangent,
     s_moment_invariance,
     symplectic_form,
@@ -362,3 +364,33 @@ def test_reduced_tangent_dimension_on_random_stable_points():
         assert report.dimension == 4  # dim X - 2 dim G = (2*4+2*2) - 2*4
         assert report.nondegenerate
         assert report.stabilizer_trivial
+
+
+def _mu_kappa(x, g):
+    return moment_derivative(x, action_derivative(g, x))
+
+
+def test_mu_kappa_is_the_commutator_with_the_moment():
+    # the equivariance identity behind reduced_tangent, off the level set
+    nonzero = 0
+    for k in range(60):
+        x = random_rep(rep_spec(k, seed=1))
+        g = random_lie(x, seed=k)
+        mu = moment(x)
+        nonzero += any(not linalg.is_zero_matrix(m) for m in mu.values())
+        got = _mu_kappa(x, g)
+        for i, block in got.items():
+            assert block == linalg.commutator(g.values[i], mu[i])
+    assert nonzero > 50
+
+
+def test_mu_kappa_vanishes_on_generated_level_sets():
+    levels = set()
+    for seed in range(3):
+        for k in range(40):
+            spec = rep_spec(k, seed)
+            x = gen_rep(spec)
+            levels.add(spec.level)
+            g = random_lie(x, seed=k)
+            assert all(linalg.is_zero_matrix(m) for m in _mu_kappa(x, g).values())
+    assert levels == {0, 1, -2}
