@@ -346,12 +346,14 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
 
     The form at a vertex is the content-normalized gcd of the maximal
     minors of the generation matrix (each minor is homogeneous because
-    all columns of a fixed word twist share a degree pattern).  It comes
-    from one echelon of the transposed matrix over Q[t], which gives the
-    generic rank too; see polynomials._minor_gcd.  The returned product
-    vanishes exactly where some fiber fails framed stability; the verdict
-    is full generic rank everywhere, equivalently a nonzero product.
-    Multiplicities are not contractual, the zero set is.
+    all columns of a fixed word twist share a degree pattern).  The rank
+    comes from fibers (polynomials.generic_rank); at full rank the gcd
+    comes from one echelon of the transposed matrix over Q[t] (see
+    polynomials._minor_gcd), and below it every maximal minor vanishes,
+    so the form is zero.  The returned product vanishes exactly where
+    some fiber fails framed stability; the verdict is full generic rank
+    everywhere, equivalently a nonzero product.  Multiplicities are not
+    contractual, the zero set is.
     """
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
@@ -363,11 +365,17 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
     for i in e.double.ordinary_vertices:
         n = e.bundles[i].rank
         matrix, _ = matrices[i]
-        pivots, g = _minor_gcd(tuple(zip(*matrix)))
-        if len(pivots) < n:
+        rank = generic_rank(matrix)
+        if rank == n:
+            pivots, g = _minor_gcd(tuple(zip(*matrix)))
+            if len(pivots) < n:
+                raise InvariantError(
+                    f"echelon at vertex {i!r} has {len(pivots)} pivots, generic rank {n}"
+                )
+        else:
             g = HomogPoly.zero()
             stable = False
-        ranks.append((i, len(pivots)))
+        ranks.append((i, rank))
         polys.append((i, g))
         total = total * g
     return BaseLocusReport(total, stable, tuple(ranks), tuple(polys))
@@ -404,12 +412,16 @@ def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
 
     At a vertex with generation matrix M, the generated subsheaf F is
     saturated, so det F sits in the rho-th exterior power of the vertex
-    bundle (rho the generic rank of M) with Plücker coordinates p_K, K a
+    bundle E (rho the generic rank of M) with Plücker coordinates p_K, K a
     set of rho rows, that have no common zero.  For rho independent
     columns J with summed twist tw_J, every rho x rho minor of M[:, J] on
     the rows K is s_J * p_K, where the wedge s_J of those columns is a
     section of det F(tw_J).  So the gcd of those minors has degree
     deg F + tw_J for every such J; J is the pivot columns of M's echelon.
+
+    At full rank rho = rank E no gcd is needed: E / F is then a torsion
+    sheaf, and F is saturated, so E / F is torsion-free as well, hence
+    zero.  F = E, and deg F = deg E.
     """
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
@@ -418,9 +430,14 @@ def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
     degs: list[tuple[str, int]] = []
     for i in e.double.ordinary_vertices:
         matrix, twists = matrices[i]
-        pivots, g = _minor_gcd(matrix)
-        ranks.append((i, len(pivots)))
-        degs.append((i, g.degree - sum(twists[j] for j in pivots)))
+        rank = generic_rank(matrix)
+        if rank == e.bundles[i].rank:
+            degree = e.bundles[i].degree
+        else:
+            pivots, g = _minor_gcd(matrix)
+            degree = g.degree - sum(twists[j] for j in pivots)
+        ranks.append((i, rank))
+        degs.append((i, degree))
     return GeneratedSummary(tuple(ranks), tuple(degs))
 
 

@@ -83,7 +83,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    if shape(a)[1] != len(v):
+    # a zero-row matrix carries no column count; its image is the empty vector
+    if a and shape(a)[1] != len(v):
         raise ValueError("matvec shape mismatch")
     return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
 

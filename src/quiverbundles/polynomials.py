@@ -4,18 +4,20 @@ A form of degree d is stored as the coefficient tuple of
 (s^d, s^(d-1) t, ..., t^d).  The zero form is a distinguished value with
 degree None so that matrices of forms can mix entry degrees without
 ambiguity.  Includes gcd (via the s/t-power split and univariate Euclid),
-a fraction-free row echelon of form matrices over Q[t], which gives
-generic ranks and gcds of maximal minors without enumerating minors, the
-cofactor determinant of a square form matrix, and rational-root factoring
-for display.  Forms in and out are exact rationals; inside, the echelon
-clears denominators once and works on integer rows by pseudo-division.
+a fraction-free row echelon of form matrices over Q[t], which gives gcds
+of maximal minors without enumerating minors, generic ranks from the
+ranks of D + 1 fibers (`generic_rank`), the cofactor determinant of a
+square form matrix, and rational-root factoring for display.  Forms in
+and out are exact rationals; inside, products, sums and evaluation work
+on integer numerators over a common denominator, and the echelon clears
+denominators once and works on integer rows by pseudo-division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -86,7 +88,8 @@ class HomogPoly:
             return self
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch {self.degree} + {other.degree}")
-        return HomogPoly.of(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        cs = tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return HomogPoly(self.degree, cs) if any(cs) else _ZERO_POLY
 
     def __sub__(self, other: HomogPoly) -> HomogPoly:
         return self + (-other)
@@ -99,15 +102,19 @@ class HomogPoly:
     def __mul__(self, other: HomogPoly) -> HomogPoly:
         if self.is_zero() or other.is_zero():
             return _ZERO_POLY
-        d = self.degree + other.degree
-        out = [ZERO] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return HomogPoly.of(d, out)
+        # integer numerators over the common denominator; a product of
+        # nonzero forms is nonzero
+        (xs, dx), (ys, dy) = _integral(self.coeffs), _integral(other.coeffs)
+        out = [0] * (len(xs) + len(ys) - 1)
+        ys = list(enumerate(ys))
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in ys:
+                    out[i + j] += x * y
+        den = dx * dy
+        if den == 1:
+            return HomogPoly(self.degree + other.degree, tuple([Fraction(v) for v in out]))
+        return HomogPoly(self.degree + other.degree, tuple([Fraction(v, den) for v in out]))
 
     def scaled(self, c: object) -> HomogPoly:
         c = Fraction(c)
@@ -116,15 +123,23 @@ class HomogPoly:
         return HomogPoly(self.degree, tuple(c * x for x in self.coeffs))
 
     def evaluate(self, s0: object, t0: object) -> Fraction:
+        """p(s0, t0), by homogeneity: p(S, T) / (L (den s0 * den t0)^d) with
+        the integers S = num s0 * den t0, T = num t0 * den s0 and the
+        integer numerators of L * p, L the common coefficient denominator."""
         if self.is_zero():
             return ZERO
-        s0, t0 = Fraction(s0), Fraction(t0)
-        d = self.degree
-        total = ZERO
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                total += c * s0 ** (d - k) * t0**k
-        return total
+        if not isinstance(s0, (int, Fraction)):
+            s0 = Fraction(s0)
+        if not isinstance(t0, (int, Fraction)):
+            t0 = Fraction(t0)
+        s, t = s0.numerator * t0.denominator, t0.numerator * s0.denominator
+        xs, den = _integral(self.coeffs)
+        acc, s_power = 0, 1
+        for x in reversed(xs):  # Horner from t^d down: acc * T + x * S^(d - k)
+            acc = acc * t + x * s_power
+            s_power *= s
+        den *= (s0.denominator * t0.denominator) ** self.degree
+        return Fraction(acc) if den == 1 else Fraction(acc, den)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -149,6 +164,15 @@ class HomogPoly:
 
 
 _ZERO_POLY = HomogPoly(None, ())
+
+
+def _integral(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over their common denominator, and it."""
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // m) for c, m in zip(coeffs, dens)], den
 
 
 def _monomial_str(s_pow: int, t_pow: int) -> str:
@@ -324,9 +348,32 @@ def poly_det(a: PolyMatrix) -> HomogPoly:
 
 
 def generic_rank(a: PolyMatrix) -> int:
-    """Rank of a form matrix over the function field of the line: the
-    number of pivots of its echelon over Q[t] on the chart s = 1."""
-    return len(_echelon(_chart(a))[0])
+    """Rank of a form matrix over the function field of the line, on the
+    chart s = 1: the largest fiber rank at [1 : k], k = 1, ..., D + 1,
+    where D is the sum of the min(rows, cols) largest column degrees (a
+    column's degree is the largest degree of its entries, 0 for a zero
+    column).
+
+    Let rho be the rank over Q(t) of a(1, t).  An r x r minor of a(1, t)
+    on the columns J is a sum of products of one entry per column of J, so
+    its degree in t is at most the summed degrees of those columns, and so
+    at most D for r <= min(rows, cols).  A nonzero rho x rho minor then has
+    at most D roots and is nonzero at one of the D + 1 distinct values
+    t = k, where the fiber has rank rho.  No fiber has rank above rho,
+    since every larger minor vanishes identically.  The loop stops early
+    once a fiber reaches min(rows, cols).
+    """
+    full = min(len(a), len(a[0]) if a else 0)
+    degrees = sorted(
+        (max((e.degree for e in col if not e.is_zero()), default=0) for col in zip(*a)),
+        reverse=True,
+    )
+    best = 0
+    for k in range(1, sum(degrees[:full]) + 2):
+        if best == full:
+            break
+        best = max(best, linalg.rank(poly_mat_eval(a, 1, k)))
+    return best
 
 
 def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:

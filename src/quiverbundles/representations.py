@@ -388,6 +388,31 @@ def _gauge_basis(x: FramedRep):
                 yield i, LieElement({i: unit})
 
 
+def _gram(x: FramedRep, vectors: tuple[Vector, ...]) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix K^T Omega K of the symplectic form on flattened tangent
+    vectors, each first scaled to coprime integers (a rescaling of rows
+    and columns by nonzero constants, so the rank is that of the Gram
+    matrix of the vectors themselves).
+
+    Omega is a signed permutation: tr(A_a B_abar) - tr(A_abar B_a) pairs
+    the coordinate (a, p, q) with (abar, q, p), with sign + for a base
+    arrow a and - for its opposite.
+    """
+    offsets, _ = _arrow_offsets(x)
+    partner: list[tuple[int, int]] = []
+    for a in x.double.arrows:
+        m, n, bar = x.dims[a.head], x.dims[a.tail], offsets[a.opposite]
+        sign = 1 if a.sign == 0 else -1
+        partner.extend((bar + q * m + p, sign) for p in range(m) for q in range(n))
+    rows = [linalg.integer_row(dict(enumerate(v))) for v in vectors]
+    paired = [
+        {c: sign * row[j] for c, (j, sign) in enumerate(partner) if j in row} for row in rows
+    ]
+    return tuple(
+        tuple(sum(v * w.get(c, 0) for c, v in row.items()) for w in paired) for row in rows
+    )
+
+
 def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> ReducedTangentReport:
     """Dimension and symplectic nondegeneracy of ker(moment derivative)/im(action derivative).
 
@@ -432,9 +457,5 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
             tuple(Fraction(1) if k == e else ZERO for k in range(dim_x)) for e in range(dim_x)
         )
     dimension = len(kernel) - rank_kappa
-    kernel_tangents = [_unflatten_tangent(x, v) for v in kernel]
-    gram = tuple(
-        tuple(symplectic_form(x, a, b) for b in kernel_tangents) for a in kernel_tangents
-    )
-    nondeg = (linalg.rank(gram) == dimension) if kernel else dimension == 0
+    nondeg = (linalg.rank(_gram(x, kernel)) == dimension) if kernel else dimension == 0
     return ReducedTangentReport(dimension, nondeg, rank_kappa == dim_g)

@@ -16,16 +16,18 @@ from fractions import Fraction
 from math import floor
 from typing import Iterable
 
+from . import linalg
 from .bundles import (
     TwistedQuiverBundle,
-    base_locus,
+    _generation_matrices,
     fiber_at,
     generated_subsheaf_summary,
     hn_filtration_split,
     hn_step_indices,
+    residual_is_zero,
     subbundle_is_arrow_invariant,
 )
-from .polynomials import HomogPoly
+from .polynomials import generic_rank, poly_mat_eval
 from .quivers import HypothesisError
 from .representations import is_stable_framed
 
@@ -358,13 +360,6 @@ def subobject_family(e: TwistedQuiverBundle) -> tuple[NumericalClass, ...]:
     return tuple(fam)
 
 
-def _point_off_base_locus(g: HomogPoly) -> tuple[Fraction, Fraction]:
-    k = 1
-    while not g.is_zero() and g.evaluate(1, k) == 0:
-        k += 1  # a nonzero form has finitely many roots
-    return (Fraction(1), Fraction(k))
-
-
 @dataclass(frozen=True)
 class AsymReport:
     """Agreement record between the two stability routes and the
@@ -396,12 +391,30 @@ def asymptotic_equivalence_check(
 
     At or above the threshold all verdicts must agree; below it the
     slope check is reported as informative only.
+
+    The sample point is the first [1 : k], k >= 1, at which every vertex
+    fiber of the generation matrices M_i has full rank n_i, or [1 : 1]
+    when some generic rank is short.  It is the first point off the base
+    locus: the vertex form g_i is the gcd of the maximal minors of M_i,
+    which are homogeneous, so g_i(z) = 0 exactly when (t - k s) divides
+    every maximal minor, that is, when all of them vanish at z, that is,
+    when M_i(z) has rank below n_i.  No base-locus form is computed.
     """
     delta0 = instance_threshold(e)
     delta = delta0 if delta is None else Fraction(delta)
-    locus = base_locus(e)
-    cond_rank = locus.stable
-    z = _point_off_base_locus(locus.polynomial)
+    if not residual_is_zero(e):
+        raise HypothesisError("moment residual nonzero; not quasimap data")
+    matrices = [
+        (matrix, e.bundles[i].rank)
+        for i, (matrix, _) in _generation_matrices(e).items()
+    ]
+    cond_rank = all(generic_rank(matrix) == n for matrix, n in matrices)
+    k = 1
+    while cond_rank and any(
+        linalg.rank(poly_mat_eval(matrix, 1, k)) < n for matrix, n in matrices
+    ):
+        k += 1  # the product of the vertex forms is nonzero: finitely many roots
+    z = (Fraction(1), Fraction(k))
     cond_fiber = is_stable_framed(fiber_at(e, z)).stable
     verdict = check_delta_stability(e, delta, subobject_family(e))
     return AsymReport(

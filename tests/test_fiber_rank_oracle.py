@@ -1,0 +1,163 @@
+"""Stability verdicts by fiber ranks against the Q[t] echelon they replaced.
+
+`generic_rank` takes the largest fiber rank at [1 : k], k = 1 .. D + 1;
+`generated_subsheaf_summary` reads its degree off the saturation argument
+at full rank; `asymptotic_equivalence_check` picks its sample point by
+fiber ranks.  Each reference below is the computation those replaced,
+kept here: the pivot count of the echelon, the `_minor_gcd` degree, and
+the first point off the base-locus form.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from quiverbundles import asymptotic_equivalence_check, linalg
+from quiverbundles.bundles import (
+    _generation_matrices,
+    base_locus,
+    generated_subsheaf_summary,
+    is_stable_quasimap,
+    residual_is_zero,
+)
+from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
+from quiverbundles.polynomials import HomogPoly, _chart, _echelon, _minor_gcd, generic_rank
+from quiverbundles.serialization import parse_document
+
+FIXTURES = Path(__file__).parent / "fixtures"
+S = HomogPoly.monomial(1, 0)
+T = HomogPoly.monomial(1, 1)
+
+
+def echelon_rank(a):
+    return len(_echelon(_chart(a))[0])
+
+
+def minor_gcd_summary(e):
+    """Per vertex (rank, degree) of the generated subsheaf through the
+    gcd of the maximal minors of the pivot columns."""
+    out = {}
+    for i, (matrix, twists) in _generation_matrices(e).items():
+        pivots, g = _minor_gcd(matrix)
+        out[i] = (len(pivots), g.degree - sum(twists[j] for j in pivots))
+    return out
+
+
+def point_off_base_locus(g):
+    k = 1
+    while not g.is_zero() and g.evaluate(1, k) == 0:
+        k += 1  # a nonzero form has finitely many roots
+    return (Fraction(1), Fraction(k))
+
+
+def adhm(rank, seed):
+    return gen_bundle(InstanceSpec("adhm", (rank,), framing=2, degree_bound=rank, seed=seed))
+
+
+@pytest.fixture(scope="module")
+def minor_corpus():
+    """The corpus of test_minor_oracle.py: fixtures, the bundle rotation at
+    seed 0 and adhm ranks 5 and 6."""
+    docs = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    fixtures = [parse_document(d).bundle for d in docs if d["kind"] == "bundle"]
+    specs = [bundle_spec(k, 0) for k in range(192)] + [
+        InstanceSpec("adhm", (r,), framing=2, degree_bound=r, seed=s)
+        for r in (5, 6)
+        for s in range(4)
+    ]
+    generated = [gen_bundle(spec) for spec in specs]
+    return [e for e in fixtures + generated if residual_is_zero(e)]
+
+
+@pytest.fixture(scope="module")
+def adhm_corpus():
+    return [adhm(r, s) for r in (5, 6, 7, 8) for s in range(4)]
+
+
+def test_generic_rank_matches_echelon_pivot_count(minor_corpus):
+    short = 0
+    for e in minor_corpus:
+        for i, (matrix, _) in _generation_matrices(e).items():
+            rank = generic_rank(matrix)
+            assert rank == echelon_rank(matrix)
+            assert generic_rank(tuple(zip(*matrix))) == rank
+            short += rank < e.bundles[i].rank
+    assert short > 10
+
+
+def count_points(a):
+    calls = []
+    rank = linalg.rank
+
+    def counting(m):
+        calls.append(m)
+        return rank(m)
+
+    linalg.rank = counting
+    try:
+        return generic_rank(a), len(calls)
+    finally:
+        linalg.rank = rank
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
+def test_rank_bound_is_needed_and_sufficient(d):
+    # prod_{k=1..d} (t - k s) vanishes at [1 : 1] .. [1 : d]: a 1 x 1 matrix
+    # of degree D = d is nonzero, and first seen at the (D + 1)-th point
+    f = HomogPoly.constant(1)
+    for k in range(1, d + 1):
+        f = f * (T - S.scaled(k))
+    assert count_points(((f,),)) == (1, d + 1)
+    assert count_points(((HomogPoly.zero(),),)) == (0, 1)
+
+
+def test_generic_rank_stops_at_full_rank():
+    # rank 2 at [1 : 1] already; D = 4 would allow five points
+    a = ((S * S, T * T), (T * T, S * S + T * T))
+    assert count_points(a) == (2, 1)
+    assert count_points(((), ())) == (0, 0)
+
+
+def test_full_rank_summary_matches_minor_gcd(adhm_corpus):
+    full = 0
+    for e in [gen_bundle(bundle_spec(k, 0)) for k in range(192)] + adhm_corpus:
+        if not residual_is_zero(e):
+            continue
+        summary = generated_subsheaf_summary(e)
+        for i, want in minor_gcd_summary(e).items():
+            assert (summary.rank(i), summary.degree(i)) == want
+            full += want[0] == e.bundles[i].rank
+    assert full > 200
+
+
+def test_asym_sample_point_is_the_first_point_off_the_base_locus(adhm_corpus):
+    specs = [gen_bundle(bundle_spec(k, 17)) for k in range(200)]
+    moved = stable = 0
+    for e in specs + adhm_corpus:
+        if not residual_is_zero(e):
+            continue
+        report = asymptotic_equivalence_check(e)
+        locus = base_locus(e)
+        assert report.sample_point == point_off_base_locus(locus.polynomial)
+        assert report.stable_quasimap == locus.stable
+        moved += report.sample_point != (1, 1)
+        stable += locus.stable
+    assert stable > 50 and moved > 0
+
+
+def test_rank_twelve_verdicts_within_budget():
+    # 9.2 s and 21 s through the Q[t] echelon (shared 2-CPU host)
+    e = adhm(12, 2)
+    start = time.perf_counter()
+    stable = is_stable_quasimap(e)
+    mid = time.perf_counter()
+    asym = asymptotic_equivalence_check(e)
+    end = time.perf_counter()
+    assert stable and asym.stable_quasimap and asym.agree
+    assert mid - start < 2.0, f"is_stable_quasimap {mid - start:.1f} s"
+    assert end - mid < 3.0, f"asymptotic_equivalence_check {end - mid:.1f} s"

@@ -205,3 +205,88 @@ def test_poly_matmul_matches_dense_loop():
                 assert str(e) == "form matrix shape mismatch"
             else:
                 raise AssertionError("shape mismatch accepted")
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the `Fraction` kernels they replaced, kept
+# verbatim as references
+
+
+_ZERO = Fraction(0)
+
+
+def _ref_add(self, other):
+    if self.is_zero():
+        return other
+    if other.is_zero():
+        return self
+    if self.degree != other.degree:
+        raise ValueError(f"degree mismatch {self.degree} + {other.degree}")
+    return HomogPoly.of(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+
+def _ref_mul(self, other):
+    if self.is_zero() or other.is_zero():
+        return HomogPoly.zero()
+    d = self.degree + other.degree
+    out = [_ZERO] * (d + 1)
+    for i, a in enumerate(self.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(other.coeffs):
+            if b != 0:
+                out[i + j] += a * b
+    return HomogPoly.of(d, out)
+
+
+def _ref_evaluate(self, s0, t0):
+    if self.is_zero():
+        return _ZERO
+    s0, t0 = Fraction(s0), Fraction(t0)
+    d = self.degree
+    total = _ZERO
+    for k, c in enumerate(self.coeffs):
+        if c != 0:
+            total += c * s0 ** (d - k) * t0**k
+    return total
+
+
+def _kernel_form(rng, degree):
+    """A form with denominators 1, 2, 3 or 7, zero one time in eight."""
+    if rng.random() < 0.125:
+        return HomogPoly.zero()
+    den = rng.choice((1, 2, 3, 7))
+    return HomogPoly.of(
+        degree, [Fraction(rng.randint(-9, 9), den) for _ in range(degree + 1)]
+    )
+
+
+_POINTS = [
+    (s0, t0)
+    for s0 in (0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3))
+    for t0 in (0, 1, -2, 5, Fraction(3, 7), Fraction(-5, 2))
+]
+
+
+def _all_fractions(p):
+    return all(type(c) is Fraction for c in p.coeffs)
+
+
+def test_integer_kernels_match_fraction_kernels():
+    rng = random.Random(2024)
+    zeros = 0
+    for _ in range(2000):
+        d1, d2 = rng.randint(0, 5), rng.randint(0, 5)
+        p, q, r = _kernel_form(rng, d1), _kernel_form(rng, d2), _kernel_form(rng, d1)
+        if rng.random() < 0.1:
+            r = -p  # a sum that cancels to zero
+        zeros += p.is_zero()
+        product = p * q
+        assert product == _ref_mul(p, q) and _all_fractions(product)
+        total = p + r
+        assert total == _ref_add(p, r) and _all_fractions(total)
+        for s0, t0 in rng.sample(_POINTS, 4) + [(0, 0), (1, 0), (0, 1)]:
+            value = p.evaluate(s0, t0)
+            assert type(value) is Fraction
+            assert value == _ref_evaluate(p, s0, t0)
+    assert zeros > 150

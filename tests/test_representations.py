@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from quiverbundles import linalg
-from quiverbundles.generators import gen_rep, random_lie, random_rep, rep_spec
+from quiverbundles.generators import InstanceSpec, gen_rep, random_lie, random_rep, rep_spec
 from quiverbundles.linalg import mat
 from quiverbundles.quivers import (
     Arrow,
@@ -17,7 +18,12 @@ from quiverbundles.quivers import (
 from quiverbundles.representations import (
     FramedRep,
     LieElement,
+    ReducedTangentReport,
     TangentVector,
+    _arrow_offsets,
+    _flatten_tangent,
+    _gauge_basis,
+    _unflatten_tangent,
     action_derivative,
     brute_force_framed_check,
     closure,
@@ -228,6 +234,18 @@ def test_closure_monotone_and_idempotent():
                 assert linalg.rank(basis + (img,)) == len(basis)
 
 
+@pytest.mark.parametrize(
+    "dims, want", [((2, 0), {"0": 1, "1": 1, "2": 0}), ((0, 2), {"0": 1, "1": 0, "2": 0})]
+)
+def test_closure_through_a_zero_dimensional_head(dims, want):
+    # an arrow into a vertex of dimension 0 has a zero-row block, whose
+    # image of any vector is the empty vector
+    x = random_rep(InstanceSpec("chain", dims, 1))
+    w = closure(x, {"0": linalg.identity(1)})
+    assert w.dims.as_dict() == want
+    assert all(len(w.basis[v]) == x.dims[v] for v in x.double.vertices)
+
+
 def test_is_stable_framed_examples():
     jordan = adhm(2, 1, [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0], [1]], [[0, 0]])
     assert is_stable_framed(jordan).stable
@@ -394,3 +412,83 @@ def test_mu_kappa_vanishes_on_generated_level_sets():
             g = random_lie(x, seed=k)
             assert all(linalg.is_zero_matrix(m) for m in _mu_kappa(x, g).values())
     assert levels == {0, 1, -2}
+
+
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+
+
+def _reference_reduced_tangent(x, level=None):
+    """reduced_tangent with one `symplectic_form` call per pair of kernel
+    vectors, as it was before the Gram matrix became K^T Omega K."""
+    residual = moment(x, level)
+    if any(not linalg.is_zero_matrix(m) for m in residual.values()):
+        raise HypothesisError("moment residual nonzero at the given level")
+
+    _, dim_x = _arrow_offsets(x)
+    gauge = list(_gauge_basis(x))
+    dim_g = len(gauge)
+
+    kappa_cols = [_flatten_tangent(x, action_derivative(g, x)) for _, g in gauge]
+    kappa = linalg.transpose(tuple(kappa_cols)) if kappa_cols else ()
+
+    mu_cols = []
+    for e in range(dim_x):
+        basis_vec = tuple(Fraction(1) if k == e else _ZERO for k in range(dim_x))
+        dmu = moment_derivative(x, _unflatten_tangent(x, basis_vec))
+        flat = []
+        for i in x.double.ordinary_vertices:
+            for row in dmu[i]:
+                flat.extend(row)
+        mu_cols.append(tuple(flat))
+    mu = tuple(tuple(col[r] for col in mu_cols) for r in range(dim_g))
+
+    rank_kappa = linalg.rank(kappa) if kappa else 0
+    if dim_g:
+        kernel = linalg.nullspace(mu)
+    else:
+        kernel = tuple(
+            tuple(Fraction(1) if k == e else _ZERO for k in range(dim_x)) for e in range(dim_x)
+        )
+    dimension = len(kernel) - rank_kappa
+    kernel_tangents = [_unflatten_tangent(x, v) for v in kernel]
+    gram = tuple(
+        tuple(symplectic_form(x, a, b) for b in kernel_tangents) for a in kernel_tangents
+    )
+    nondeg = (linalg.rank(gram) == dimension) if kernel else dimension == 0
+    return ReducedTangentReport(dimension, nondeg, rank_kappa == dim_g)
+
+
+_TANGENT_SHAPES = [("adhm", (n,), 2) for n in (2, 3, 4, 5)] + [
+    ("adhm", (2,), 1),
+    ("chain", (1, 1), 1),
+    ("chain", (2, 1), 1),
+    ("chain", (1, 2), 2),
+    ("chain", (2, 2), 2),
+]
+
+
+def test_reduced_tangent_matches_pairwise_gram():
+    compared = 0
+    for preset, dims, r in _TANGENT_SHAPES:
+        for seed in range(4):
+            for lam in (_ZERO, Fraction(-1, 2)):
+                try:
+                    x = gen_rep(InstanceSpec(preset, dims, r, seed=seed, level=lam))
+                except RuntimeError:
+                    continue  # no point at this level for these dimensions
+                level = {i: lam for i in x.double.ordinary_vertices}
+                assert reduced_tangent(x, level) == _reference_reduced_tangent(x, level)
+                compared += 1
+    assert compared > 60
+
+
+def test_reduced_tangent_rank_five_within_budget():
+    # 1.35 s with one `symplectic_form` call per pair of kernel vectors
+    # (shared 2-CPU host)
+    x = gen_rep(InstanceSpec("adhm", (5,), 2, seed=1))
+    start = time.perf_counter()
+    report = reduced_tangent(x)
+    elapsed = time.perf_counter() - start
+    assert report == ReducedTangentReport(20, True, True)
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
