@@ -13,14 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import count
+from typing import Iterable, Iterator, Mapping
 
 from . import linalg
 from .polynomials import (
     HomogPoly,
     PolyMatrix,
     _minor_gcd,
+    fiber_rank,
     generic_rank,
+    integer_columns,
+    integer_rows,
     poly_mat_eval,
     poly_mat_is_zero,
     poly_matmul,
@@ -28,8 +32,6 @@ from .polynomials import (
 )
 from .quivers import DimensionVector, DoubleQuiver, HypothesisError, InvariantError
 from .representations import FramedRep
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -231,19 +233,8 @@ def _framing_vertex(e: TwistedQuiverBundle) -> str:
     return framing
 
 
-def _flatten_column(
-    col: tuple[HomogPoly, ...], twist: int, row_degrees: tuple[int, ...]
-) -> tuple[Fraction, ...]:
-    # columns of one twist share a forced per-row degree pattern, so they
-    # flatten to aligned coefficient vectors
-    flat: list[Fraction] = []
-    for r, entry in enumerate(col):
-        width = max(0, row_degrees[r] + twist + 1)
-        cs = list(entry.coeffs) if not entry.is_zero() else []
-        if len(cs) > width:
-            raise InvariantError(f"entry of degree {len(cs) - 1} in a row of width {width}")
-        flat.extend(cs + [ZERO] * (width - len(cs)))
-    return tuple(flat)
+# a column of integer forms: ascending t-coefficients per row, () for zero
+_IntColumn = list[tuple[int, ...]]
 
 
 def generation_columns(
@@ -258,6 +249,16 @@ def generation_columns(
     plateaued.  A column that is a rational linear combination of already
     kept columns of the same twist is dropped and not extended: both its
     minors contribution and all its downstream images are redundant.
+
+    The arithmetic is on integers.  Each arrow matrix is cleared once to
+    integer coefficients over the common denominator L_a of its entries,
+    and a column is carried as integer coefficient lists times an exact
+    scale, the product of 1 / L_a along its word; an image is then an
+    integer convolution.  Columns of one twist share a forced per-row
+    degree pattern, so they flatten to aligned coefficient vectors, and
+    the flattened integers go to the pivot table of their (vertex, twist):
+    a nonzero scale changes no span, so the same columns are kept.  Only
+    a kept column is turned into forms.
     """
     framing = _framing_vertex(e)
     if any(d != 0 for d in e.bundles[framing].multidegree):
@@ -267,45 +268,77 @@ def generation_columns(
     out: dict[str, list[tuple[int, tuple[HomogPoly, ...]]]] = {
         i: [] for i in e.double.ordinary_vertices
     }
+    arrows: dict[str, list] = {v: [] for v in e.double.vertices}
+    for a in e.double.arrows:
+        if a.head != framing:
+            rows, den = integer_rows(e.phi[a.name])
+            arrows[a.tail].append((a.head, e.twist.degree(a.name), rows, den))
     tables: dict[tuple[str, int], dict[int, dict[int, int]]] = {}
-    frontier: list[tuple[str, int, tuple[HomogPoly, ...]]] = [
-        (
-            framing,
-            0,
-            tuple(HomogPoly.constant(1 if r == c else 0) for r in range(v0)),
-        )
+    frontier: list[tuple[str, int, _IntColumn, Fraction]] = [
+        (framing, 0, [(1,) if r == c else () for r in range(v0)], Fraction(1))
         for c in range(v0)
     ]
     for _ in range(cap):
-        nxt: list[tuple[str, int, tuple[HomogPoly, ...]]] = []
-        for vertex, twist, col in frontier:
-            for a in e.double.arrows:
-                if a.tail != vertex or a.head == framing:
+        nxt: list[tuple[str, int, _IntColumn, Fraction]] = []
+        for vertex, twist, col, scale in frontier:
+            for head, step, rows, den in arrows[vertex]:
+                image = [_convolve(row, col) for row in rows]
+                if not any(image):
                     continue
-                image = tuple(
-                    _poly_dot(row, col) for row in e.phi[a.name]
-                )
-                if all(x.is_zero() for x in image):
+                new_twist = twist + step
+                row = _flatten(image, new_twist, e.bundles[head].multidegree)
+                pivots = tables.setdefault((head, new_twist), {})
+                if not linalg.add_row(pivots, linalg._normalize_int_row(row)):
                     continue
-                new_twist = twist + e.twist.degree(a.name)
-                flat = _flatten_column(image, new_twist, e.bundles[a.head].multidegree)
-                pivots = tables.setdefault((a.head, new_twist), {})
-                if not linalg.add_row(pivots, linalg.integer_row(dict(enumerate(flat)))):
-                    continue
-                out[a.head].append((new_twist, image))
-                nxt.append((a.head, new_twist, image))
+                new_scale = scale / den
+                out[head].append((new_twist, _forms(image, new_scale)))
+                nxt.append((head, new_twist, image, new_scale))
         frontier = nxt
         if not frontier:
             break
     return out
 
 
-def _poly_dot(row: tuple[HomogPoly, ...], col: tuple[HomogPoly, ...]) -> HomogPoly:
-    acc = HomogPoly.zero()
-    for a, b in zip(row, col):
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc
+def _convolve(row: list[tuple[int, tuple[int, ...]]], col: _IntColumn) -> tuple[int, ...]:
+    """The form sum of row[c] * col[c], integer coefficients, () for zero."""
+    acc: list[int] = []
+    for c, p in row:
+        q = col[c]
+        if not q:
+            continue
+        if not acc:
+            acc = [0] * (len(p) + len(q) - 1)
+        elif len(acc) != len(p) + len(q) - 1:
+            raise ValueError(f"degree mismatch {len(acc) - 1} + {len(p) + len(q) - 2}")
+        for i, x in enumerate(p):
+            if x:
+                for j, y in enumerate(q, i):
+                    acc[j] += x * y
+    return tuple(acc) if any(acc) else ()
+
+
+def _flatten(column: _IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dict[int, int]:
+    """The nonzero entries of a column's coefficients, row r padded to the
+    width of its forced degree row_degrees[r] + twist."""
+    flat: dict[int, int] = {}
+    base = 0
+    for r, p in enumerate(column):
+        width = max(0, row_degrees[r] + twist + 1)
+        if len(p) > width:
+            raise InvariantError(f"entry of degree {len(p) - 1} in a row of width {width}")
+        for j, x in enumerate(p, base):
+            if x:
+                flat[j] = x
+        base += width
+    return flat
+
+
+def _forms(column: _IntColumn, scale: Fraction) -> tuple[HomogPoly, ...]:
+    num, den = scale.numerator, scale.denominator
+    return tuple(
+        HomogPoly(len(p) - 1, tuple([Fraction(x * num, den) for x in p])) if p else HomogPoly.zero()
+        for p in column
+    )
 
 
 def _as_matrix(
@@ -426,19 +459,54 @@ def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
     matrices = _generation_matrices(e)
-    ranks: list[tuple[str, int]] = []
+    return _summary(e, matrices, _vertex_ranks(e, matrices))
+
+
+Matrices = dict[str, tuple[PolyMatrix, tuple[int, ...]]]
+
+
+def _vertex_ranks(e: TwistedQuiverBundle, matrices: Matrices) -> dict[str, int]:
+    return {i: generic_rank(matrices[i][0]) for i in e.double.ordinary_vertices}
+
+
+def _summary(
+    e: TwistedQuiverBundle, matrices: Matrices, ranks: Mapping[str, int]
+) -> GeneratedSummary:
+    """`generated_subsheaf_summary` from generation matrices and their
+    generic ranks."""
     degs: list[tuple[str, int]] = []
     for i in e.double.ordinary_vertices:
-        matrix, twists = matrices[i]
-        rank = generic_rank(matrix)
-        if rank == e.bundles[i].rank:
+        if ranks[i] == e.bundles[i].rank:
             degree = e.bundles[i].degree
         else:
+            matrix, twists = matrices[i]
             pivots, g = _minor_gcd(matrix)
             degree = g.degree - sum(twists[j] for j in pivots)
-        ranks.append((i, rank))
         degs.append((i, degree))
-    return GeneratedSummary(tuple(ranks), tuple(degs))
+    return GeneratedSummary(tuple((i, ranks[i]) for i in e.double.ordinary_vertices), tuple(degs))
+
+
+def _off_locus_points(
+    e: TwistedQuiverBundle, matrices: Matrices, ranks: Mapping[str, int]
+) -> Iterator[int]:
+    """The k >= 1 with [1 : k] off the base locus, in increasing order, or
+    every k >= 1 when some generic rank is short (the base-locus form is
+    then zero and every point is alike).
+
+    The vertex form g_i is the gcd of the maximal minors of M_i, which are
+    homogeneous, so g_i(z) = 0 exactly when (t - k s) divides every
+    maximal minor, that is, when all of them vanish at z, that is, when
+    the fiber M_i(z) has rank below n_i.  So [1 : k] is off the base locus
+    exactly when every vertex fiber there has full rank, and no form is
+    computed.  The fibers are taken on `integer_columns`.
+    """
+    ordinary = e.double.ordinary_vertices
+    vertices = []  # no vertex to check when the form is zero
+    if all(ranks[i] == e.bundles[i].rank for i in ordinary):
+        vertices = [(integer_columns(matrices[i][0]), e.bundles[i].rank) for i in ordinary]
+    for k in count(1):
+        if all(fiber_rank(columns, k) == n for columns, n in vertices):
+            yield k
 
 
 # ---------------------------------------------------------------------------

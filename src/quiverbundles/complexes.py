@@ -51,15 +51,20 @@ and A - P H is D0 with d2 of the other sign, which has the same rank.  The borde
 column first, so a row's P entries are cleared against the border rows
 first instead of being carried as fill-in through the elimination of
 the model columns.
+
+The three matrices are scattered from integer entries: kappa and mu are
+each cleared once by the common denominator of their coefficients.  Every
+row of D(-1), D0 and D1, and every border row, is a row of one of them
+(a border row's unit entry becomes kappa's denominator), so this scales
+rows by nonzero constants and changes no rank.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundles import SplitBundle, TwistedQuiverBundle, is_stable_quasimap, residual_is_zero
 from .linalg import sparse_rank
-from .polynomials import HomogPoly, PolyMatrix
+from .polynomials import HomogPoly, IntRows, PolyMatrix, integer_rows
 from .quivers import HypothesisError, InvariantError
 
 Label = tuple[str, int, int]
@@ -286,19 +291,15 @@ def _layout(ranges: list[tuple[int, int]], base: int) -> tuple[Layout, int]:
     return tuple(out), base
 
 
-def _scatter(
-    rows: list[dict[int, Fraction]], matrix: PolyMatrix, src: Layout, tgt: Layout
-) -> None:
-    # multiplication by matrix; s^(d-i) t^i sends e to e + i, and
-    # exponents leaving the target range are dropped.  Distinct
+def _scatter(rows: list[dict[int, int]], matrix: IntRows, src: Layout, tgt: Layout) -> None:
+    # multiplication by matrix (`integer_rows`); s^(d-i) t^i sends e to
+    # e + i, and exponents leaving the target range are dropped.  Distinct
     # (entry, i, e) hit distinct positions, so nothing accumulates.
     for r, row in enumerate(matrix):
         t_base, t_lo, t_hi = tgt[r]
-        for c, entry in enumerate(row):
-            if entry.is_zero():
-                continue
+        for c, coeffs in row:
             s_base, s_lo, s_hi = src[c]
-            for i, coeff in enumerate(entry.coeffs):
+            for i, coeff in enumerate(coeffs):
                 if coeff == 0:
                     continue
                 for e in range(max(s_lo, t_lo - i), min(s_hi, t_hi - i) + 1):
@@ -324,13 +325,15 @@ def _minimal_dims(k: DeformationComplex) -> tuple[int, int, int, int]:
     z_h1, dim_1 = h1(deg_0, h0_k1)
     o_h1, dim_2 = h1(deg_1, 0)
 
-    d_m1: list[dict[int, Fraction]] = [{} for _ in range(dim_0)]
-    _scatter(d_m1, k.d_kappa, m1_h0, z_h0)
-    d_0: list[dict[int, Fraction]] = [{} for _ in range(dim_1)]
-    _scatter(d_0, k.d_mu, z_h0, o_h0)
-    _scatter(d_0, k.d_kappa, m1_h1, z_h1)
-    d_1: list[dict[int, Fraction]] = [{} for _ in range(dim_2)]
-    _scatter(d_1, k.d_mu, z_h1, o_h1)
+    kappa, den_kappa = integer_rows(k.d_kappa)
+    mu, _ = integer_rows(k.d_mu)
+    d_m1: list[dict[int, int]] = [{} for _ in range(dim_0)]
+    _scatter(d_m1, kappa, m1_h0, z_h0)
+    d_0: list[dict[int, int]] = [{} for _ in range(dim_1)]
+    _scatter(d_0, mu, z_h0, o_h0)
+    _scatter(d_0, kappa, m1_h1, z_h1)
+    d_1: list[dict[int, int]] = [{} for _ in range(dim_2)]
+    _scatter(d_1, mu, z_h1, o_h1)
 
     # d2 = pi mu h kappa iota by a border of D(0) (module docstring): h
     # keeps the exponents e' < 0, e' <= n of a K0 summand O(n), and pi
@@ -338,9 +341,9 @@ def _minimal_dims(k: DeformationComplex) -> tuple[int, int, int, int]:
     top = max(deg_1, default=0)
     ranges = [(n - top, min(n, -1)) for n in deg_0]
     mid, size = _layout(ranges, 0)
-    border = [{c - size: Fraction(1)} for c in range(size)]
-    _scatter(border, k.d_kappa, m1_h1, mid)
-    _scatter(d_0, k.d_mu, _layout(ranges, -size)[0], o_h0)
+    border = [{c - size: den_kappa} for c in range(size)]
+    _scatter(border, kappa, m1_h1, mid)
+    _scatter(d_0, mu, _layout(ranges, -size)[0], o_h0)
 
     r_m1 = sparse_rank(d_m1)
     r_0 = sparse_rank(d_0 + border) - size

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -27,7 +27,9 @@ from .bundles import (
     SplitBundle,
     TwistData,
     TwistedQuiverBundle,
-    base_locus,
+    _generation_matrices,
+    _off_locus_points,
+    _vertex_ranks,
     fiber_at,
     is_stable_quasimap,
     residual_is_zero,
@@ -482,17 +484,16 @@ def zero_arrow_rep(x: FramedRep, arrow: str) -> FramedRep:
 def sample_points(e: TwistedQuiverBundle, count: int) -> tuple[tuple[int, int], ...]:
     """Deterministic rational points [1 : k] avoiding the base locus.
 
-    A zero locus form (generic generation failure) leaves every point
-    equally informative, so the first count integers are used as is.
+    These are the k at which every vertex fiber of the generation matrices
+    has full rank (`bundles._off_locus_points`).  A zero locus form
+    (generic generation failure) leaves every point equally informative,
+    so then the first count integers are used as is.
     """
-    g = base_locus(e).polynomial
-    points: list[tuple[int, int]] = []
-    k = 1
-    while len(points) < count:
-        if g.is_zero() or g.evaluate(1, k) != 0:
-            points.append((1, k))
-        k += 1
-    return tuple(points)
+    if not residual_is_zero(e):
+        raise HypothesisError("moment residual nonzero; not quasimap data")
+    matrices = _generation_matrices(e)
+    points = _off_locus_points(e, matrices, _vertex_ranks(e, matrices))
+    return tuple((1, k) for k in islice(points, max(count, 0)))
 
 
 def oracle_fiber_consistency(e: TwistedQuiverBundle, samples: int = 5) -> bool:

@@ -5,19 +5,29 @@ A form of degree d is stored as the coefficient tuple of
 degree None so that matrices of forms can mix entry degrees without
 ambiguity.  Includes gcd (via the s/t-power split and univariate Euclid),
 a fraction-free row echelon of form matrices over Q[t], which gives gcds
-of maximal minors without enumerating minors, generic ranks from the
-ranks of D + 1 fibers (`generic_rank`), the cofactor determinant of a
-square form matrix, and rational-root factoring for display.  Forms in
-and out are exact rationals; inside, products, sums and evaluation work
-on integer numerators over a common denominator, and the echelon clears
+of maximal minors without enumerating minors, generic ranks from one
+certified fiber (`generic_rank`), the cofactor determinant of a square
+form matrix, and rational-root factoring for display.  Forms in and out
+are exact rationals; inside, products, sums and evaluation work on
+integer numerators over a common denominator, and the echelon clears
 denominators once and works on integer rows by pseudo-division.
+
+Every rank-only question about a form matrix is asked of integer data.
+`integer_columns` clears each column of the chart s = 1 by its own
+common denominator, which changes no rank, and `fiber_rank` evaluates
+those integer columns at [1 : k]; `integer_rows` clears a whole matrix by
+one denominator for the word images of `bundles` and the minimal-model
+scatter of `complexes`.  The generic rank is one such fiber
+at a point beyond every root of every minor, by Cauchy's root bound
+(`generic_rank`); the sample points off the base locus are the small k
+at which every vertex fiber has full rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -347,33 +357,86 @@ def poly_det(a: PolyMatrix) -> HomogPoly:
     return minor(0, 0)
 
 
-def generic_rank(a: PolyMatrix) -> int:
-    """Rank of a form matrix over the function field of the line, on the
-    chart s = 1: the largest fiber rank at [1 : k], k = 1, ..., D + 1,
-    where D is the sum of the min(rows, cols) largest column degrees (a
-    column's degree is the largest degree of its entries, 0 for a zero
-    column).
+IntRows = list[list[tuple[int, tuple[int, ...]]]]
+IntColumn = list[tuple[int, ...]]
 
-    Let rho be the rank over Q(t) of a(1, t).  An r x r minor of a(1, t)
-    on the columns J is a sum of products of one entry per column of J, so
-    its degree in t is at most the summed degrees of those columns, and so
-    at most D for r <= min(rows, cols).  A nonzero rho x rho minor then has
-    at most D roots and is nonzero at one of the D + 1 distinct values
-    t = k, where the fiber has rank rho.  No fiber has rank above rho,
-    since every larger minor vanishes identically.  The loop stops early
-    once a fiber reaches min(rows, cols).
+
+def integer_rows(a: PolyMatrix) -> tuple[IntRows, int]:
+    """The nonzero entries of each row of L * a, as (column, ascending
+    integer t-coefficients), and L, the common denominator of a's
+    coefficients."""
+    den = lcm(*(x.denominator for row in a for e in row for x in e.coeffs))
+    rows = [
+        [
+            (c, tuple(x.numerator * (den // x.denominator) for x in e.coeffs))
+            for c, e in enumerate(row)
+            if not e.is_zero()
+        ]
+        for row in a
+    ]
+    return rows, den
+
+
+def integer_columns(a: PolyMatrix) -> list[IntColumn]:
+    """The columns of a on the chart s = 1, each times the common
+    denominator of its coefficients: per column, per row, the ascending
+    t-coefficients of an integer polynomial, () for zero."""
+    out = []
+    for col in zip(*a):
+        den = lcm(*(x.denominator for e in col for x in e.coeffs))
+        out.append([tuple(x.numerator * (den // x.denominator) for x in e.coeffs) for e in col])
+    return out
+
+
+def fiber_rank(columns: Sequence[IntColumn], k: int) -> int:
+    """Rank at [1 : k] of a matrix given by its integer columns."""
+    values = []
+    for col in columns:
+        column = []
+        for p in col:
+            acc = 0
+            for x in reversed(p):
+                acc = acc * k + x
+            column.append(acc)
+        values.append(column)
+    return linalg.rank(list(zip(*values)))
+
+
+def generic_rank(a: PolyMatrix) -> int:
+    """Rank of a form matrix over the function field of the line: the rank
+    of one integer fiber at [1 : H + 1].
+
+    Each column of a(1, t) is cleared to integers by its common denominator
+    (`integer_columns`); N_j is the sum of the absolute values of the
+    coefficients of column j, and H the product of the min(rows, cols)
+    largest of the values max(1, N_j).  The fiber has the rank rho of a
+    over Q(t):
+
+    - scaling a column by a nonzero constant changes no rank, over Q(t) or
+      in any fiber;
+    - an r x r minor on the columns J, r <= min(rows, cols), is a signed
+      sum of products of one entry from each column of J; the l1 norm is
+      subadditive and submultiplicative, and each such product of norms is
+      a term of the expanded product of the N_j over J, so the minor's l1
+      norm is at most that product, hence at most H;
+    - a nonzero rho x rho minor has integer coefficients, so its leading
+      coefficient has absolute value at least 1, and each of its roots z
+      has |z| < 1 + H (Cauchy's bound), so it is nonzero at t = H + 1,
+      where the fiber then has rank at least rho;
+    - no fiber has rank above rho, since every larger minor vanishes.
+
+    H + 1 has at most 2 + sum(log2 max(1, N_j)) bits, so the fiber's
+    entries stay polynomial in the bit size of the input.  A matrix with
+    no rows or no columns has rank 0 and evaluates no fiber.
     """
-    full = min(len(a), len(a[0]) if a else 0)
-    degrees = sorted(
-        (max((e.degree for e in col if not e.is_zero()), default=0) for col in zip(*a)),
-        reverse=True,
+    columns = integer_columns(a)
+    full = min(len(a), len(columns))
+    if not full:
+        return 0
+    norms = sorted(
+        (max(1, sum(abs(x) for p in col for x in p)) for col in columns), reverse=True
     )
-    best = 0
-    for k in range(1, sum(degrees[:full]) + 2):
-        if best == full:
-            break
-        best = max(best, linalg.rank(poly_mat_eval(a, 1, k)))
-    return best
+    return fiber_rank(columns, prod(norms[:full]) + 1)
 
 
 def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
 from typing import Mapping
 
 from . import linalg
@@ -207,22 +208,32 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
     accepted there, so its images would add nothing.  The accepted spans
     lie in the closure, hold the seeds and are invariant (each image of an
     accepted vector was offered at its head), so they are the closure.
+
+    The vectors are integers: each seed matrix and each arrow's matrix is
+    cleared once by the common denominator of its entries.  A vector then
+    stands for a nonzero multiple of the one the rational maps give, and a
+    nonzero scalar per vector or per arrow changes no span, so the spans,
+    and their canonical bases from `row_space_basis`, are the same.
     """
     tables: dict[str, dict[int, dict[int, int]]] = {v: {} for v in x.double.vertices}
-    kept: dict[str, list[Vector]] = {v: [] for v in x.double.vertices}
-    todo: list[tuple[str, Vector]] = []
+    kept: dict[str, list[tuple[int, ...]]] = {v: [] for v in x.double.vertices}
+    todo: list[tuple[str, tuple[int, ...]]] = []
     for v, m in seeds.items():
         if v not in tables:
             raise ValueError(f"seed at unknown vertex {v!r}")
         if m and linalg.shape(m)[0] != x.dims[v]:
             raise ValueError(f"seed at {v!r} lives in the wrong fiber")
-        todo.extend((v, w) for w in linalg.transpose(m))
+        todo.extend((v, w) for w in zip(*_cleared(m)))
+    arrows: dict[str, list[tuple[str, list[list[int]]]]] = {v: [] for v in x.double.vertices}
+    for a in x.double.arrows:
+        arrows[a.tail].append((a.head, _cleared(x.x[a.name])))
     while todo:
         v, w = todo.pop()
-        if linalg.add_row(tables[v], linalg.integer_row(dict(enumerate(w)))):
+        if linalg.add_row(tables[v], {c: y for c, y in enumerate(w) if y}):
             kept[v].append(w)
             todo.extend(
-                (a.head, linalg.matvec(x.x[a.name], w)) for a in x.double.arrows if a.tail == v
+                (head, tuple(sum(y * z for y, z in zip(row, w)) for row in m))
+                for head, m in arrows[v]
             )
     bases = {v: linalg.row_space_basis(kept[v]) for v in x.double.vertices}
     dims = DimensionVector(
@@ -230,6 +241,12 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
     )
     basis = {v: linalg.transpose(bases[v]) if bases[v] else tuple(() for _ in range(x.dims[v])) for v in x.double.vertices}
     return SubRep(basis, dims)
+
+
+def _cleared(m: Matrix) -> list[list[int]]:
+    """m times the common denominator of its entries."""
+    den = lcm(*(y.denominator for row in m for y in row))
+    return [[y.numerator * (den // y.denominator) for y in row] for row in m]
 
 
 @dataclass(frozen=True)

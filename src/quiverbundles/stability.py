@@ -16,10 +16,13 @@ from fractions import Fraction
 from math import floor
 from typing import Iterable
 
-from . import linalg
 from .bundles import (
+    GeneratedSummary,
     TwistedQuiverBundle,
     _generation_matrices,
+    _off_locus_points,
+    _summary,
+    _vertex_ranks,
     fiber_at,
     generated_subsheaf_summary,
     hn_filtration_split,
@@ -27,7 +30,6 @@ from .bundles import (
     residual_is_zero,
     subbundle_is_arrow_invariant,
 )
-from .polynomials import generic_rank, poly_mat_eval
 from .quivers import HypothesisError
 from .representations import is_stable_framed
 
@@ -329,11 +331,17 @@ def subobject_family(e: TwistedQuiverBundle) -> tuple[NumericalClass, ...]:
     exact invariance check; including them would refute instances that
     are genuinely stable.
     """
+    return _subobject_family(e, generated_subsheaf_summary(e))
+
+
+def _subobject_family(
+    e: TwistedQuiverBundle, summary: GeneratedSummary
+) -> tuple[NumericalClass, ...]:
+    """`subobject_family` from the generated subsheaf's summary."""
     total = numerical_class(e)
     framing = e.double.framing
     fam: list[NumericalClass] = []
 
-    summary = generated_subsheaf_summary(e)
     gen = NumericalClass(
         total.v0,
         sum(r for _, r in summary.ranks),
@@ -394,29 +402,23 @@ def asymptotic_equivalence_check(
 
     The sample point is the first [1 : k], k >= 1, at which every vertex
     fiber of the generation matrices M_i has full rank n_i, or [1 : 1]
-    when some generic rank is short.  It is the first point off the base
-    locus: the vertex form g_i is the gcd of the maximal minors of M_i,
-    which are homogeneous, so g_i(z) = 0 exactly when (t - k s) divides
-    every maximal minor, that is, when all of them vanish at z, that is,
-    when M_i(z) has rank below n_i.  No base-locus form is computed.
+    when some generic rank is short: the first point off the base locus,
+    found without computing its form (`bundles._off_locus_points`).  The
+    generation matrices and their generic ranks are built once and serve
+    the rank verdict, the sample point and the generated subsheaf of the
+    subobject family.
     """
     delta0 = instance_threshold(e)
     delta = delta0 if delta is None else Fraction(delta)
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
-    matrices = [
-        (matrix, e.bundles[i].rank)
-        for i, (matrix, _) in _generation_matrices(e).items()
-    ]
-    cond_rank = all(generic_rank(matrix) == n for matrix, n in matrices)
-    k = 1
-    while cond_rank and any(
-        linalg.rank(poly_mat_eval(matrix, 1, k)) < n for matrix, n in matrices
-    ):
-        k += 1  # the product of the vertex forms is nonzero: finitely many roots
-    z = (Fraction(1), Fraction(k))
+    matrices = _generation_matrices(e)
+    ranks = _vertex_ranks(e, matrices)
+    cond_rank = all(ranks[i] == e.bundles[i].rank for i in e.double.ordinary_vertices)
+    z = (Fraction(1), Fraction(next(_off_locus_points(e, matrices, ranks))))
     cond_fiber = is_stable_framed(fiber_at(e, z)).stable
-    verdict = check_delta_stability(e, delta, subobject_family(e))
+    family = _subobject_family(e, _summary(e, matrices, ranks))
+    verdict = check_delta_stability(e, delta, family)
     return AsymReport(
         stable_quasimap=cond_rank,
         generically_generated=cond_fiber,

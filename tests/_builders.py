@@ -53,3 +53,30 @@ def chain_bundle(deg1, deg2, f=None, e=None, r=1) -> TwistedQuiverBundle:
         "e-": poly_zeros(n1, n2),
     }
     return TwistedQuiverBundle(CHAIN_DOUBLE, bundles, CHAIN_TWIST, phi)
+
+
+GAUGE = (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2), Fraction(7, 3))
+
+
+def rational_gauge(e: TwistedQuiverBundle, c=Fraction(2, 3)) -> TwistedQuiverBundle:
+    """Every arrow scaled by c and conjugated by constant diagonal rational
+    matrices at the ordinary vertices (entries cycling through GAUGE): a
+    bundle isomorphic to e up to the scale, with denominators in every
+    arrow.  The moment residual becomes c^2 g r g^-1, zero iff r is."""
+    g = {
+        v: [Fraction(1)] * e.bundles[v].rank
+        if v == e.double.framing
+        else [GAUGE[k % len(GAUGE)] for k in range(e.bundles[v].rank)]
+        for v in e.double.vertices
+    }
+    phi = {
+        a.name: poly_mat(
+            [
+                entry.scaled(c * g[a.head][k] / g[a.tail][l])
+                for l, entry in enumerate(row)
+            ]
+            for k, row in enumerate(e.phi[a.name])
+        )
+        for a in e.double.arrows
+    }
+    return TwistedQuiverBundle(e.double, e.bundles, e.twist, phi)

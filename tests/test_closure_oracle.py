@@ -28,6 +28,8 @@ from quiverbundles.linalg import Matrix, Vector
 from quiverbundles.quivers import DimensionVector
 from quiverbundles.representations import FramedRep, SubRep, closure
 
+from _builders import rational_gauge
+
 
 def _row_bases_from_seeds(x: FramedRep, seeds: Mapping[str, Matrix]) -> dict[str, tuple[Vector, ...]]:
     bases: dict[str, tuple[Vector, ...]] = {v: () for v in x.double.vertices}
@@ -114,6 +116,24 @@ def test_closure_matches_reference_on_dependent_and_zero_seed_columns():
         _assert_same(x, zero)
         assert closure(x, zero).dims.total() == 0
         _assert_same(x, {})
+
+
+def test_closure_matches_reference_on_rational_arrows():
+    # the fibers of gauged bundles carry denominators 3, 5 and 7 in every
+    # arrow, and the seeds their own; each matrix is cleared by its own
+    rng = random.Random(11)
+    proper = 0
+    for n in (5, 6):
+        for seed in range(4):
+            spec = InstanceSpec("adhm", (n,), framing=2, degree_bound=n, seed=seed)
+            e = rational_gauge(gen_bundle(spec))
+            for z in ((1, 1), (2, 3), (3, -2)):
+                x = fiber_at(e, z)
+                _assert_same(x, _framing_seed(x))
+                seeds = {"1": _dependent_seed(rng, x.dims["1"])}
+                _assert_same(x, seeds)
+                proper += closure(x, seeds).dims["1"] < n
+    assert proper > 5
 
 
 def test_closure_seed_errors_unchanged():

@@ -17,12 +17,12 @@ from quiverbundles.bundles import (
     residual_is_zero,
     validate,
 )
-from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
+from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, stable_bundles
 from quiverbundles.linalg import sparse_rank
 from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero, poly_matmul
 from quiverbundles.quivers import HypothesisError
 
-from _builders import adhm_bundle, chain_bundle, form
+from _builders import adhm_bundle, chain_bundle, form, rational_gauge
 
 ZERO = HomogPoly.zero()
 ONE = HomogPoly.constant(1)
@@ -216,6 +216,15 @@ def test_hypercoh_needs_the_d2_block():
     # block H1(K-1) -> H0(K1) of the minimal model cuts both to 7
     report = hypercoh_dims(build_complex(gen_bundle(bundle_spec(98, 0))))
     assert report.h == ((-1, 0), (0, 7), (1, 7), (2, 0))
+
+
+def test_hypercoh_dims_are_invariant_under_a_rational_gauge():
+    # gauged, kappa and mu carry denominators, which the scatter clears
+    # row by row; bundle_spec(98, 0) is the instance that needs d2
+    corpus = [gen_bundle(bundle_spec(98, 0)), *stable_bundles(30, seed=23, degree_bound=4)]
+    for e in corpus:
+        gauged = rational_gauge(e)
+        assert hypercoh_dims(build_complex(gauged)).h == hypercoh_dims(build_complex(e)).h
 
 
 def test_hypercoh_rank_ten_instance_within_budget():

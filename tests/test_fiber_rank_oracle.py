@@ -1,6 +1,6 @@
 """Stability verdicts by fiber ranks against the Q[t] echelon they replaced.
 
-`generic_rank` takes the largest fiber rank at [1 : k], k = 1 .. D + 1;
+`generic_rank` takes the rank of one fiber beyond Cauchy's root bound;
 `generated_subsheaf_summary` reads its degree off the saturation argument
 at full rank; `asymptotic_equivalence_check` picks its sample point by
 fiber ranks.  Each reference below is the computation those replaced,
@@ -25,9 +25,20 @@ from quiverbundles.bundles import (
     is_stable_quasimap,
     residual_is_zero,
 )
-from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
-from quiverbundles.polynomials import HomogPoly, _chart, _echelon, _minor_gcd, generic_rank
+from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, sample_points
+from quiverbundles.polynomials import (
+    HomogPoly,
+    _chart,
+    _echelon,
+    _minor_gcd,
+    format_factored,
+    generic_rank,
+)
+from quiverbundles.quivers import HypothesisError
 from quiverbundles.serialization import parse_document
+from quiverbundles.stability import hn_quotient_bound_check, instance_threshold
+
+from _builders import rational_gauge
 
 FIXTURES = Path(__file__).parent / "fixtures"
 S = HomogPoly.monomial(1, 0)
@@ -107,13 +118,28 @@ def count_points(a):
 
 @pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
 def test_rank_bound_is_needed_and_sufficient(d):
-    # prod_{k=1..d} (t - k s) vanishes at [1 : 1] .. [1 : d]: a 1 x 1 matrix
-    # of degree D = d is nonzero, and first seen at the (D + 1)-th point
+    # prod_{k=1..d} (t - k s) vanishes at [1 : 1] .. [1 : d], so D + 1
+    # points at [1 : k] were needed; the certified point is beyond them all
     f = HomogPoly.constant(1)
     for k in range(1, d + 1):
         f = f * (T - S.scaled(k))
-    assert count_points(((f,),)) == (1, d + 1)
+    assert count_points(((f,),)) == (1, 1)
     assert count_points(((HomogPoly.zero(),),)) == (0, 1)
+
+
+@pytest.mark.parametrize("c", [1, 7, 10**6])
+def test_certified_point_clears_the_root_bound(c):
+    # t - c s: N = c + 1 = H, so the fiber is taken at t = c + 2; the root
+    # t = c sits at H - 1, where a looser point would see rank 0.  Scaled
+    # by 1/7, the column clears back to t - c s and to the same point.
+    f = T - S.scaled(c)
+    assert count_points(((f,),)) == (1, 1)
+    assert count_points(((f.scaled(Fraction(1, 7)),),)) == (1, 1)
+
+
+def test_zero_size_matrices_evaluate_no_fiber():
+    for a in ((), ((),), ((), (), ())):
+        assert count_points(a) == (0, 0)
 
 
 def test_generic_rank_stops_at_full_rank():
@@ -161,3 +187,43 @@ def test_rank_twelve_verdicts_within_budget():
     assert stable and asym.stable_quasimap and asym.agree
     assert mid - start < 2.0, f"is_stable_quasimap {mid - start:.1f} s"
     assert end - mid < 3.0, f"asymptotic_equivalence_check {end - mid:.1f} s"
+
+
+def verdicts(e):
+    """The `verdicts` outputs of one bundle, or the error it raises."""
+    try:
+        locus = base_locus(e)
+        return (
+            is_stable_quasimap(e),
+            locus,
+            format_factored(locus.polynomial),
+            asymptotic_equivalence_check(e),
+            hn_quotient_bound_check(e, max(instance_threshold(e), Fraction(1))),
+        )
+    except HypothesisError as err:
+        return str(err)
+
+
+def test_verdicts_are_invariant_under_a_rational_gauge():
+    # the corpus bundles have integer coefficients; the gauged copies put
+    # denominators 3, 5, 7 into every arrow and must give the same verdicts
+    corpus = [gen_bundle(bundle_spec(k, 0)) for k in range(60)]
+    corpus += [adhm(r, s) for r in (5, 6) for s in range(2)]
+    stable = 0
+    for e in corpus:
+        gauged = rational_gauge(e)
+        assert residual_is_zero(gauged) == residual_is_zero(e)
+        want = verdicts(e)
+        assert verdicts(gauged) == want
+        stable += want[0] is True
+    assert stable > 20
+
+
+def test_sample_points_within_budget():
+    # 15.4 s through the base-locus echelon (shared 2-CPU host)
+    e = adhm(12, 2)
+    start = time.perf_counter()
+    points = sample_points(e, 3)
+    elapsed = time.perf_counter() - start
+    assert points == ((1, 1), (1, 2), (1, 3))
+    assert elapsed < 2.0, f"sample_points {elapsed:.1f} s"

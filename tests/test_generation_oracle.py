@@ -10,21 +10,43 @@ basis grew.  The two must keep exactly the same columns in the same order.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from quiverbundles import linalg
-from quiverbundles.bundles import (
-    _flatten_column,
-    _framing_vertex,
-    _poly_dot,
-    generation_columns,
-)
+from quiverbundles.bundles import _framing_vertex, generation_columns
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.polynomials import HomogPoly
-from quiverbundles.quivers import HypothesisError
+from quiverbundles.quivers import HypothesisError, InvariantError
 from quiverbundles.serialization import parse_document
 
+from _builders import rational_gauge
+
 FIXTURES = Path(__file__).parent / "fixtures"
+ZERO = Fraction(0)
+
+
+def _flatten_column(
+    col: tuple[HomogPoly, ...], twist: int, row_degrees: tuple[int, ...]
+) -> tuple[Fraction, ...]:
+    # columns of one twist share a forced per-row degree pattern, so they
+    # flatten to aligned coefficient vectors
+    flat: list[Fraction] = []
+    for r, entry in enumerate(col):
+        width = max(0, row_degrees[r] + twist + 1)
+        cs = list(entry.coeffs) if not entry.is_zero() else []
+        if len(cs) > width:
+            raise InvariantError(f"entry of degree {len(cs) - 1} in a row of width {width}")
+        flat.extend(cs + [ZERO] * (width - len(cs)))
+    return tuple(flat)
+
+
+def _poly_dot(row: tuple[HomogPoly, ...], col: tuple[HomogPoly, ...]) -> HomogPoly:
+    acc = HomogPoly.zero()
+    for a, b in zip(row, col):
+        if not a.is_zero() and not b.is_zero():
+            acc = acc + a * b
+    return acc
 
 
 def rref_generation_columns(e):
@@ -86,3 +108,28 @@ def test_generation_columns_match_rref_membership():
         if isinstance(want, dict):
             kept += sum(len(cols) for cols in want.values())
     assert kept > 500
+
+
+def test_generation_columns_match_rref_membership_under_a_rational_gauge():
+    # every arrow carries denominators 3, 5 and 7, so each step of a word
+    # meets a common denominator L_a > 1
+    specs = [bundle_spec(k, 0) for k in range(96)] + [
+        InstanceSpec("adhm", (r,), framing=2, degree_bound=r, seed=s)
+        for r in (5, 6)
+        for s in range(2)
+    ]
+    kept = fractional = 0
+    for spec in specs:
+        e = rational_gauge(gen_bundle(spec))
+        want = _outcome(rref_generation_columns, e)
+        assert _outcome(generation_columns, e) == want
+        if isinstance(want, dict):
+            kept += sum(len(cols) for cols in want.values())
+            fractional += any(
+                x.denominator > 1
+                for cols in want.values()
+                for _, col in cols
+                for f in col
+                for x in f.coeffs
+            )
+    assert kept > 200 and fractional > 50
