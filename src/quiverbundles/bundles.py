@@ -382,7 +382,10 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
     all columns of a fixed word twist share a degree pattern).  The rank
     comes from fibers (polynomials.generic_rank); at full rank the gcd
     comes from one echelon of the transposed matrix over Q[t] (see
-    polynomials._minor_gcd), and below it every maximal minor vanishes,
+    polynomials._minor_gcd), whose columns, the summands of the vertex
+    bundle, are taken in ascending order of their largest entry degree;
+    the transposed matrix has full column rank, so the order changes the
+    minors by signs only.  Below full rank every maximal minor vanishes,
     so the form is zero.  The returned product vanishes exactly where
     some fiber fails framed stability; the verdict is full generic rank
     everywhere, equivalently a nonzero product.  Multiplicities are not
@@ -473,15 +476,23 @@ def _summary(
     e: TwistedQuiverBundle, matrices: Matrices, ranks: Mapping[str, int]
 ) -> GeneratedSummary:
     """`generated_subsheaf_summary` from generation matrices and their
-    generic ranks."""
+    generic ranks.
+
+    Below full rank the columns of M go to `_minor_gcd` sorted stably by
+    ascending twist, and its pivots are mapped back: J is then the
+    independent columns of least twist, whose entries have the least
+    degrees.  By the argument of `generated_subsheaf_summary`, the degree
+    deg F + tw_J of the gcd does not depend on J, so any J gives deg F.
+    """
     degs: list[tuple[str, int]] = []
     for i in e.double.ordinary_vertices:
         if ranks[i] == e.bundles[i].rank:
             degree = e.bundles[i].degree
         else:
             matrix, twists = matrices[i]
-            pivots, g = _minor_gcd(matrix)
-            degree = g.degree - sum(twists[j] for j in pivots)
+            order = sorted(range(len(twists)), key=twists.__getitem__)
+            pivots, g = _minor_gcd(tuple(tuple(row[j] for j in order) for row in matrix))
+            degree = g.degree - sum(twists[order[j]] for j in pivots)
         degs.append((i, degree))
     return GeneratedSummary(tuple((i, ranks[i]) for i in e.double.ordinary_vertices), tuple(degs))
 

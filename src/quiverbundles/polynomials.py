@@ -12,6 +12,15 @@ are exact rationals; inside, products, sums and evaluation work on
 integer numerators over a common denominator, and the echelon clears
 denominators once and works on integer rows by pseudo-division.
 
+The gcd of the maximal minors (`_minor_gcd`) takes its pivot columns J,
+the columns independent of those before them, from the certified fiber,
+and runs the echelon on the columns J sorted by ascending largest entry
+degree.  J has full column rank, so reordering its columns changes each
+maximal minor by a sign and the gcd not at all; eliminating the
+low-degree columns first keeps the pseudo-remainders small, where the
+matrix's own column order let their coefficients swell far past those of
+the gcd.
+
 Every rank-only question about a form matrix is asked of integer data.
 `integer_columns` clears each column of the chart s = 1 by its own
 common denominator, which changes no rank, and `fiber_rank` evaluates
@@ -388,8 +397,8 @@ def integer_columns(a: PolyMatrix) -> list[IntColumn]:
     return out
 
 
-def fiber_rank(columns: Sequence[IntColumn], k: int) -> int:
-    """Rank at [1 : k] of a matrix given by its integer columns."""
+def _fiber(columns: Sequence[IntColumn], k: int) -> list[list[int]]:
+    """The integer columns evaluated at [1 : k], column by column."""
     values = []
     for col in columns:
         column = []
@@ -399,7 +408,21 @@ def fiber_rank(columns: Sequence[IntColumn], k: int) -> int:
                 acc = acc * k + x
             column.append(acc)
         values.append(column)
-    return linalg.rank(list(zip(*values)))
+    return values
+
+
+def fiber_rank(columns: Sequence[IntColumn], k: int) -> int:
+    """Rank at [1 : k] of a matrix given by its integer columns."""
+    return linalg.rank(list(zip(*_fiber(columns, k))))
+
+
+def _generic_point(columns: Sequence[IntColumn], rows: int) -> int:
+    """H + 1 of `generic_rank` for the integer columns of a matrix with
+    the given number of rows."""
+    norms = sorted(
+        (max(1, sum(abs(x) for p in col for x in p)) for col in columns), reverse=True
+    )
+    return prod(norms[: min(rows, len(columns))]) + 1
 
 
 def generic_rank(a: PolyMatrix) -> int:
@@ -430,13 +453,30 @@ def generic_rank(a: PolyMatrix) -> int:
     no rows or no columns has rank 0 and evaluates no fiber.
     """
     columns = integer_columns(a)
-    full = min(len(a), len(columns))
-    if not full:
+    if not min(len(a), len(columns)):
         return 0
-    norms = sorted(
-        (max(1, sum(abs(x) for p in col for x in p)) for col in columns), reverse=True
-    )
-    return fiber_rank(columns, prod(norms[:full]) + 1)
+    return fiber_rank(columns, _generic_point(columns, len(a)))
+
+
+def _pivot_columns(a: PolyMatrix) -> list[int]:
+    """The columns of a that are independent over Q(t) of the columns
+    before them: the pivot columns of `_echelon(_chart(a))`.
+
+    The columns of the fiber of `generic_rank` go, in order, into one
+    `linalg.add_row` table.  The bound H there holds for every minor on
+    any set of columns, so every prefix of the columns has in that fiber
+    its rank over Q(t), and a column adds to the fiber's rank exactly when
+    it adds to the rank over Q(t).
+    """
+    columns = integer_columns(a)
+    if not min(len(a), len(columns)):
+        return []
+    table: dict[int, dict[int, int]] = {}
+    return [
+        j
+        for j, col in enumerate(_fiber(columns, _generic_point(columns, len(a))))
+        if linalg.add_row(table, linalg.integer_row(dict(enumerate(col))))
+    ]
 
 
 def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
@@ -527,26 +567,35 @@ def _combine(f: int, x: tuple[int, ...], h: int, off: int, y: tuple[int, ...]) -
 
 
 def _minor_gcd(a: PolyMatrix) -> tuple[list[int], HomogPoly]:
-    """Pivot columns J of the echelon of a on the chart s = 1, and the
-    normalized gcd of the maximal minors of the columns J.
+    """Pivot columns J of a, independent over Q(t) from left to right
+    (`_pivot_columns`), and the normalized gcd of the maximal minors of the
+    columns J.
 
-    The columns J of the echelon are triangular with the pivots on the
-    diagonal, so on the chart the gcd is their product (Kannan & Bachem,
-    SIAM J. Comput. 8(4), 1979).  Homogenizing it misses only s^m, m the
-    order of the gcd at [0:1]: zero when the fiber of the columns J there
-    has full rank, else the summed order at s = 0 of their pivots on the
+    The echelons run on sub, the columns J sorted stably by ascending
+    largest entry degree, so that the low-degree columns are eliminated
+    first and the high-degree ones meet small remainders.  sub has full
+    column rank, and a column permutation changes each of its maximal
+    minors by a sign only, so the gcd is that of the columns J in their
+    own order.  The echelon of sub on the chart s = 1 is triangular with
+    the pivots on the diagonal after unimodular steps, so on the chart the
+    gcd is their product (Kannan & Bachem, SIAM J. Comput. 8(4), 1979),
+    and `_normalized` fixes its constant.  Homogenizing it misses only s^m,
+    m the order of the gcd at [0:1]: zero when the fiber of sub there has
+    full rank, else the summed order at s = 0 of the pivots of sub on the
     chart t = 1.
     """
-    cols, pivots = _echelon(_chart(a))
+    cols = _pivot_columns(a)
+    order = sorted(cols, key=lambda j: max(row[j].degree for row in a if not row[j].is_zero()))
+    sub = tuple(tuple(row[j] for j in order) for row in a)
+    pivots = _echelon(_chart(sub))[1]
+    if len(pivots) != len(cols):
+        raise InvariantError(f"echelon of {len(cols)} independent columns has {len(pivots)} pivots")
     g = HomogPoly.constant(1)
     for p in pivots:
         g = g * HomogPoly(len(p) - 1, p)
-    sub = tuple(tuple(row[j] for j in cols) for row in a)
     if linalg.rank(poly_mat_eval(sub, 0, 1)) < len(cols):
-        order = sum(
-            next(k for k, x in enumerate(p) if x) for p in _echelon(_chart(sub, True))[1]
-        )
-        g = g * HomogPoly.monomial(order, 0)
+        m = sum(next(k for k, x in enumerate(p) if x) for p in _echelon(_chart(sub, True))[1])
+        g = g * HomogPoly.monomial(m, 0)
     return cols, _normalized(g)
 
 
@@ -608,24 +657,36 @@ def format_factored(p: HomogPoly) -> str:
 
 
 def _rational_root(core: Sequence[Fraction]) -> Fraction | None:
+    """A rational root of the primitive integer polynomial core, ascending
+    coefficients, or None.
+
+    A root p/q in lowest terms has p dividing a_0 and q dividing a_n, and
+    by Cauchy's bound |p/q| <= 1 + max |a_i / a_n| (i < n), and for the
+    reversal |q/p| <= 1 + max |a_i / a_0| (i > 0).  Each divisor list is
+    found once; a candidate is tested on integers,
+    sum a_i p^i q^(n - i) = 0.
+    """
     ints = [int(c) for c in core]
-    a0, an = ints[0], ints[-1]
+    a0, an = abs(ints[0]), abs(ints[-1])
     if a0 == 0:
         return ZERO
-    for pn in sorted(_divisors(abs(a0))):
-        for qn in sorted(_divisors(abs(an))):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * pn, qn)
-                if _eval_univ(core, cand) == 0:
-                    return cand
+    top = an + max(abs(x) for x in ints[:-1])  # |p/q| * an <= top
+    bottom = a0 + max(abs(x) for x in ints[1:])  # |q/p| * a0 <= bottom
+    qs = sorted(_divisors(an))
+    for p in sorted(_divisors(a0)):
+        for q in qs:
+            if q * a0 > p * bottom:
+                break
+            if p * an > q * top or int_gcd(p, q) != 1:
+                continue
+            for cand in (p, -p):
+                acc, q_power = 0, 1
+                for x in reversed(ints):  # Horner: acc * p + a_i * q^(n - i)
+                    acc = acc * cand + x * q_power
+                    q_power *= q
+                if acc == 0:
+                    return Fraction(cand, q)
     return None
-
-
-def _eval_univ(core: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(core):
-        acc = acc * x + c
-    return acc
 
 
 def _deflate(core: Sequence[Fraction], root: Fraction) -> list[Fraction]:

@@ -188,27 +188,27 @@ def _proper_rank_pairs(v0: int, v1: int) -> list[tuple[int, int]]:
 def delta_threshold(v0: int, v1: int, mu1_of_e: Rational, N: int) -> Fraction:
     """Smallest integer delta making the rank-part slope gaps dominate
     N + |mu1|, so slope comparisons against subobject classes of degree
-    at most N are decided by rank parts alone.
+    at most N are decided by rank parts alone: floor((N + |mu1|) / gap) + 1,
+    gap = v0 / (v1 (v1 - 1)) for v1 >= 2 and gap = v0 for v1 = 1.
 
-    Computed under both charge normalizations and the larger value is
-    returned, so the output is safe for either reading.  Rank pairs with
-    no ordinary part have infinite gap and impose nothing.
+    Over both charge normalizations, scale 1 and 2, the value is the
+    largest floor((N + scale |mu1|) / min gap) + 1, min over the proper
+    rank pairs (v0', v1') with v1' > 0 (a pair with no ordinary part has
+    infinite gap and imposes nothing) of the gap
+    scale |v0 / v1 - v0' / v1'|.  A pair with v0' = 0 has gap
+    scale v0 / v1; one with v0' = v0 and v1' < v1 has gap
+    scale v0 (v1 - v1') / (v1 v1'), least at v1' = v1 - 1, where it is
+    scale v0 / (v1 (v1 - 1)) <= scale v0 / v1; there is none when
+    v1 = 1.  So the min gap is
+    scale * gap, and the bound (N + scale |mu1|) / (scale gap) =
+    N / (scale gap) + |mu1| / gap is largest at scale 1, as N >= 0.
     """
     if v0 < 1 or v1 < 1:
         raise ValueError("need positive framing and ordinary ranks")
     if N < 0:
         raise ValueError("degree bound must be nonnegative")
-    mu1 = Fraction(mu1_of_e)
-    best = ZERO
-    for scale in (1, 2):
-        gaps = [
-            abs(Fraction(scale * v0, v1) - Fraction(scale * v0p, v1p))
-            for v0p, v1p in _proper_rank_pairs(v0, v1)
-            if v1p > 0
-        ]
-        bound = (N + abs(scale * mu1)) / min(gaps)
-        best = max(best, Fraction(floor(bound) + 1))
-    return best
+    gap = Fraction(v0, v1 * (v1 - 1)) if v1 > 1 else Fraction(v0)
+    return Fraction(floor((N + abs(Fraction(mu1_of_e))) / gap) + 1)
 
 
 def threshold_inequality_holds(

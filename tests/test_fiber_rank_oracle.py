@@ -31,8 +31,11 @@ from quiverbundles.polynomials import (
     _chart,
     _echelon,
     _minor_gcd,
+    _normalized,
+    _pivot_columns,
     format_factored,
     generic_rank,
+    poly_mat_eval,
 )
 from quiverbundles.quivers import HypothesisError
 from quiverbundles.serialization import parse_document
@@ -57,6 +60,22 @@ def minor_gcd_summary(e):
         pivots, g = _minor_gcd(matrix)
         out[i] = (len(pivots), g.degree - sum(twists[j] for j in pivots))
     return out
+
+
+def left_to_right_minor_gcd(a):
+    """`_minor_gcd` as the echelon of a in its own column order, which the
+    fiber's pivot columns and the degree-ordered echelon replaced."""
+    cols, pivots = _echelon(_chart(a))
+    g = HomogPoly.constant(1)
+    for p in pivots:
+        g = g * HomogPoly(len(p) - 1, p)
+    sub = tuple(tuple(row[j] for j in cols) for row in a)
+    if linalg.rank(poly_mat_eval(sub, 0, 1)) < len(cols):
+        order = sum(
+            next(k for k, x in enumerate(p) if x) for p in _echelon(_chart(sub, True))[1]
+        )
+        g = g * HomogPoly.monomial(order, 0)
+    return cols, _normalized(g)
 
 
 def point_off_base_locus(g):
@@ -159,6 +178,70 @@ def test_full_rank_summary_matches_minor_gcd(adhm_corpus):
             assert (summary.rank(i), summary.degree(i)) == want
             full += want[0] == e.bundles[i].rank
     assert full > 200
+
+
+@pytest.fixture(scope="module")
+def summary_corpus():
+    """Every vertex of the bundle rotation at seed 0 and of adhm ranks 5 to
+    10, seeds 0 to 3: (bundle, vertex, generation matrix, twists, rank)."""
+    bundles = [gen_bundle(bundle_spec(k, 0)) for k in range(192)]
+    bundles += [adhm(r, s) for r in range(5, 11) for s in range(4)]
+    return [
+        (e, i, matrix, twists, generic_rank(matrix))
+        for e in bundles
+        if residual_is_zero(e)
+        for i, (matrix, twists) in _generation_matrices(e).items()
+    ]
+
+
+def by_twist(matrix, twists):
+    """The columns of matrix sorted stably by ascending twist, as
+    `bundles._summary` hands them to `_minor_gcd`."""
+    order = sorted(range(len(twists)), key=twists.__getitem__)
+    return tuple(tuple(row[j] for j in order) for row in matrix)
+
+
+def test_short_rank_summary_matches_left_to_right_minor_gcd(summary_corpus):
+    short = large = 0
+    for e, i, matrix, twists, rank in summary_corpus:
+        if rank == e.bundles[i].rank:
+            continue
+        pivots, g = left_to_right_minor_gcd(matrix)
+        assert len(pivots) == rank
+        summary = generated_subsheaf_summary(e)
+        assert summary.rank(i) == rank
+        assert summary.degree(i) == g.degree - sum(twists[j] for j in pivots)
+        short += 1
+        large += e.bundles[i].rank >= 9
+    assert short > 80 and large > 4
+
+
+def test_fiber_pivot_columns_match_the_echelon(summary_corpus):
+    for e, i, matrix, twists, rank in summary_corpus:
+        for a in (matrix, by_twist(matrix, twists)):
+            cols = _pivot_columns(a)
+            assert cols == _echelon(_chart(a))[0]
+            assert len(cols) == rank
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rank_twelve_verdict_calls_within_budget(seed):
+    # 21.2 s (seed 1) and 16.8 s (seed 2) for a whole operation with the
+    # echelon in the generation matrix's own column order (shared 2-CPU host)
+    e = adhm(12, seed)
+    calls = {
+        "is_stable_quasimap": lambda: is_stable_quasimap(e),
+        "base_locus": lambda: format_factored(base_locus(e).polynomial),
+        "asymptotic_equivalence_check": lambda: asymptotic_equivalence_check(e),
+        "hn_quotient_bound_check": lambda: hn_quotient_bound_check(
+            e, max(instance_threshold(e), Fraction(1))
+        ),
+    }
+    for name, call in calls.items():
+        start = time.perf_counter()
+        call()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"{name} {elapsed:.1f} s"
 
 
 def test_asym_sample_point_is_the_first_point_off_the_base_locus(adhm_corpus):

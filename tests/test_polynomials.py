@@ -2,10 +2,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import quiverbundles
+from quiverbundles import polynomials
 from quiverbundles.polynomials import (
     HomogPoly,
     factor_binary_form,
@@ -290,3 +294,77 @@ def test_integer_kernels_match_fraction_kernels():
             assert type(value) is Fraction
             assert value == _ref_evaluate(p, s0, t0)
     assert zeros > 150
+
+
+# ---------------------------------------------------------------------------
+# root search: the divisor-pair loop over `Fraction` Horner it replaced
+
+
+def _ref_divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def ref_rational_root(core):
+    """The first root p/q over divisor pairs, p of a_0 and q of a_n, in
+    increasing p, then q, + before -, by `Fraction` Horner."""
+    ints = [int(c) for c in core]
+    a0, an = ints[0], ints[-1]
+    if a0 == 0:
+        return Fraction(0)
+    for pn in sorted(_ref_divisors(abs(a0))):
+        for qn in sorted(_ref_divisors(abs(an))):
+            for sgn in (1, -1):
+                cand = Fraction(sgn * pn, qn)
+                acc = Fraction(0)
+                for c in reversed(core):
+                    acc = acc * cand + c
+                if acc == 0:
+                    return cand
+    return None
+
+
+def test_root_search_matches_divisor_pair_loop(monkeypatch):
+    rng = random.Random(41)
+    cases = []
+    for _ in range(200):
+        p = HomogPoly.constant(rng.choice([1, 2, -3, 6]))
+        for _ in range(rng.randint(0, 4)):
+            q, r = rng.randint(1, 6), rng.randint(-6, 6)
+            p = p * HomogPoly.of(1, [Fraction(-r), Fraction(q)])  # q t - r s
+        if rng.random() < 0.5:
+            p = p * HomogPoly.of(2, [rng.choice([1, 2, 5]), rng.randint(-1, 1), rng.choice([1, 3])])
+        if not p.is_zero() and p.degree > 0:
+            cases.append(p)
+    want = {}
+    with monkeypatch.context() as m:
+        m.setattr(polynomials, "_rational_root", ref_rational_root)
+        for p in cases:
+            want[p] = format_factored(p)
+    linear = 0
+    for p in cases:
+        assert format_factored(p) == want[p]
+        linear += any(f.degree == 1 and all(f.coeffs) for f, _ in factor_binary_form(p)[1])
+    assert len(cases) > 170 and linear > 100
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        # a_0 = 10^14 + 31 is prime: its divisors are found by trial
+        # division up to 10^7, and no candidate is a root
+        (HomogPoly.of(2, [10**14 + 31, 0, 1]), "(100000000000031*s^2 + t^2)"),
+        # a = 2^6 3^4 5^3 7^2 11 13 has 1680 divisors: the divisor pairs of
+        # a_0 and a_2 took 98 s when a_2's divisors were found per divisor
+        # of a_0, and Cauchy's bounds leave only p / q near 1
+        (
+            HomogPoly.of(2, [4540536000, 1, 4540536000]),
+            "(4540536000*s^2 + s*t + 4540536000*t^2)",
+        ),
+    ],
+)
+def test_root_search_within_budget(p, want):
+    start = time.perf_counter()
+    text = format_factored(p)
+    elapsed = time.perf_counter() - start
+    assert text == want
+    assert elapsed < 5.0, f"{elapsed:.1f} s"

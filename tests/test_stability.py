@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -10,6 +11,7 @@ from quiverbundles.stability import (
     CentralCharge,
     NumericalClass,
     Slope,
+    _proper_rank_pairs,
     asymptotic_equivalence_check,
     central_charge,
     check_delta_stability,
@@ -157,6 +159,33 @@ def test_n_bound_values():
 def test_delta_threshold_values():
     assert delta_threshold(1, 2, 0, 9) == 19
     assert delta_threshold(1, 1, 0, 0) == 1
+
+
+def loop_delta_threshold(v0, v1, mu1_of_e, N):
+    """`delta_threshold` as the loop over both charge normalizations and
+    every proper rank pair that its closed form replaced."""
+    mu1 = Fraction(mu1_of_e)
+    best = Fraction(0)
+    for scale in (1, 2):
+        gaps = [
+            abs(Fraction(scale * v0, v1) - Fraction(scale * v0p, v1p))
+            for v0p, v1p in _proper_rank_pairs(v0, v1)
+            if v1p > 0
+        ]
+        bound = (N + abs(scale * mu1)) / min(gaps)
+        best = max(best, Fraction(floor(bound) + 1))
+    return best
+
+
+def test_delta_threshold_matches_rank_pair_loop():
+    rng = random.Random(5)
+    for _ in range(3000):
+        v0, v1 = rng.randint(1, 6), rng.randint(1, 14)
+        mu1 = rng.choice([rng.randint(-40, 40), Fraction(rng.randint(-90, 90), rng.randint(1, 9))])
+        n = rng.randint(0, 300)
+        got = delta_threshold(v0, v1, mu1, n)
+        assert type(got) is Fraction
+        assert got == loop_delta_threshold(v0, v1, mu1, n)
 
 
 def test_delta_threshold_scales_with_bound():
