@@ -4,8 +4,9 @@
 `generated_subsheaf_summary` reads its degree off the saturation argument
 at full rank; `asymptotic_equivalence_check` picks its sample point by
 fiber ranks.  Each reference below is the computation those replaced,
-kept here: the pivot count of the echelon, the `_minor_gcd` degree, and
-the first point off the base-locus form.
+kept here: the pivot count of the echelon, the `_minor_gcd` degree, the
+left-to-right `_minor_gcd` that the degree-ordered one replaced, and the
+first point off the base-locus form.
 """
 
 from __future__ import annotations
@@ -226,8 +227,9 @@ def test_fiber_pivot_columns_match_the_echelon(summary_corpus):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_rank_twelve_verdict_calls_within_budget(seed):
-    # 21.2 s (seed 1) and 16.8 s (seed 2) for a whole operation with the
-    # echelon in the generation matrix's own column order (shared 2-CPU host)
+    # about 22 s in `asymptotic_equivalence_check` (seed 1) and 14 s in
+    # `base_locus` (seed 2) with the echelon in the generation matrix's own
+    # column order (shared 2-CPU host)
     e = adhm(12, seed)
     calls = {
         "is_stable_quasimap": lambda: is_stable_quasimap(e),
