@@ -19,7 +19,9 @@ from typing import Iterable, Iterator, Mapping
 from . import linalg
 from .polynomials import (
     HomogPoly,
+    IntColumn,
     PolyMatrix,
+    _full_rank_minor_gcd,
     _minor_gcd,
     fiber_rank,
     generic_rank,
@@ -233,10 +235,6 @@ def _framing_vertex(e: TwistedQuiverBundle) -> str:
     return framing
 
 
-# a column of integer forms: ascending t-coefficients per row, () for zero
-_IntColumn = list[tuple[int, ...]]
-
-
 def generation_columns(
     e: TwistedQuiverBundle,
 ) -> dict[str, list[tuple[int, tuple[HomogPoly, ...]]]]:
@@ -274,12 +272,12 @@ def generation_columns(
             rows, den = integer_rows(e.phi[a.name])
             arrows[a.tail].append((a.head, e.twist.degree(a.name), rows, den))
     tables: dict[tuple[str, int], dict[int, dict[int, int]]] = {}
-    frontier: list[tuple[str, int, _IntColumn, Fraction]] = [
+    frontier: list[tuple[str, int, IntColumn, Fraction]] = [
         (framing, 0, [(1,) if r == c else () for r in range(v0)], Fraction(1))
         for c in range(v0)
     ]
     for _ in range(cap):
-        nxt: list[tuple[str, int, _IntColumn, Fraction]] = []
+        nxt: list[tuple[str, int, IntColumn, Fraction]] = []
         for vertex, twist, col, scale in frontier:
             for head, step, rows, den in arrows[vertex]:
                 image = [_convolve(row, col) for row in rows]
@@ -299,7 +297,7 @@ def generation_columns(
     return out
 
 
-def _convolve(row: list[tuple[int, tuple[int, ...]]], col: _IntColumn) -> tuple[int, ...]:
+def _convolve(row: list[tuple[int, tuple[int, ...]]], col: IntColumn) -> tuple[int, ...]:
     """The form sum of row[c] * col[c], integer coefficients, () for zero."""
     acc: list[int] = []
     for c, p in row:
@@ -317,7 +315,7 @@ def _convolve(row: list[tuple[int, tuple[int, ...]]], col: _IntColumn) -> tuple[
     return tuple(acc) if any(acc) else ()
 
 
-def _flatten(column: _IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dict[int, int]:
+def _flatten(column: IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dict[int, int]:
     """The nonzero entries of a column's coefficients, row r padded to the
     width of its forced degree row_degrees[r] + twist."""
     flat: dict[int, int] = {}
@@ -333,7 +331,7 @@ def _flatten(column: _IntColumn, twist: int, row_degrees: tuple[int, ...]) -> di
     return flat
 
 
-def _forms(column: _IntColumn, scale: Fraction) -> tuple[HomogPoly, ...]:
+def _forms(column: IntColumn, scale: Fraction) -> tuple[HomogPoly, ...]:
     num, den = scale.numerator, scale.denominator
     return tuple(
         HomogPoly(len(p) - 1, tuple([Fraction(x * num, den) for x in p])) if p else HomogPoly.zero()
@@ -379,53 +377,34 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
 
     The form at a vertex is the content-normalized gcd of the maximal
     minors of the generation matrix (each minor is homogeneous because
-    all columns of a fixed word twist share a degree pattern).  The rank
-    comes from fibers (polynomials.generic_rank); at full rank the gcd
-    comes from one echelon of the transposed matrix over Q[t] (see
-    polynomials._minor_gcd), whose columns, the summands of the vertex
-    bundle, are taken in ascending order of their largest entry degree;
-    the transposed matrix has full column rank, so the order changes the
-    minors by signs only.  Below full rank every maximal minor vanishes,
-    so the form is zero.  The returned product vanishes exactly where
-    some fiber fails framed stability; the verdict is full generic rank
-    everywhere, equivalently a nonzero product.  Multiplicities are not
-    contractual, the zero set is.
+    all columns of a fixed word twist share a degree pattern).  The
+    matrices and their ranks are read from `_generation`.  At full rank n
+    the transposed matrix has n columns and, by that rank, full column
+    rank, so it goes straight to `polynomials._full_rank_minor_gcd`: one
+    echelon over Q[t] whose columns, the summands of the vertex bundle,
+    are taken in ascending order of their largest entry degree, which
+    changes the minors by signs only.  Below full rank every maximal minor
+    vanishes, so the form is zero.  The returned product vanishes exactly
+    where some fiber fails framed stability; the verdict is full generic
+    rank everywhere, equivalently a nonzero product.  Multiplicities are
+    not contractual, the zero set is.
     """
-    if not residual_is_zero(e):
-        raise HypothesisError("moment residual nonzero; not quasimap data")
-    matrices = _generation_matrices(e)
+    gen = _generation(e)
     total = HomogPoly.constant(1)
-    ranks: list[tuple[str, int]] = []
     polys: list[tuple[str, HomogPoly]] = []
-    stable = True
     for i in e.double.ordinary_vertices:
-        n = e.bundles[i].rank
-        matrix, _ = matrices[i]
-        rank = generic_rank(matrix)
-        if rank == n:
-            pivots, g = _minor_gcd(tuple(zip(*matrix)))
-            if len(pivots) < n:
-                raise InvariantError(
-                    f"echelon at vertex {i!r} has {len(pivots)} pivots, generic rank {n}"
-                )
+        if gen.ranks[i] == e.bundles[i].rank:
+            g = _full_rank_minor_gcd(tuple(zip(*gen.matrices[i][0])))
         else:
             g = HomogPoly.zero()
-            stable = False
-        ranks.append((i, rank))
         polys.append((i, g))
         total = total * g
-    return BaseLocusReport(total, stable, tuple(ranks), tuple(polys))
+    return BaseLocusReport(total, gen.stable, tuple(gen.ranks.items()), tuple(polys))
 
 
 def is_stable_quasimap(e: TwistedQuiverBundle) -> bool:
     """Full framing generation at the generic point of every ordinary vertex."""
-    if not residual_is_zero(e):
-        raise HypothesisError("moment residual nonzero; not quasimap data")
-    matrices = _generation_matrices(e)
-    return all(
-        generic_rank(matrices[i][0]) == e.bundles[i].rank
-        for i in e.double.ordinary_vertices
-    )
+    return _generation(e).stable
 
 
 @dataclass(frozen=True)
@@ -459,65 +438,79 @@ def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
     sheaf, and F is saturated, so E / F is torsion-free as well, hence
     zero.  F = E, and deg F = deg E.
     """
+    return _generation(e).summary()
+
+
+@dataclass(frozen=True)
+class _Generation:
+    """The framing generation of quasimap data, computed once: per
+    ordinary vertex the generation matrix M_i with its column twists
+    (`_generation_matrices`) and its generic rank (`generic_rank`)."""
+
+    e: TwistedQuiverBundle
+    matrices: Mapping[str, tuple[PolyMatrix, tuple[int, ...]]]
+    ranks: Mapping[str, int]
+
+    @property
+    def stable(self) -> bool:
+        """Full generic rank at every ordinary vertex."""
+        return all(r == self.e.bundles[i].rank for i, r in self.ranks.items())
+
+    def summary(self) -> GeneratedSummary:
+        """`generated_subsheaf_summary`, read off the matrices and ranks.
+
+        Below full rank the columns of M go to `polynomials._minor_gcd`
+        sorted stably by ascending twist, and its pivots are mapped back:
+        J is then the independent columns of least twist, whose entries
+        have the least degrees.  By the argument of
+        `generated_subsheaf_summary`, the degree deg F + tw_J of the gcd
+        does not depend on J, so any J gives deg F.
+        """
+        degs: list[tuple[str, int]] = []
+        for i, rank in self.ranks.items():
+            if rank == self.e.bundles[i].rank:
+                degree = self.e.bundles[i].degree
+            else:
+                matrix, twists = self.matrices[i]
+                order = sorted(range(len(twists)), key=twists.__getitem__)
+                pivots, g = _minor_gcd(tuple(tuple(row[j] for j in order) for row in matrix))
+                degree = g.degree - sum(twists[order[j]] for j in pivots)
+            degs.append((i, degree))
+        return GeneratedSummary(tuple(self.ranks.items()), tuple(degs))
+
+    def off_locus_points(self) -> Iterator[int]:
+        """The k >= 1 with [1 : k] off the base locus, in increasing order,
+        or every k >= 1 when the data is not stable (the base-locus form is
+        then zero and every point is alike).
+
+        The vertex form g_i is the gcd of the maximal minors of M_i, which
+        are homogeneous, so g_i(z) = 0 exactly when (t - k s) divides every
+        maximal minor, that is, when all of them vanish at z, that is, when
+        the fiber M_i(z) has rank below n_i.  So [1 : k] is off the base
+        locus exactly when every vertex fiber there has full rank, and no
+        form is computed.  The fibers are taken on `integer_columns`.
+        """
+        vertices = []  # no vertex to check when the form is zero
+        if self.stable:
+            vertices = [
+                (integer_columns(matrix), self.e.bundles[i].rank)
+                for i, (matrix, _) in self.matrices.items()
+            ]
+        for k in count(1):
+            if all(fiber_rank(columns, k) == n for columns, n in vertices):
+                yield k
+
+
+def _generation(e: TwistedQuiverBundle) -> _Generation:
+    """The generation record of quasimap data: the one place that refuses
+    data off the moment relation's zero locus and builds the generation
+    matrices and their generic ranks."""
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
     matrices = _generation_matrices(e)
-    return _summary(e, matrices, _vertex_ranks(e, matrices))
-
-
-Matrices = dict[str, tuple[PolyMatrix, tuple[int, ...]]]
-
-
-def _vertex_ranks(e: TwistedQuiverBundle, matrices: Matrices) -> dict[str, int]:
-    return {i: generic_rank(matrices[i][0]) for i in e.double.ordinary_vertices}
-
-
-def _summary(
-    e: TwistedQuiverBundle, matrices: Matrices, ranks: Mapping[str, int]
-) -> GeneratedSummary:
-    """`generated_subsheaf_summary` from generation matrices and their
-    generic ranks.
-
-    Below full rank the columns of M go to `_minor_gcd` sorted stably by
-    ascending twist, and its pivots are mapped back: J is then the
-    independent columns of least twist, whose entries have the least
-    degrees.  By the argument of `generated_subsheaf_summary`, the degree
-    deg F + tw_J of the gcd does not depend on J, so any J gives deg F.
-    """
-    degs: list[tuple[str, int]] = []
-    for i in e.double.ordinary_vertices:
-        if ranks[i] == e.bundles[i].rank:
-            degree = e.bundles[i].degree
-        else:
-            matrix, twists = matrices[i]
-            order = sorted(range(len(twists)), key=twists.__getitem__)
-            pivots, g = _minor_gcd(tuple(tuple(row[j] for j in order) for row in matrix))
-            degree = g.degree - sum(twists[order[j]] for j in pivots)
-        degs.append((i, degree))
-    return GeneratedSummary(tuple((i, ranks[i]) for i in e.double.ordinary_vertices), tuple(degs))
-
-
-def _off_locus_points(
-    e: TwistedQuiverBundle, matrices: Matrices, ranks: Mapping[str, int]
-) -> Iterator[int]:
-    """The k >= 1 with [1 : k] off the base locus, in increasing order, or
-    every k >= 1 when some generic rank is short (the base-locus form is
-    then zero and every point is alike).
-
-    The vertex form g_i is the gcd of the maximal minors of M_i, which are
-    homogeneous, so g_i(z) = 0 exactly when (t - k s) divides every
-    maximal minor, that is, when all of them vanish at z, that is, when
-    the fiber M_i(z) has rank below n_i.  So [1 : k] is off the base locus
-    exactly when every vertex fiber there has full rank, and no form is
-    computed.  The fibers are taken on `integer_columns`.
-    """
-    ordinary = e.double.ordinary_vertices
-    vertices = []  # no vertex to check when the form is zero
-    if all(ranks[i] == e.bundles[i].rank for i in ordinary):
-        vertices = [(integer_columns(matrices[i][0]), e.bundles[i].rank) for i in ordinary]
-    for k in count(1):
-        if all(fiber_rank(columns, k) == n for columns, n in vertices):
-            yield k
+    return _Generation(
+        e, matrices, {i: generic_rank(matrices[i][0]) for i in e.double.ordinary_vertices}
+    )
 
 
 # ---------------------------------------------------------------------------

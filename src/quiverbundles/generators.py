@@ -27,9 +27,7 @@ from .bundles import (
     SplitBundle,
     TwistData,
     TwistedQuiverBundle,
-    _generation_matrices,
-    _off_locus_points,
-    _vertex_ranks,
+    _generation,
     fiber_at,
     is_stable_quasimap,
     residual_is_zero,
@@ -485,14 +483,11 @@ def sample_points(e: TwistedQuiverBundle, count: int) -> tuple[tuple[int, int], 
     """Deterministic rational points [1 : k] avoiding the base locus.
 
     These are the k at which every vertex fiber of the generation matrices
-    has full rank (`bundles._off_locus_points`).  A zero locus form
-    (generic generation failure) leaves every point equally informative,
-    so then the first count integers are used as is.
+    has full rank (`bundles._generation`).  A zero locus form (generic
+    generation failure) leaves every point equally informative, so then
+    the first count integers are used as is.
     """
-    if not residual_is_zero(e):
-        raise HypothesisError("moment residual nonzero; not quasimap data")
-    matrices = _generation_matrices(e)
-    points = _off_locus_points(e, matrices, _vertex_ranks(e, matrices))
+    points = _generation(e).off_locus_points()
     return tuple((1, k) for k in islice(points, max(count, 0)))
 
 

@@ -4,8 +4,9 @@ Dense routines work on immutable tuple-of-tuples matrices over
 `fractions.Fraction`; there is no floating point anywhere.  One kernel,
 `add_row`, does all elimination: it keeps a table of primitive integer
 pivot rows and reduces each new row fraction-free against it.
-`sparse_rank` feeds it the rows of a {column: value} matrix shortest first,
-and `rank` is `sparse_rank` of a dense matrix; `_rref` back-substitutes its
+`pivot_columns` feeds it the rows of a {column: value} matrix shortest
+first, `sparse_rank` counts those columns, and `rank` is `sparse_rank` of
+a dense matrix; `_rref` back-substitutes its
 table into the reduced row echelon form, from which `nullspace`, `solve`
 and `row_space_basis` read their answers.
 """
@@ -223,15 +224,26 @@ def add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     return False
 
 
-def sparse_rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
-    """Rank of a sparse matrix given as one {column: value} mapping per row.
+def pivot_columns(rows: Iterable[Mapping[int, Fraction]]) -> list[int]:
+    """The columns independent of the columns before them, in increasing
+    order, of a sparse matrix given as one {column: value} mapping per row.
 
     Rows are cleared to primitive integer rows and added to one pivot table
     (`add_row`) shortest first, the ordering of structured Gaussian
     elimination: sparse rows become pivots early, so the long rows reduced
-    against them meet little fill-in.  Exact; no pivoting thresholds.
+    against them meet little fill-in.  The table is an echelon form of the
+    row space, whatever order the rows came in, and the leading columns of
+    any echelon form of a row space are the same: column c leads exactly
+    when it is not a combination of the columns before it.  Exact; no
+    pivoting thresholds.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted((integer_row(r) for r in rows), key=len):
         add_row(pivots, row)
-    return len(pivots)
+    return sorted(pivots)
+
+
+def sparse_rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
+    """Rank of a sparse matrix given as one {column: value} mapping per row:
+    the number of its `pivot_columns`."""
+    return len(pivot_columns(rows))

@@ -12,14 +12,14 @@ are exact rationals; inside, products, sums and evaluation work on
 integer numerators over a common denominator, and the echelon clears
 denominators once and works on integer rows by pseudo-division.
 
-The gcd of the maximal minors (`_minor_gcd`) takes its pivot columns J,
-the columns independent of those before them, from the certified fiber,
-and runs the echelon on the columns J sorted by ascending largest entry
-degree.  J has full column rank, so reordering its columns changes each
-maximal minor by a sign and the gcd not at all; eliminating the
-low-degree columns first keeps the pseudo-remainders small, where the
-matrix's own column order let their coefficients swell far past those of
-the gcd.
+The gcd of the maximal minors (`_minor_gcd`) reads its pivot columns J,
+the columns independent of those before them, off the rows of the
+certified fiber, and `_full_rank_minor_gcd` runs the echelon on the
+columns J sorted by ascending largest entry degree.  J has full column
+rank, so reordering its columns changes each maximal minor by a sign and
+the gcd not at all; eliminating the low-degree columns first keeps the
+pseudo-remainders small, where the matrix's own column order let their
+coefficients swell far past those of the gcd.
 
 Every rank-only question about a form matrix is asked of integer data.
 `integer_columns` clears each column of the chart s = 1 by its own
@@ -462,21 +462,17 @@ def _pivot_columns(a: PolyMatrix) -> list[int]:
     """The columns of a that are independent over Q(t) of the columns
     before them: the pivot columns of `_echelon(_chart(a))`.
 
-    The columns of the fiber of `generic_rank` go, in order, into one
-    `linalg.add_row` table.  The bound H there holds for every minor on
-    any set of columns, so every prefix of the columns has in that fiber
+    They are the pivot columns of the fiber of `generic_rank`, read off its
+    rows (`linalg.pivot_columns`).  The bound H there holds for every minor
+    on any set of columns, so every prefix of the columns has in that fiber
     its rank over Q(t), and a column adds to the fiber's rank exactly when
     it adds to the rank over Q(t).
     """
     columns = integer_columns(a)
     if not min(len(a), len(columns)):
         return []
-    table: dict[int, dict[int, int]] = {}
-    return [
-        j
-        for j, col in enumerate(_fiber(columns, _generic_point(columns, len(a))))
-        if linalg.add_row(table, linalg.integer_row(dict(enumerate(col))))
-    ]
+    fiber = _fiber(columns, _generic_point(columns, len(a)))
+    return linalg.pivot_columns(dict(enumerate(row)) for row in zip(*fiber))
 
 
 def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
@@ -569,34 +565,41 @@ def _combine(f: int, x: tuple[int, ...], h: int, off: int, y: tuple[int, ...]) -
 def _minor_gcd(a: PolyMatrix) -> tuple[list[int], HomogPoly]:
     """Pivot columns J of a, independent over Q(t) from left to right
     (`_pivot_columns`), and the normalized gcd of the maximal minors of the
-    columns J.
+    columns J (`_full_rank_minor_gcd`)."""
+    cols = _pivot_columns(a)
+    return cols, _full_rank_minor_gcd(tuple(tuple(row[j] for j in cols) for row in a))
 
-    The echelons run on sub, the columns J sorted stably by ascending
+
+def _full_rank_minor_gcd(a: PolyMatrix) -> HomogPoly:
+    """The normalized gcd of the maximal minors of a, which must have full
+    column rank over Q(t).
+
+    The echelons run on sub, the columns of a sorted stably by ascending
     largest entry degree, so that the low-degree columns are eliminated
-    first and the high-degree ones meet small remainders.  sub has full
-    column rank, and a column permutation changes each of its maximal
-    minors by a sign only, so the gcd is that of the columns J in their
-    own order.  The echelon of sub on the chart s = 1 is triangular with
+    first and the high-degree ones meet small remainders.  A column
+    permutation changes each maximal minor by a sign only, so the gcd is
+    that of a.  The echelon of sub on the chart s = 1 is triangular with
     the pivots on the diagonal after unimodular steps, so on the chart the
     gcd is their product (Kannan & Bachem, SIAM J. Comput. 8(4), 1979),
     and `_normalized` fixes its constant.  Homogenizing it misses only s^m,
     m the order of the gcd at [0:1]: zero when the fiber of sub there has
     full rank, else the summed order at s = 0 of the pivots of sub on the
-    chart t = 1.
+    chart t = 1.  An echelon with fewer pivots than a has columns means
+    that a did not have full column rank: an `InvariantError`.
     """
-    cols = _pivot_columns(a)
-    order = sorted(cols, key=lambda j: max(row[j].degree for row in a if not row[j].is_zero()))
+    n = len(a[0]) if a else 0
+    order = sorted(range(n), key=lambda j: max(row[j].degree for row in a if not row[j].is_zero()))
     sub = tuple(tuple(row[j] for j in order) for row in a)
     pivots = _echelon(_chart(sub))[1]
-    if len(pivots) != len(cols):
-        raise InvariantError(f"echelon of {len(cols)} independent columns has {len(pivots)} pivots")
+    if len(pivots) != n:
+        raise InvariantError(f"echelon of {n} independent columns has {len(pivots)} pivots")
     g = HomogPoly.constant(1)
     for p in pivots:
         g = g * HomogPoly(len(p) - 1, p)
-    if linalg.rank(poly_mat_eval(sub, 0, 1)) < len(cols):
+    if linalg.rank(poly_mat_eval(sub, 0, 1)) < n:
         m = sum(next(k for k, x in enumerate(p) if x) for p in _echelon(_chart(sub, True))[1])
         g = g * HomogPoly.monomial(m, 0)
-    return cols, _normalized(g)
+    return _normalized(g)
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,11 @@ from typing import Iterable
 from .bundles import (
     GeneratedSummary,
     TwistedQuiverBundle,
-    _generation_matrices,
-    _off_locus_points,
-    _summary,
-    _vertex_ranks,
+    _generation,
     fiber_at,
     generated_subsheaf_summary,
     hn_filtration_split,
     hn_step_indices,
-    residual_is_zero,
     subbundle_is_arrow_invariant,
 )
 from .quivers import HypothesisError
@@ -403,24 +399,19 @@ def asymptotic_equivalence_check(
     The sample point is the first [1 : k], k >= 1, at which every vertex
     fiber of the generation matrices M_i has full rank n_i, or [1 : 1]
     when some generic rank is short: the first point off the base locus,
-    found without computing its form (`bundles._off_locus_points`).  The
-    generation matrices and their generic ranks are built once and serve
-    the rank verdict, the sample point and the generated subsheaf of the
-    subobject family.
+    found without computing its form.  One generation record
+    (`bundles._generation`) serves the rank verdict, the sample point and
+    the generated subsheaf of the subobject family.
     """
     delta0 = instance_threshold(e)
     delta = delta0 if delta is None else Fraction(delta)
-    if not residual_is_zero(e):
-        raise HypothesisError("moment residual nonzero; not quasimap data")
-    matrices = _generation_matrices(e)
-    ranks = _vertex_ranks(e, matrices)
-    cond_rank = all(ranks[i] == e.bundles[i].rank for i in e.double.ordinary_vertices)
-    z = (Fraction(1), Fraction(next(_off_locus_points(e, matrices, ranks))))
+    gen = _generation(e)
+    z = (Fraction(1), Fraction(next(gen.off_locus_points())))
     cond_fiber = is_stable_framed(fiber_at(e, z)).stable
-    family = _subobject_family(e, _summary(e, matrices, ranks))
+    family = _subobject_family(e, gen.summary())
     verdict = check_delta_stability(e, delta, family)
     return AsymReport(
-        stable_quasimap=cond_rank,
+        stable_quasimap=gen.stable,
         generically_generated=cond_fiber,
         sample_point=z,
         delta=delta,

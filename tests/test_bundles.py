@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quiverbundles import linalg
+from quiverbundles import linalg, polynomials
 from quiverbundles.bundles import (
     SplitBundle,
     TwistData,
@@ -21,9 +23,12 @@ from quiverbundles.bundles import (
     subbundle_is_arrow_invariant,
     validate,
 )
+from quiverbundles.generators import sample_points
 from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero
 from quiverbundles.quivers import HypothesisError, TorusElement
 from quiverbundles.representations import is_stable_framed, moment
+from quiverbundles.serialization import parse_document
+from quiverbundles.stability import asymptotic_equivalence_check, subobject_family
 
 from _builders import (
     ADHM_DOUBLE,
@@ -32,6 +37,8 @@ from _builders import (
     chain_bundle,
     form,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 ZERO = HomogPoly.zero()
 ONE = HomogPoly.constant(1)
@@ -158,12 +165,38 @@ def test_base_locus_constant_section_empty():
     assert report.polynomial.degree == 0
 
 
-def test_base_locus_requires_zero_residual():
+GENERATION_ENTRY_POINTS = {
+    "base_locus": base_locus,
+    "is_stable_quasimap": is_stable_quasimap,
+    "generated_subsheaf_summary": generated_subsheaf_summary,
+    "subobject_family": subobject_family,
+    "asymptotic_equivalence_check": asymptotic_equivalence_check,
+    "sample_points": lambda e: sample_points(e, 3),
+}
+
+
+@pytest.mark.parametrize("entry", GENERATION_ENTRY_POINTS)
+def test_generation_entry_points_require_zero_residual(entry):
     b1 = [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]
     b2 = [[ZERO, ONE, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]
     e = adhm_bundle([2, 1, 0], b1=b1, b2=b2)
-    with pytest.raises(HypothesisError):
-        base_locus(e)
+    assert not residual_is_zero(e)
+    with pytest.raises(HypothesisError, match="moment residual nonzero"):
+        GENERATION_ENTRY_POINTS[entry](e)
+
+
+def test_full_rank_base_locus_reads_no_pivot_columns(monkeypatch):
+    # generic_rank(M) == n already makes every column of the transposed M a
+    # pivot column, so base_locus asks the fiber for none of them
+    calls = []
+    pivot_columns = polynomials._pivot_columns
+    monkeypatch.setattr(
+        polynomials, "_pivot_columns", lambda a: calls.append(a) or pivot_columns(a)
+    )
+    doc = json.loads((FIXTURES / "bundle_adhm_stable.json").read_text())
+    report = base_locus(parse_document(doc).bundle)
+    assert report.stable and polynomials.format_factored(report.polynomial) == "(s + 3*t)"
+    assert calls == []
 
 
 def test_base_locus_two_summand_word_generation():

@@ -98,6 +98,42 @@ def test_base_locus_documents_failure_polynomial():
     assert code == 1
 
 
+def test_base_locus_on_large_coefficients(tmp_path):
+    # one summand O(2) framed by (10^14 + 31) s^2 + t^2, every other arrow
+    # zero: a valid zero-residual document whose coefficient must not make
+    # the computation or its display take time exponential in its bits
+    doc = json.loads(Path(BUNDLE_STABLE).read_text())
+    del doc["meta"]
+    doc["bundles"] = {"0": [0], "1": [2]}
+    doc["data"] = {
+        "frame+": [[["100000000000031", "0", "1"]]],
+        "frame-": [[None]],
+        "loop+": [[None]],
+        "loop-": [[None]],
+    }
+    path = tmp_path / "large_coefficient.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", "--input", str(path)])[0] == 0
+    assert json.loads(run(["moment", "--input", str(path)])[1])["zero"] is True
+    start = time.perf_counter()
+    code, out, _ = run(["base-locus", "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out == (
+        "{\n"
+        '  "polynomial": "(100000000000031*s^2 + t^2)",\n'
+        '  "stable": true,\n'
+        '  "vertex_polynomials": {\n'
+        '    "1": "(100000000000031*s^2 + t^2)"\n'
+        "  },\n"
+        '  "vertex_ranks": {\n'
+        '    "1": "1"\n'
+        "  }\n"
+        "}\n"
+    )
+    assert elapsed < 10.0, f"{elapsed:.1f} s"
+
+
 def test_slope_from_flags_matches_table():
     code, payload = run_json(
         ["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "5"]

@@ -1,0 +1,90 @@
+"""Private names that cross module boundaries inside `quiverbundles`.
+
+A leading underscore marks a name as its module's own.  Every use of one
+from another module, `from .m import _name` or `m._name` on an imported
+module m, must be listed in ALLOWED, so that a protocol shared by several
+modules shows up here rather than as a scatter of private imports.  The
+generation analysis of `bundles` (residual check, generation matrices,
+generic ranks, sample points, generated subsheaf) is shared through one
+record, `_generation`.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import quiverbundles
+
+PACKAGE = Path(quiverbundles.__file__).resolve().parent
+
+# (importing module, defining module, private name)
+ALLOWED = {
+    ("bundles", "linalg", "_normalize_int_row"),
+    ("bundles", "polynomials", "_full_rank_minor_gcd"),
+    ("bundles", "polynomials", "_minor_gcd"),
+    ("generators", "bundles", "_generation"),
+    ("stability", "bundles", "_generation"),
+}
+
+
+def _relative(node: ast.ImportFrom) -> str | None:
+    """The package-relative module an import names ("" for the package)."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "quiverbundles":
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_uses(path: Path) -> set[tuple[str, str, str]]:
+    tree = ast.parse(path.read_text())
+    uses = set()
+    modules: dict[str, str] = {}  # local alias -> imported sibling module
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = _relative(node)
+        if source is None:
+            continue
+        for alias in node.names:
+            if source == "":
+                modules[alias.asname or alias.name] = alias.name
+            elif alias.name.startswith("_"):
+                uses.add((path.stem, source, alias.name))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            uses.add((path.stem, modules[node.value.id], node.attr))
+    return uses
+
+
+def test_private_names_cross_modules_only_by_the_allowlist():
+    found = set().union(*(private_uses(p) for p in sorted(PACKAGE.glob("*.py"))))
+    assert found - ALLOWED == set()
+    assert ALLOWED - found == set(), "allowlist entries no module uses any more"
+
+
+def test_stability_and_generators_take_only_the_generation_record():
+    for module in ("stability", "generators"):
+        uses = private_uses(PACKAGE / f"{module}.py")
+        assert {name for _, source, name in uses if source == "bundles"} == {"_generation"}
+
+
+def test_private_use_detection_on_both_import_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import linalg\n"
+        "from .bundles import _summary, base_locus\n"
+        "from quiverbundles.polynomials import _echelon\n"
+        "x = linalg._rref\n"
+    )
+    assert private_uses(probe) == {
+        ("probe", "bundles", "_summary"),
+        ("probe", "polynomials", "_echelon"),
+        ("probe", "linalg", "_rref"),
+    }

@@ -209,6 +209,35 @@ def test_nullspace_solve_row_basis_match_rref_oracle():
     assert inconsistent > 500 and one_bad_column > 200
 
 
+def test_pivot_columns_match_rref_oracle():
+    # zero, rank-deficient and full-rank matrices, rows in any order
+    rng = random.Random(41)
+    deficient = 0
+    for trial in range(600):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        rows = _random_matrix(rng, m, n)
+        if trial % 9 == 0:
+            rows = [[ZERO] * n for _ in range(m)]
+        if trial % 4 == 0:
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = ZERO
+        if trial % 3 == 0:
+            i, j = rng.randrange(m), rng.randrange(m)
+            ci, cj = _q(rng, 5), _q(rng, 5)
+            rows.append([ci * x + cj * y for x, y in zip(rows[i], rows[j])])
+        a = tuple(tuple(row) for row in rows)
+        want = list(rref(a)[1])
+        assert list(linalg._rref(a)) == want
+        sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in a]
+        rng.shuffle(sparse)
+        assert linalg.pivot_columns(sparse) == want
+        assert linalg.sparse_rank(sparse) == len(want)
+        deficient += len(want) < min(len(a), n)
+    assert linalg.pivot_columns([]) == []
+    assert deficient > 100
+
+
 def test_oracle_empty_shapes():
     assert linalg.nullspace(()) == rref_nullspace(()) == ()
     assert linalg.row_space_basis(()) == rref_row_space_basis(()) == ()
