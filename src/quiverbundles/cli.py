@@ -11,6 +11,7 @@ problems, 3 when an internal invariant fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -190,12 +191,13 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 def _cmd_base_locus(args: argparse.Namespace) -> int:
     e = _need_bundle(_load(args.input))
     report = base_locus(e)
+    factored = functools.cache(format_factored)  # equal forms are factored once
     _emit(
         {
             "stable": report.stable,
-            "polynomial": format_factored(report.polynomial),
+            "polynomial": factored(report.polynomial),
             "vertex_ranks": {v: str(r) for v, r in report.vertex_ranks},
-            "vertex_polynomials": {v: format_factored(p) for v, p in report.vertex_polynomials},
+            "vertex_polynomials": {v: factored(p) for v, p in report.vertex_polynomials},
         }
     )
     return 1 if args.strict and not report.stable else 0
@@ -353,7 +355,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call rather than at import;
+    every `parse_args` returns a fresh Namespace, so one tree serves all."""
     parser = argparse.ArgumentParser(
         prog="quiverbundles",
         description="exact stability and cohomology toolkit for framed quiver data",

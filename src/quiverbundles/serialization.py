@@ -5,18 +5,18 @@ a kind tag, and per-doubled-arrow data blocks: "p/q" scalar matrices for
 representations, form matrices (null or a coefficient list per entry) for
 bundles, plus dims and an optional moment level, or multidegrees and twist
 degrees.  Schema and cross-reference problems are reported with the JSON
-pointer of the offending field.
+pointer of the offending field.  `jsonschema` is imported when the
+first document is validated, not when this module is.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping
-
-import jsonschema
 
 from .bundles import SplitBundle, TwistData, TwistedQuiverBundle
 from .linalg import Matrix
@@ -40,13 +40,32 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-_VALIDATOR = jsonschema.Draft202012Validator(_schema())
+def _inline_refs(node: object, defs: dict) -> object:
+    """node with every {"$ref": "#/$defs/name"} replaced by that definition,
+    itself inlined (no definition refers to itself): validation then makes
+    no reference lookup per matrix entry."""
+    if isinstance(node, dict):
+        if list(node) == ["$ref"]:
+            return _inline_refs(defs[node["$ref"].removeprefix("#/$defs/")], defs)
+        return {k: _inline_refs(v, defs) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_inline_refs(v, defs) for v in node]
+    return node
+
+
+@functools.cache
+def _validator():
+    """The shipped schema's validator, built when the first document comes."""
+    import jsonschema
+
+    schema = _schema()
+    return jsonschema.Draft202012Validator(_inline_refs(schema, schema["$defs"]))
 
 
 def schema_errors(doc: object) -> list[tuple[str, str]]:
     """(pointer, message) schema violations, sorted by document position."""
     found = sorted(
-        _VALIDATOR.iter_errors(doc), key=lambda e: [str(p) for p in e.absolute_path]
+        _validator().iter_errors(doc), key=lambda e: [str(p) for p in e.absolute_path]
     )
     out = []
     for err in found:

@@ -6,11 +6,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
-from quiverbundles import complexes
+from quiverbundles import cli, complexes
+from quiverbundles.bundles import base_locus
 from quiverbundles.cli import main
+from quiverbundles.polynomials import format_factored
+from quiverbundles.serialization import parse_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -98,7 +104,7 @@ def test_base_locus_documents_failure_polynomial():
     assert code == 1
 
 
-def test_base_locus_on_large_coefficients(tmp_path):
+def _large_coefficient_document(tmp_path: Path) -> Path:
     # one summand O(2) framed by (10^14 + 31) s^2 + t^2, every other arrow
     # zero: a valid zero-residual document whose coefficient must not make
     # the computation or its display take time exponential in its bits
@@ -113,6 +119,11 @@ def test_base_locus_on_large_coefficients(tmp_path):
     }
     path = tmp_path / "large_coefficient.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_base_locus_on_large_coefficients(tmp_path):
+    path = _large_coefficient_document(tmp_path)
     assert run(["validate", "--input", str(path)])[0] == 0
     assert json.loads(run(["moment", "--input", str(path)])[1])["zero"] is True
     start = time.perf_counter()
@@ -132,6 +143,24 @@ def test_base_locus_on_large_coefficients(tmp_path):
         "}\n"
     )
     assert elapsed < 10.0, f"{elapsed:.1f} s"
+
+
+def test_base_locus_factors_each_distinct_form_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return format_factored(p)
+
+    monkeypatch.setattr(cli, "format_factored", counting)
+    for path in (CHAIN_STABLE, BUNDLE_STABLE, str(_large_coefficient_document(tmp_path))):
+        calls.clear()
+        assert run(["base-locus", "--input", path])[0] == 0
+        report = base_locus(parse_document(json.loads(Path(path).read_text())).bundle)
+        forms = {report.polynomial, *(p for _, p in report.vertex_polynomials)}
+        assert sorted(map(str, calls)) == sorted(map(str, forms)), path
+    # one ordinary vertex: the vertex form is the total form
+    assert len(calls) == 1
 
 
 def test_slope_from_flags_matches_table():
@@ -388,3 +417,81 @@ def test_negative_rational_flag_values_after_a_space():
     # a flag followed by another option still lacks its value
     code, _, err = run(["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "--v0"])
     assert code == 2 and "expected one argument" in err
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def _fresh(args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_one_parser_serves_every_invocation():
+    # the fixture x subcommand matrix twice, interleaved with invocations
+    # that argparse ends early; the one parser tree must carry no state
+    matrix = [
+        [command, "--input", str(path)]
+        for path in sorted(FIXTURES.glob("*.json"))
+        for command in ("validate", "moment", "stability", "base-locus", "slope",
+                        "delta-threshold", "asym-check", "hn-bound", "defcomplex")
+    ]
+    errors = [
+        [],
+        ["not-a-command"],
+        ["stability"],
+        ["stability", "--input", BUNDLE_STABLE, "--delta=x"],
+        ["--help"],
+    ]
+
+    def sweep() -> list[tuple[int, str, str]]:
+        out = []
+        for i, argv in enumerate(matrix):
+            out.append(run(argv))
+            out.append(run(errors[i % len(errors)]))
+        return out
+
+    first = sweep()
+    assert first == sweep()
+    assert [code for code, _, _ in first[1:10:2]] == [2, 2, 2, 2, 0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_fresh_process_prints_what_the_in_process_call_prints():
+    for argv in (
+        ["validate", "--input", CHAIN_STABLE],
+        ["moment", "--input", REP_STABLE],
+        ["stability", "--input", BUNDLE_STABLE, "--delta", "40"],
+        ["base-locus", "--input", BUNDLE_UNSTABLE],
+        ["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "-7/3"],
+        ["delta-threshold", "--v0", "1", "--v1", "2", "--mu1", "0", "--N", "9"],
+        ["asym-check", "--input", BUNDLE_STABLE],
+        ["hn-bound", "--input", CHAIN_STABLE],
+        ["defcomplex", "--input", CHAIN_STABLE],
+        ["gen", "--kind", "bundle", "--preset", "chain", "--dims", "1,1", "--out", "-"],
+        ["suite", "--name", "moment-zero", "--count", "3"],
+    ):
+        proc = _fresh(["-m", "quiverbundles.cli", *argv])
+        assert (proc.returncode, proc.stdout) == run(argv)[:2], argv
+
+
+def _imports_jsonschema(args: list[str]) -> bool:
+    proc = _fresh(["-X", "importtime", *args])
+    assert proc.returncode == 0, proc.stderr
+    return any(line.split("|")[-1].strip() == "jsonschema" for line in proc.stderr.splitlines())
+
+
+def test_jsonschema_and_the_parser_load_on_first_use():
+    probe = "import quiverbundles.cli as c; print(c._build_parser.cache_info().misses)"
+    assert _fresh(["-c", probe]).stdout == "0\n"
+    assert not _imports_jsonschema(["-c", "import quiverbundles"])
+    for argv in (
+        ["delta-threshold", "--v0", "1", "--v1", "2", "--mu1", "0", "--N", "9"],
+        ["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "5"],
+    ):
+        assert not _imports_jsonschema(["-m", "quiverbundles.cli", *argv]), argv
+    assert _imports_jsonschema(["-m", "quiverbundles.cli", "validate", "--input", CHAIN_STABLE])

@@ -1,6 +1,11 @@
+import copy
 import json
+import random
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from quiverbundles.bundles import validate
@@ -144,3 +149,78 @@ def test_instance_document_wrapper():
     e, doc = _bundle_doc()
     item = InstanceDocument("bundle", bundle=e, meta={"seed": 3, "preset": "chain"})
     assert instance_to_doc(item) == doc
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# values that break an entry, a coefficient or a field: type swaps and
+# strings just outside the "p/q" pattern
+BAD_VALUES = (
+    "1/0", "01/", "1/-2", "1/2/3", "", "-", "x", 7, -1, 2.5, True, None,
+    [], [None], ["1", 2], {}, {"x": "1"},
+)
+
+
+# a plain validator over the shipped schema file, its $refs resolved by
+# jsonschema itself
+ORACLE = jsonschema.Draft202012Validator(
+    json.loads(resources.files("quiverbundles").joinpath("schema/instance-v1.json").read_text())
+)
+
+
+def _oracle_errors(doc: object) -> list[tuple[str, str]]:
+    found = sorted(ORACLE.iter_errors(doc), key=lambda e: [str(p) for p in e.absolute_path])
+    return [("/" + "/".join(str(p) for p in e.absolute_path), e.message) for e in found]
+
+
+def _paths(node: object, path: tuple = ()) -> list[tuple]:
+    out = [path]
+    if isinstance(node, dict):
+        for k, v in node.items():
+            out.extend(_paths(v, path + (k,)))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            out.extend(_paths(v, path + (i,)))
+    return out
+
+
+def _corrupt(doc: dict, rng: random.Random) -> object:
+    """doc with one to three seeded corruptions: a value replaced, a key
+    dropped or added, a list emptied, a bad moment level, or the whole root
+    swapped."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.03:
+            return rng.choice(([doc], "doc", 1, None))
+        path = rng.choice(_paths(doc)[1:])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node, move = parent[path[-1]], rng.randrange(5)
+        if move == 4:
+            doc["lambda"] = {"1": copy.deepcopy(rng.choice(BAD_VALUES))}
+        elif move == 0 or (move == 2 and not isinstance(node, dict)):
+            parent[path[-1]] = copy.deepcopy(rng.choice(BAD_VALUES))
+        elif move == 1 and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif move == 2:
+            key = rng.choice(("extra", "name", "framing", "seed"))
+            node[key] = copy.deepcopy(rng.choice(BAD_VALUES))
+        elif isinstance(node, (list, dict)):
+            node.clear()
+        else:
+            parent[path[-1]] = rng.choice(("1/0", "01/", "1/-2"))
+    return doc
+
+
+def test_schema_errors_match_a_plain_validator():
+    fixtures = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    for doc in fixtures:
+        assert schema_errors(doc) == _oracle_errors(doc)
+    rng = random.Random(15)
+    invalid = 0
+    for _ in range(1000):
+        doc = _corrupt(rng.choice(fixtures), rng)
+        want = _oracle_errors(doc)
+        assert schema_errors(doc) == want, doc
+        invalid += bool(want)
+    assert invalid > 850
