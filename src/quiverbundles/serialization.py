@@ -5,18 +5,22 @@ a kind tag, and per-doubled-arrow data blocks: "p/q" scalar matrices for
 representations, form matrices (null or a coefficient list per entry) for
 bundles, plus dims and an optional moment level, or multidegrees and twist
 degrees.  Schema and cross-reference problems are reported with the JSON
-pointer of the offending field.  `jsonschema` is imported when the
-first document is validated, not when this module is.
+pointer of the offending field.  Validation walks the shipped schema file
+itself (`_errors`), with Draft 2020-12 semantics and the messages of
+`jsonschema` 4.26; `jsonschema` is only a test dependency, the oracle that
+walk is compared against.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping
+from numbers import Number
+from typing import Iterator, Mapping
 
 from .bundles import SplitBundle, TwistData, TwistedQuiverBundle
 from .linalg import Matrix
@@ -42,8 +46,8 @@ def _schema() -> dict:
 
 def _inline_refs(node: object, defs: dict) -> object:
     """node with every {"$ref": "#/$defs/name"} replaced by that definition,
-    itself inlined (no definition refers to itself): validation then makes
-    no reference lookup per matrix entry."""
+    itself inlined (no definition refers to itself): the walk in `_errors`
+    then resolves no reference."""
     if isinstance(node, dict):
         if list(node) == ["$ref"]:
             return _inline_refs(defs[node["$ref"].removeprefix("#/$defs/")], defs)
@@ -53,25 +57,116 @@ def _inline_refs(node: object, defs: dict) -> object:
     return node
 
 
-@functools.cache
-def _validator():
-    """The shipped schema's validator, built when the first document comes."""
-    import jsonschema
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    # Draft 2020-12: an integral float such as 1.0 is an integer, a bool is not
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+    "null": lambda x: x is None,
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+# the keywords `_errors` implements, and the annotations it passes over
+_KEYWORDS = {
+    "type", "const", "enum", "required", "properties", "additionalProperties", "items",
+    "minItems", "minLength", "minimum", "pattern", "oneOf", "$schema", "title", "$defs",
+}
 
+
+def _known(schema: object) -> dict:
+    """schema, refused unless `_errors` knows each keyword and type in it
+    and the branches of each oneOf have pairwise different types."""
+    branches = schema.get("oneOf", []) if isinstance(schema, dict) else []
+    types = [b.get("type") for b in branches if isinstance(b, dict)]
+    if (
+        not isinstance(schema, dict)
+        or set(schema) - _KEYWORDS
+        or schema.get("type", "null") not in list(_TYPES)  # a list of types too
+        or None in types
+        or len(set(types)) < len(branches)
+    ):
+        raise InvariantError(f"a schema the validator does not know: {schema!r}")
+    subs = [*schema.get("properties", {}).values(), *branches]
+    subs += [v for k, v in schema.items() if k == "items" or k == "additionalProperties" and v]
+    for sub in subs:
+        _known(sub)
+    return schema
+
+
+@functools.cache
+def _validation_schema() -> dict:
+    """The shipped schema with its $refs inlined, built when the first document comes."""
     schema = _schema()
-    return jsonschema.Draft202012Validator(_inline_refs(schema, schema["$defs"]))
+    return _known(_inline_refs(schema, schema["$defs"]))
+
+
+def _equal(a: object, b: object) -> bool:
+    """JSON equality: True and 1 differ, also inside arrays and objects."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _errors(schema: dict, x: object, path: tuple[str, ...]) -> Iterator[tuple[tuple, str]]:
+    """(path, message) for each violation of schema by x, in keyword order:
+    Draft 2020-12 semantics, in the words of jsonschema 4.26."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](x):
+                yield path, f"{x!r} is not of type {value!r}"
+        elif key == "const":
+            if not _equal(x, value):
+                yield path, f"{value!r} was expected"
+        elif key == "enum":
+            if not any(_equal(x, v) for v in value):
+                yield path, f"{x!r} is not one of {value!r}"
+        elif key == "pattern":
+            if isinstance(x, str) and not re.search(value, x):
+                yield path, f"{x!r} does not match {value!r}"
+        elif key in ("minLength", "minItems"):
+            if isinstance(x, str if key == "minLength" else list) and len(x) < value:
+                yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "minimum":
+            if isinstance(x, Number) and not isinstance(x, bool) and x < value:
+                yield path, f"{x!r} is less than the minimum of {value!r}"
+        elif key == "oneOf":
+            # `_known` checked that the branches have pairwise different
+            # types, so at most one holds and "is valid under each of"
+            # cannot arise: stop at the first that holds, at the first
+            # error of each that fails
+            if all(next(_errors(b, x, path), None) for b in value):
+                yield path, f"{x!r} is not valid under any of the given schemas"
+        elif key == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                yield from _errors(value, item, (*path, str(i)))
+        elif not isinstance(x, dict):
+            continue
+        elif key == "required":
+            for name in value:
+                if name not in x:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in x:
+                    yield from _errors(sub, x[name], (*path, name))
+        elif key == "additionalProperties":
+            extras = [k for k in x if k not in schema.get("properties", {})]
+            if isinstance(value, dict):
+                for k in extras:
+                    yield from _errors(value, x[k], (*path, str(k)))
+            elif not value and extras:
+                names = ", ".join(repr(k) for k in sorted(extras, key=str))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
 
 
 def schema_errors(doc: object) -> list[tuple[str, str]]:
     """(pointer, message) schema violations, sorted by document position."""
-    found = sorted(
-        _validator().iter_errors(doc), key=lambda e: [str(p) for p in e.absolute_path]
-    )
-    out = []
-    for err in found:
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        out.append((pointer, err.message))
-    return out
+    found = sorted(_errors(_validation_schema(), doc, ()), key=lambda e: e[0])
+    return [("/" + "/".join(path), message) for path, message in found]
 
 
 @dataclass(frozen=True)
@@ -239,7 +334,8 @@ def _parse_bundle(doc: dict, dq: DoubleQuiver) -> TwistedQuiverBundle:
     if "dims" in doc or "lambda" in doc:
         raise DocumentError("/dims" if "dims" in doc else "/lambda", "not a bundle field")
     _require_keys(doc["bundles"], set(dq.vertices), "/bundles")
-    bundles = {v: SplitBundle(tuple(doc["bundles"][v])) for v in dq.vertices}
+    # int(): the schema takes an integral float such as 1.0 for an integer
+    bundles = {v: SplitBundle(tuple(map(int, doc["bundles"][v]))) for v in dq.vertices}
     _require_keys(doc["twist"], {a.name for a in dq.arrows}, "/twist")
     # canonical arrow order, so equal twists compare equal after a roundtrip
     twist = TwistData(tuple((a.name, int(doc["twist"][a.name])) for a in dq.arrows))

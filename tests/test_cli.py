@@ -4,9 +4,11 @@ exact frozen values, and byte determinism."""
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +18,7 @@ from quiverbundles import cli, complexes
 from quiverbundles.bundles import base_locus
 from quiverbundles.cli import main
 from quiverbundles.polynomials import format_factored
-from quiverbundles.serialization import parse_document
+from quiverbundles.serialization import parse_document, schema_errors
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -485,13 +487,121 @@ def _imports_jsonschema(args: list[str]) -> bool:
     return any(line.split("|")[-1].strip() == "jsonschema" for line in proc.stderr.splitlines())
 
 
-def test_jsonschema_and_the_parser_load_on_first_use():
+def test_the_parser_loads_on_first_use_and_jsonschema_never():
     probe = "import quiverbundles.cli as c; print(c._build_parser.cache_info().misses)"
     assert _fresh(["-c", probe]).stdout == "0\n"
     assert not _imports_jsonschema(["-c", "import quiverbundles"])
     for argv in (
         ["delta-threshold", "--v0", "1", "--v1", "2", "--mu1", "0", "--N", "9"],
         ["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "5"],
+        ["validate", "--input", CHAIN_STABLE],
+        ["moment", "--input", REP_STABLE],
+        ["stability", "--input", BUNDLE_STABLE],
+        ["base-locus", "--input", BUNDLE_UNSTABLE],
+        ["slope", "--input", CHAIN_STABLE],
+        ["delta-threshold", "--input", CHAIN_STABLE],
+        ["asym-check", "--input", BUNDLE_STABLE],
+        ["hn-bound", "--input", CHAIN_STABLE],
+        ["defcomplex", "--input", CHAIN_STABLE],
+        ["gen", "--kind", "bundle", "--preset", "chain", "--dims", "1,1", "--out", "-"],
+        ["suite", "--name", "moment-zero", "--count", "3"],
+        ["--schema"],
     ):
         assert not _imports_jsonschema(["-m", "quiverbundles.cli", *argv]), argv
-    assert _imports_jsonschema(["-m", "quiverbundles.cli", "validate", "--input", CHAIN_STABLE])
+
+
+DOCUMENT_COMMANDS = (
+    "validate", "moment", "stability", "base-locus", "slope", "delta-threshold",
+    "asym-check", "hn-bound", "defcomplex",
+)
+
+WITHOUT_JSONSCHEMA = """
+import contextlib, io, json, sys
+sys.modules["jsonschema"] = None
+from quiverbundles.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        out.append([main(argv), buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_document_subcommands_need_no_jsonschema():
+    matrix = [
+        [command, "--input", str(path)]
+        for path in sorted(FIXTURES.glob("*.json"))
+        for command in DOCUMENT_COMMANDS
+    ]
+    proc = _fresh(["-c", WITHOUT_JSONSCHEMA, json.dumps(matrix)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [list(run(argv)[:2]) for argv in matrix]
+
+
+def _as_floats(node: object) -> object:
+    """node with every integer (bools aside) written as an integral float"""
+    if isinstance(node, dict):
+        return {k: _as_floats(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_floats(v) for v in node]
+    return float(node) if type(node) is int else node
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    # Draft 2020-12 takes 1.0 for an integer: such a document is
+    # schema-valid and reads like the one with integers
+    for path in sorted(FIXTURES.glob("*.json")):
+        floats = tmp_path / path.name
+        floats.write_text(json.dumps(_as_floats(json.loads(path.read_text()))))
+        assert ".0" in floats.read_text()
+        for command in ("validate", "stability", "base-locus", "asym-check", "hn-bound",
+                        "defcomplex"):
+            want = run([command, "--input", str(path)])[:2]
+            assert run([command, "--input", str(floats)])[:2] == want, (path.name, command)
+
+
+def _leaves(node: object) -> list[tuple[object, object]]:
+    """(container, key) of every value in node that is no array or object"""
+    out = []
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        out += _leaves(value) if isinstance(value, (dict, list)) else [(node, key)]
+    return out
+
+
+# small integers, integral floats, "p/q" strings, null and short
+# coefficient lists
+MUTATION_VALUES = (
+    -1, 0, 1, 2, 3, -1.0, 0.0, 1.0, 2.0, "0", "1", "-1", "1/2", "-3/2", None,
+    ["1"], ["0", "1"], ["1", "0", "2"],
+)
+
+
+def test_schema_valid_mutations_never_end_in_a_traceback(tmp_path):
+    fixtures = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    rng = random.Random(16)
+    corpus = []
+    while len(corpus) < 300:
+        doc = copy.deepcopy(rng.choice(fixtures))
+        for _ in range(rng.randint(1, 3)):
+            # a top-level field first, so that the matrix entries, which
+            # outnumber every other leaf, do not take nearly every mutation
+            top = rng.choice(list(doc))
+            leaves = _leaves(doc[top]) if isinstance(doc[top], (dict, list)) else []
+            parent, key = rng.choice(leaves or [(doc, top)])
+            parent[key] = copy.deepcopy(rng.choice(MUTATION_VALUES))
+        if not schema_errors(doc):
+            corpus.append(doc)
+    start = time.perf_counter()
+    path = tmp_path / "mutation.json"
+    computed = 0
+    for doc in corpus:
+        path.write_text(json.dumps(doc))
+        for command in DOCUMENT_COMMANDS:
+            code, _, err = run([command, "--input", str(path)])
+            assert code in (0, 1, 2) and "Traceback" not in err, (command, doc)
+            computed += code == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0, f"{elapsed:.1f} s"
+    # not only input errors: many mutations reach a computed answer
+    assert computed > 300

@@ -11,9 +11,13 @@ import pytest
 from quiverbundles.bundles import validate
 from quiverbundles.generators import bundle_spec, gen_bundle, gen_rep, rep_spec
 from quiverbundles.polynomials import poly_mat_is_zero
+from quiverbundles.quivers import InvariantError
 from quiverbundles.serialization import (
     DocumentError,
     InstanceDocument,
+    _inline_refs,
+    _known,
+    _schema,
     bundle_to_doc,
     dumps,
     instance_to_doc,
@@ -183,7 +187,7 @@ def _paths(node: object, path: tuple = ()) -> list[tuple]:
     return out
 
 
-def _corrupt(doc: dict, rng: random.Random) -> object:
+def _corrupt(doc: dict, rng: random.Random, values: tuple = BAD_VALUES) -> object:
     """doc with one to three seeded corruptions: a value replaced, a key
     dropped or added, a list emptied, a bad moment level, or the whole root
     swapped."""
@@ -197,14 +201,14 @@ def _corrupt(doc: dict, rng: random.Random) -> object:
             parent = parent[key]
         node, move = parent[path[-1]], rng.randrange(5)
         if move == 4:
-            doc["lambda"] = {"1": copy.deepcopy(rng.choice(BAD_VALUES))}
+            doc["lambda"] = {"1": copy.deepcopy(rng.choice(values))}
         elif move == 0 or (move == 2 and not isinstance(node, dict)):
-            parent[path[-1]] = copy.deepcopy(rng.choice(BAD_VALUES))
+            parent[path[-1]] = copy.deepcopy(rng.choice(values))
         elif move == 1 and isinstance(parent, dict):
             del parent[path[-1]]
         elif move == 2:
             key = rng.choice(("extra", "name", "framing", "seed"))
-            node[key] = copy.deepcopy(rng.choice(BAD_VALUES))
+            node[key] = copy.deepcopy(rng.choice(values))
         elif isinstance(node, (list, dict)):
             node.clear()
         else:
@@ -224,3 +228,54 @@ def test_schema_errors_match_a_plain_validator():
         assert schema_errors(doc) == want, doc
         invalid += bool(want)
     assert invalid > 850
+
+
+# integral floats (integers under Draft 2020-12), False against the const 1,
+# integers past 64 bits, a non-ASCII name, a coefficient that is a number,
+# and three unknown keys at once ("were unexpected")
+WIDER_VALUES = BAD_VALUES + (
+    1.0, -0.0, 100.0, 1e300, False, 10**30, "é", ["1", 1.0], {"x": "1", "y": 2, "z": None},
+)
+
+
+def test_schema_errors_match_a_plain_validator_on_wider_values():
+    fixtures = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    rng = random.Random(16)
+    messages = []
+    for _ in range(2000):
+        doc = _corrupt(rng.choice(fixtures), rng, WIDER_VALUES)
+        want = _oracle_errors(doc)
+        assert schema_errors(doc) == want, doc
+        messages += [message for _, message in want]
+    for part in ("were unexpected", "1 was expected", "is not valid under any", "'é'", "1e+300"):
+        assert any(part in message for message in messages), part
+    # the seeded corruptions seldom reach dims, the one field with a minimum
+    rep = json.loads((FIXTURES / "rep_adhm_stable.json").read_text())
+    for value in (0, -0.0, -1, -1.0, -1.5, 0.5, True, 10**30):
+        rep["dims"]["0"] = value
+        assert schema_errors(rep) == _oracle_errors(rep), value
+
+
+def test_the_walk_refuses_a_schema_it_does_not_know():
+    shipped = _schema()
+    _known(_inline_refs(shipped, shipped["$defs"]))
+    for schema in (
+        shipped,  # its $refs not inlined
+        {"type": "object", "properties": {"a": {"type": "string", "maxLength": 3}}},
+        {"type": "array", "items": {"type": "number"}},
+        {"additionalProperties": {"uniqueItems": True}},
+        {"oneOf": [{"type": "string"}, {"type": "string", "minLength": 2}]},
+        {"oneOf": [{"type": "null"}, {"minItems": 1}]},
+        {"items": True},
+    ):
+        with pytest.raises(InvariantError):
+            _known(schema)
+
+
+def test_entry_branches_have_pairwise_different_types():
+    # at most one branch of the entry oneOf can hold, which is why the walk
+    # stops at the first branch that does
+    schema = _schema()
+    branches = _inline_refs(schema["$defs"]["entry"], schema["$defs"])["oneOf"]
+    types = [branch["type"] for branch in branches]
+    assert sorted(types) == ["array", "null", "string"]
