@@ -172,8 +172,8 @@ def moment_residual_sheaf(e: TwistedQuiverBundle) -> dict[str, PolyMatrix]:
         n = e.bundles[i].rank
         acc = poly_zeros(n, n)
         for a in e.double.arrows:
-            if a.head != i:
-                continue
+            if a.head != i or not e.bundles[a.tail].rank:
+                continue  # a product through a zero-rank vertex is zero
             term = poly_matmul(e.phi[a.name], e.phi[a.opposite])
             if a.sign == 0:
                 acc = tuple(

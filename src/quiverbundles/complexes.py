@@ -22,7 +22,9 @@ and H1 by the classes of n < e < 0.  A strong deformation retract
   e < 0 and e <= n, and to 0 otherwise.
 
 Then pi iota = 1, delta h + h delta = 1 - iota pi and h iota = pi h =
-h h = 0.  The form multiplications kappa and mu perturb the column
+h h = 0.  The form multiplications kappa and mu, assembled by
+`representations.linearization` at phi (whose docstring proves mu kappa
+= 0 under the zero-residual hypothesis), perturb the column
 differential, and the lemma gives the model's differential as the sum
 over k of pi (mult) (h mult)^k iota.  Each h lowers the Cech degree by
 one and multiplication keeps it; a column has only two Cech degrees, so
@@ -66,8 +68,7 @@ from .bundles import SplitBundle, TwistedQuiverBundle, is_stable_quasimap, resid
 from .linalg import sparse_rank
 from .polynomials import HomogPoly, IntRows, PolyMatrix, integer_rows
 from .quivers import HypothesisError, InvariantError
-
-Label = tuple[str, int, int]
+from .representations import Label, linearization, linearization_bases
 
 CANONICAL_DEGREE = -2  # genus zero
 
@@ -89,34 +90,20 @@ class DeformationComplex:
     min_window: int
 
 
-def _end_labels(
-    e: TwistedQuiverBundle, shift: int
-) -> tuple[tuple[Label, ...], tuple[int, ...]]:
-    labels: list[Label] = []
-    degs: list[int] = []
-    for i in e.double.ordinary_vertices:
-        a = e.bundles[i].multidegree
-        for k in range(len(a)):
-            for l in range(len(a)):
-                labels.append((i, k, l))
-                degs.append(a[k] - a[l] + shift)
-    return tuple(labels), tuple(degs)
-
-
-def _arrow_labels(
-    e: TwistedQuiverBundle,
-) -> tuple[tuple[Label, ...], tuple[int, ...]]:
-    labels: list[Label] = []
-    degs: list[int] = []
-    for a in e.double.arrows:
-        head = e.bundles[a.head].multidegree
-        tail = e.bundles[a.tail].multidegree
-        m = e.twist.degree(a.name)
-        for k in range(len(head)):
-            for l in range(len(tail)):
-                labels.append((a.name, k, l))
-                degs.append(head[k] + m - tail[l])
-    return tuple(labels), tuple(degs)
+def _summand_degrees(
+    e: TwistedQuiverBundle, gauge: tuple[Label, ...], tangent: tuple[Label, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Degree n of the summand O(n) at each gauge label (i, k, l), in
+    End E_i, and at each tangent label (a, k, l), in Hom(E_tail, E_head)
+    twisted by the arrow's line bundle."""
+    deg = {v: e.bundles[v].multidegree for v in e.double.vertices}
+    ends = {a.name: (deg[a.head], deg[a.tail], e.twist.degree(a.name)) for a in e.double.arrows}
+    degs_g = tuple(deg[i][k] - deg[i][l] for i, k, l in gauge)
+    degs_t = []
+    for a, k, l in tangent:
+        head, tail, m = ends[a]
+        degs_t.append(head[k] + m - tail[l])
+    return degs_g, tuple(degs_t)
 
 
 def _check_degree_pattern(
@@ -129,80 +116,21 @@ def _check_degree_pattern(
 
 
 def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
-    """Assemble both differentials from the arrow matrices.
-
-    The left differential sends a symmetry g to (g_head phi_a - phi_a
-    g_tail) over all arrows, with g zero at the framing vertex; the right
-    one is the derivative of the relation at phi.  Their composition
-    vanishes because the moment map is equivariant: at an ordinary vertex
-    i, d mu_i(xi) = sum over arrows b with head i of eps_b (xi_b phi_bbar
-    + phi_b xi_bbar); putting xi = kappa(g), the two terms of each b that
-    carry g_tail cancel, also where the tail is the framing vertex and g
-    is zero in both, which leaves mu kappa(g)_i = [g_i, mu_i(phi)].  So the
-    composition is zero exactly under the zero-residual hypothesis, which
-    is refused up front; `run_suite("defcomplex")` multiplies it out.
+    """Assemble both differentials from the arrow matrices by
+    `representations.linearization` at phi: the left one sends a symmetry
+    g to (g_head phi_a - phi_a g_tail) over all arrows, with g zero at the
+    framing vertex, and the right one is the derivative of the relation at
+    phi.  Its docstring proves that they compose to zero exactly under the
+    zero-residual hypothesis, which is refused up front;
+    `run_suite("defcomplex")` multiplies the composition out.
     """
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; no deformation complex")
-    framing = e.double.framing
-    labels_m1, degs_m1 = _end_labels(e, 0)
-    labels_0, degs_0 = _arrow_labels(e)
-    labels_1, degs_1 = _end_labels(e, CANONICAL_DEGREE)
-    pos_m1 = {lab: i for i, lab in enumerate(labels_m1)}
-    pos_0 = {lab: i for i, lab in enumerate(labels_0)}
-    pos_1 = {lab: i for i, lab in enumerate(labels_1)}
-
-    zero = HomogPoly.zero()
-    kappa = [[zero] * len(labels_m1) for _ in range(len(labels_0))]
-    for a in e.double.arrows:
-        phi = e.phi[a.name]
-        n_h = e.bundles[a.head].rank
-        n_t = e.bundles[a.tail].rank
-        for k in range(n_h):
-            for l in range(n_t):
-                r = pos_0[(a.name, k, l)]
-                if a.head != framing:
-                    for m in range(n_h):
-                        entry = phi[m][l]
-                        if not entry.is_zero():
-                            c = pos_m1[(a.head, k, m)]
-                            kappa[r][c] = kappa[r][c] + entry
-                if a.tail != framing:
-                    for m in range(n_t):
-                        entry = phi[k][m]
-                        if not entry.is_zero():
-                            c = pos_m1[(a.tail, m, l)]
-                            kappa[r][c] = kappa[r][c] - entry
-
-    mu = [[zero] * len(labels_0) for _ in range(len(labels_1))]
-    for b in e.double.arrows:
-        if b.head == framing:
-            continue
-        sign = 1 if b.sign == 0 else -1
-        phi_b = e.phi[b.name]
-        phi_bar = e.phi[b.opposite]
-        n_h = e.bundles[b.head].rank
-        n_t = e.bundles[b.tail].rank
-        for k in range(n_h):
-            for l in range(n_h):
-                r = pos_1[(b.head, k, l)]
-                # xi_b phi_bar contributes phi_bar[m][l] on xi_b[k][m]
-                for m in range(n_t):
-                    entry = phi_bar[m][l]
-                    if not entry.is_zero():
-                        c = pos_0[(b.name, k, m)]
-                        term = entry if sign > 0 else -entry
-                        mu[r][c] = mu[r][c] + term
-                # phi_b xi_bar contributes phi_b[k][m] on xi_bar[m][l]
-                for m in range(n_t):
-                    entry = phi_b[k][m]
-                    if not entry.is_zero():
-                        c = pos_0[(b.opposite, m, l)]
-                        term = entry if sign > 0 else -entry
-                        mu[r][c] = mu[r][c] + term
-
-    d_kappa = tuple(tuple(row) for row in kappa)
-    d_mu = tuple(tuple(row) for row in mu)
+    labels_m1, labels_0, d_kappa, d_mu = linearization(
+        e.double, e.rank_vector(), e.phi, HomogPoly.zero()
+    )
+    degs_m1, degs_0 = _summand_degrees(e, labels_m1, labels_0)
+    degs_1 = tuple(d + CANONICAL_DEGREE for d in degs_m1)
     _check_degree_pattern(d_kappa, degs_0, degs_m1)
     _check_degree_pattern(d_mu, degs_1, degs_0)
 
@@ -225,7 +153,7 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
     return DeformationComplex(
         labels_m1,
         labels_0,
-        labels_1,
+        labels_m1,
         SplitBundle(degs_m1),
         SplitBundle(degs_0),
         SplitBundle(degs_1),
@@ -246,9 +174,8 @@ def euler_char_rr(e: TwistedQuiverBundle, g: int = 0) -> int:
     violations = e.twist.pairing_violations(e.double, expected_sum=2 * g - 2)
     if violations:
         raise ValueError("; ".join(violations))
-    _, degs_m1 = _end_labels(e, 0)
-    _, degs_0 = _arrow_labels(e)
-    _, degs_1 = _end_labels(e, 2 * g - 2)
+    degs_m1, degs_0 = _summand_degrees(e, *linearization_bases(e.double, e.rank_vector()))
+    degs_1 = tuple(d + 2 * g - 2 for d in degs_m1)
 
     def chi(degs: tuple[int, ...]) -> int:
         return sum(d + 1 - g for d in degs)

@@ -74,6 +74,9 @@ def scale(c: Fraction, a: Matrix) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    # a zero-row matrix carries no column count; its product has no rows
+    if not a:
+        return ()
     (m, k1), (k2, n) = shape(a), shape(b)
     if k1 != k2:
         raise ValueError(f"cannot multiply {m}x{k1} by {k2}x{n}")

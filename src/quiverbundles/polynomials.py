@@ -100,6 +100,9 @@ class HomogPoly:
     def is_zero(self) -> bool:
         return self.degree is None
 
+    def __bool__(self) -> bool:
+        return self.degree is not None
+
     def __add__(self, other: HomogPoly) -> HomogPoly:
         if self.is_zero():
             return other

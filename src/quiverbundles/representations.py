@@ -6,6 +6,12 @@ moment map and its derivative, the gauge action derivative, generation
 closure, framed stability at weights (1, ..., 1), the coordinate-subspace
 brute-force oracle, torus rescaling, and the reduced tangent space at a
 moment-map level.
+
+`linearization` assembles the gauge action derivative kappa and the
+moment derivative dmu as matrices in unit-matrix bases, over rationals
+or over forms; the reduced tangent space here and the deformation
+complex in `complexes` both take them from it, and its docstring holds
+the one proof that dmu kappa vanishes on a level set.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence, TypeVar
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -28,6 +34,10 @@ from .quivers import (
 )
 
 ZERO = Fraction(0)
+
+Label = tuple[str, int, int]
+Entry = TypeVar("Entry")
+EntryMatrix = tuple[tuple[Entry, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -45,10 +55,9 @@ class FramedRep:
                 f"representation keys {sorted(self.x)} do not match doubled arrows {sorted(names)}"
             )
         for a in self.double.arrows:
-            got = linalg.shape(self.x[a.name])
             want = (self.dims[a.head], self.dims[a.tail])
-            # a zero-row matrix cannot carry its column count; match on rows alone
-            if got != want and not (want[0] == 0 and got[0] == 0):
+            if not _fits(self.x[a.name], want):
+                got = linalg.shape(self.x[a.name])
                 raise ValueError(f"matrix for arrow {a.name!r} has shape {got}, expected {want}")
 
     def matrix(self, arrow: str) -> Matrix:
@@ -82,13 +91,19 @@ class SubRep:
     dims: DimensionVector
 
 
+def _fits(m: Matrix, want: tuple[int, int]) -> bool:
+    # a zero-row matrix cannot carry its column count; match on rows alone
+    got = linalg.shape(m)
+    return got == want or got[0] == want[0] == 0
+
+
 def _check_tangent(x: FramedRep, xi: TangentVector) -> None:
     for a in x.double.arrows:
         if a.name not in xi.values:
             raise ValueError(f"tangent vector missing arrow {a.name!r}")
         got = linalg.shape(xi.values[a.name])
         want = (x.dims[a.head], x.dims[a.tail])
-        if got != want:
+        if not _fits(xi.values[a.name], want):
             raise ValueError(f"tangent block {a.name!r} has shape {got}, expected {want}")
 
 
@@ -127,8 +142,8 @@ def moment(x: FramedRep, level: Mapping[str, object] | None = None) -> dict[str,
         n = x.dims[i]
         acc = linalg.scale(-lam[i], linalg.identity(n))
         for a in x.double.arrows:
-            if a.head != i:
-                continue
+            if a.head != i or not x.dims[a.tail]:
+                continue  # a product through a zero-rank vertex is zero
             term = linalg.matmul(x.x[a.name], x.x[a.opposite])
             acc = linalg.add(acc, term if a.sign == 0 else linalg.neg(term))
         out[i] = acc
@@ -142,8 +157,8 @@ def moment_derivative(x: FramedRep, xi: TangentVector) -> dict[str, Matrix]:
     for i in x.double.ordinary_vertices:
         acc = linalg.zeros(x.dims[i], x.dims[i])
         for a in x.double.arrows:
-            if a.head != i:
-                continue
+            if a.head != i or not x.dims[a.tail]:
+                continue  # a product through a zero-rank vertex is zero
             term = linalg.add(
                 linalg.matmul(xi.values[a.name], x.x[a.opposite]),
                 linalg.matmul(x.x[a.name], xi.values[a.opposite]),
@@ -159,8 +174,8 @@ def symplectic_form(x: FramedRep, a_vec: TangentVector, b_vec: TangentVector) ->
     _check_tangent(x, b_vec)
     total = ZERO
     for a in x.double.arrows:
-        if a.sign != 0:
-            continue
+        if a.sign != 0 or not (x.dims[a.head] and x.dims[a.tail]):
+            continue  # a product through a zero-rank vertex is zero
         total += linalg.trace(linalg.matmul(a_vec.values[a.name], b_vec.values[a.opposite]))
         total -= linalg.trace(linalg.matmul(a_vec.values[a.opposite], b_vec.values[a.name]))
     return total
@@ -193,6 +208,103 @@ def hamiltonian_residual(x: FramedRep, xi: TangentVector, g: LieElement) -> Frac
         if gi is not None:
             paired += linalg.trace(linalg.matmul(block, gi))
     return paired - symplectic_form(x, action_derivative(g, x), xi)
+
+
+# ---------------------------------------------------------------------------
+# the linearized complex g -> T -> g*
+
+
+def linearization_bases(
+    dq: DoubleQuiver, ranks: Mapping[str, int]
+) -> tuple[tuple[Label, ...], tuple[Label, ...]]:
+    """The gauge basis, the unit matrices E_kl of each ordinary vertex i
+    labelled (i, k, l), and the tangent basis, those of each doubled arrow
+    a labelled (a, k, l); vertices and arrows in quiver order, each block
+    row-major."""
+    gauge = tuple(
+        (i, k, l) for i in dq.ordinary_vertices for k in range(ranks[i]) for l in range(ranks[i])
+    )
+    tangent = tuple(
+        (a.name, k, l)
+        for a in dq.arrows
+        for k in range(ranks[a.head])
+        for l in range(ranks[a.tail])
+    )
+    return gauge, tangent
+
+
+def linearization(
+    dq: DoubleQuiver,
+    ranks: Mapping[str, int],
+    blocks: Mapping[str, Sequence[Sequence[Entry]]],
+    zero: Entry,
+) -> tuple[tuple[Label, ...], tuple[Label, ...], EntryMatrix, EntryMatrix]:
+    """The bases of `linearization_bases` and the matrices of kappa and
+    dmu at the arrow matrices x = `blocks`, in the complex
+
+        g --kappa--> T --dmu--> g*.
+
+    kappa is the infinitesimal gauge action, kappa(g)_a = g_head x_a -
+    x_a g_tail with g zero at the framing vertex; its rows are the tangent
+    basis and its columns the gauge basis.  dmu is the derivative of the
+    moment map, dmu(xi)_i = sum over arrows b with head i of (-1)^sign
+    (xi_b x_bbar + x_b xi_bbar); its rows are the entries (i, k, l) of
+    dmu_i, labelled like the gauge basis, and its columns the tangent
+    basis.  Only +, - and the truthiness of entries are used, so the same
+    code serves rational matrices and matrices of forms; `zero` is the
+    zero entry.
+
+    dmu kappa is [g_i, mu_i(x)] at i, so the two maps compose to zero
+    exactly on a level set: with xi = kappa(g) and t the tail of b,
+    xi_b x_bbar + x_b xi_bbar = (g_i x_b - x_b g_t) x_bbar + x_b (g_t x_bbar
+    - x_bbar g_i) = [g_i, x_b x_bbar], where the two terms that carry g_t
+    cancel, also when t is the framing vertex and g_t is zero in both.  The
+    signed sum over b is [g_i, mu_i(x) + lambda_i I] = [g_i, mu_i(x)],
+    which vanishes when the moment residual mu(x) does.
+    """
+    gauge, tangent = linearization_bases(dq, ranks)
+    g_at = {i: c for c, (i, k, l) in enumerate(gauge) if k == l == 0}
+    t_at = {a: c for c, (a, k, l) in enumerate(tangent) if k == l == 0}
+    kappa = [[zero] * len(gauge) for _ in tangent]
+    mu = [[zero] * len(tangent) for _ in gauge]
+    framing = dq.framing
+    for a in dq.arrows:
+        n_h, n_t = ranks[a.head], ranks[a.tail]
+        if not (n_h and n_t):
+            continue  # a product through a zero-rank vertex is zero
+        x, x_bar = blocks[a.name], blocks[a.opposite]
+        at, bar_at = t_at[a.name], t_at[a.opposite]
+        if a.head != framing:
+            head_at, plus = g_at[a.head], a.sign == 0
+            for m, row in enumerate(x):
+                for l, entry in enumerate(row):
+                    if entry:
+                        # g_head x_a: E_km of the head moves row m to row k
+                        for k in range(n_h):
+                            kappa[at + k * n_t + l][head_at + k * n_h + m] += entry
+            for m, row in enumerate(x_bar):
+                for l, entry in enumerate(row):
+                    if entry:
+                        # xi_a x_abar: E_km of a meets row m of x_abar
+                        term = entry if plus else -entry
+                        for k in range(n_h):
+                            mu[head_at + k * n_h + l][at + k * n_t + m] += term
+            for k, row in enumerate(x):
+                for m, entry in enumerate(row):
+                    if entry:
+                        # x_a xi_abar: E_ml of abar meets column m of x_a
+                        term = entry if plus else -entry
+                        for l in range(n_h):
+                            mu[head_at + k * n_h + l][bar_at + m * n_h + l] += term
+        if a.tail != framing:
+            tail_at = g_at[a.tail]
+            for k, row in enumerate(x):
+                for m, entry in enumerate(row):
+                    if entry:
+                        # x_a g_tail: E_ml of the tail moves column m to column l
+                        for l in range(n_t):
+                            kappa[at + k * n_t + l][tail_at + m * n_t + l] -= entry
+    return gauge, tangent, tuple(map(tuple, kappa)), tuple(map(tuple, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +379,12 @@ def is_stable_framed(x: FramedRep) -> FramedStabilityVerdict:
 
     Stable iff the closure of the full framing fiber is the whole space.
     On failure the closure itself is the witness: a proper arrow-invariant
-    framing-full family of strictly negative weight.
+    framing-full family of strictly negative weight.  A zero-dimensional
+    ordinary vertex is always full, as in the quasimap reading.
     """
     framing = _framing_vertex(x)
     if x.dims[framing] == 0:
         raise HypothesisError("no framing dimension: v is zero at the framing vertex")
-    for i in x.double.ordinary_vertices:
-        if x.dims[i] == 0:
-            raise HypothesisError(f"zero dimension at ordinary vertex {i!r}")
     w = closure(x, {framing: linalg.identity(x.dims[framing])})
     stable = w.dims.values == x.dims.values
     return FramedStabilityVerdict(stable, None if stable else w)
@@ -366,61 +476,24 @@ class ReducedTangentReport:
     stabilizer_trivial: bool  # infinitesimally: the action derivative is injective
 
 
-def _arrow_offsets(x: FramedRep) -> tuple[dict[str, int], int]:
-    offsets: dict[str, int] = {}
-    pos = 0
-    for a in x.double.arrows:
-        offsets[a.name] = pos
-        pos += x.dims[a.head] * x.dims[a.tail]
-    return offsets, pos
-
-
-def _flatten_tangent(x: FramedRep, xi: TangentVector) -> Vector:
-    out: list[Fraction] = []
-    for a in x.double.arrows:
-        for row in xi.values[a.name]:
-            out.extend(row)
-    return tuple(out)
-
-
-def _unflatten_tangent(x: FramedRep, v: Vector) -> TangentVector:
-    vals: dict[str, Matrix] = {}
-    pos = 0
-    for a in x.double.arrows:
-        m, n = x.dims[a.head], x.dims[a.tail]
-        vals[a.name] = tuple(tuple(v[pos + r * n + c] for c in range(n)) for r in range(m))
-        pos += m * n
-    return TangentVector(vals)
-
-
-def _gauge_basis(x: FramedRep):
-    for i in x.double.ordinary_vertices:
-        n = x.dims[i]
-        for k in range(n):
-            for l in range(n):
-                unit = tuple(
-                    tuple(Fraction(1) if (r, c) == (k, l) else ZERO for c in range(n))
-                    for r in range(n)
-                )
-                yield i, LieElement({i: unit})
-
-
-def _gram(x: FramedRep, vectors: tuple[Vector, ...]) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix K^T Omega K of the symplectic form on flattened tangent
-    vectors, each first scaled to coprime integers (a rescaling of rows
-    and columns by nonzero constants, so the rank is that of the Gram
-    matrix of the vectors themselves).
+def _gram(
+    dq: DoubleQuiver, tangent: tuple[Label, ...], vectors: tuple[Vector, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix K^T Omega K of the symplectic form on tangent vectors in
+    the basis `tangent`, each first scaled to coprime integers (a rescaling
+    of rows and columns by nonzero constants, so the rank is that of the
+    Gram matrix of the vectors themselves).
 
     Omega is a signed permutation: tr(A_a B_abar) - tr(A_abar B_a) pairs
     the coordinate (a, p, q) with (abar, q, p), with sign + for a base
     arrow a and - for its opposite.
     """
-    offsets, _ = _arrow_offsets(x)
+    at = {label: c for c, label in enumerate(tangent)}
+    opposite = {a.name: (a.opposite, 1 if a.sign == 0 else -1) for a in dq.arrows}
     partner: list[tuple[int, int]] = []
-    for a in x.double.arrows:
-        m, n, bar = x.dims[a.head], x.dims[a.tail], offsets[a.opposite]
-        sign = 1 if a.sign == 0 else -1
-        partner.extend((bar + q * m + p, sign) for p in range(m) for q in range(n))
+    for a, p, q in tangent:
+        bar, sign = opposite[a]
+        partner.append((at[bar, q, p], sign))
     rows = [linalg.integer_row(dict(enumerate(v))) for v in vectors]
     paired = [
         {c: sign * row[j] for c, (j, sign) in enumerate(partner) if j in row} for row in rows
@@ -435,44 +508,17 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
 
     Requires the moment residual at the given level to vanish.  A
     non-injective action derivative (positive-dimensional stabilizer) is
-    reported through the flag, not raised.
-
-    The two maps compose to zero by proof, not by multiplying them out.
-    With g zero at the framing, the moment derivative at i along the gauge
-    direction g sums, over arrows a from t into i, (-1)^sign times
-    (g_i x_a - x_a g_t) x_abar + x_a (g_t x_abar - x_abar g_i) =
-    [g_i, x_a x_abar]: it is [g_i, mu_i(x)], and on the level set
-    mu_i(x) = lambda_i I commutes with g_i.
+    reported through the flag, not raised.  The two maps come from
+    `linearization` at x, which proves that they compose to zero on the
+    level set.
     """
     residual = moment(x, level)
     if any(not linalg.is_zero_matrix(m) for m in residual.values()):
         raise HypothesisError("moment residual nonzero at the given level")
 
-    _, dim_x = _arrow_offsets(x)
-    gauge = list(_gauge_basis(x))
-    dim_g = len(gauge)
-
-    kappa_cols = [_flatten_tangent(x, action_derivative(g, x)) for _, g in gauge]
-    kappa = linalg.transpose(tuple(kappa_cols)) if kappa_cols else ()
-
-    mu_cols: list[Vector] = []
-    for e in range(dim_x):
-        basis_vec = tuple(Fraction(1) if k == e else ZERO for k in range(dim_x))
-        dmu = moment_derivative(x, _unflatten_tangent(x, basis_vec))
-        flat: list[Fraction] = []
-        for i in x.double.ordinary_vertices:
-            for row in dmu[i]:
-                flat.extend(row)
-        mu_cols.append(tuple(flat))
-    mu = tuple(tuple(col[r] for col in mu_cols) for r in range(dim_g))
-
-    rank_kappa = linalg.rank(kappa) if kappa else 0
-    if dim_g:
-        kernel = linalg.nullspace(mu)
-    else:
-        kernel = tuple(
-            tuple(Fraction(1) if k == e else ZERO for k in range(dim_x)) for e in range(dim_x)
-        )
+    gauge, tangent, kappa, mu = linearization(x.double, x.dims, x.x, ZERO)
+    rank_kappa = linalg.rank(kappa)
+    kernel = linalg.nullspace(mu) if gauge else linalg.identity(len(tangent))
     dimension = len(kernel) - rank_kappa
-    nondeg = (linalg.rank(_gram(x, kernel)) == dimension) if kernel else dimension == 0
-    return ReducedTangentReport(dimension, nondeg, rank_kappa == dim_g)
+    nondeg = (linalg.rank(_gram(x.double, tangent, kernel)) == dimension) if kernel else dimension == 0
+    return ReducedTangentReport(dimension, nondeg, rank_kappa == len(gauge))

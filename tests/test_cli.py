@@ -605,3 +605,116 @@ def test_schema_valid_mutations_never_end_in_a_traceback(tmp_path):
     assert elapsed < 60.0, f"{elapsed:.1f} s"
     # not only input errors: many mutations reach a computed answer
     assert computed > 300
+
+
+# Vertex 2 has rank 0, so phi_e- phi_e+ (2 x 0 by 0 x 2) is the 2 x 2 zero
+# matrix and the residual at vertex 1 is phi_a+ phi_a-, which is nonzero.
+ZERO_RANK_BUNDLE = {
+    "version": 1,
+    "kind": "bundle",
+    "quiver": {
+        "vertices": [{"name": "0", "framing": True}, {"name": "1"}, {"name": "2"}, {"name": "3"}],
+        "arrows": [
+            {"name": "a", "tail": "3", "head": "1"},
+            {"name": "frame", "tail": "0", "head": "1"},
+            {"name": "e", "tail": "1", "head": "2"},
+        ],
+    },
+    "bundles": {"0": [0], "1": [2, 0], "2": [], "3": [2]},
+    "twist": {"a+": 0, "a-": -2, "frame+": 0, "frame-": -2, "e+": 0, "e-": -2},
+    "data": {
+        "a+": [[["1"]], [None]],
+        "a-": [[None, ["1"]]],
+        "frame+": [[["1", "0", "0"]], [["1"]]],
+        "frame-": [[None, None]],
+        "e+": [],
+        "e-": [[], []],
+    },
+}
+
+# The chain 0 -> 1 -> 2 with vertex 2 of dimension zero.
+ZERO_RANK_REP = {
+    "version": 1,
+    "kind": "rep",
+    "quiver": {
+        "vertices": [{"name": "0", "framing": True}, {"name": "1"}, {"name": "2"}],
+        "arrows": [{"name": "f", "tail": "0", "head": "1"}, {"name": "e", "tail": "1", "head": "2"}],
+    },
+    "dims": {"0": 1, "1": 1, "2": 0},
+    "data": {"f+": [["1"]], "f-": [["0"]], "e+": [], "e-": [[]]},
+}
+
+DOCUMENT_SUBCOMMANDS = (
+    "validate",
+    "moment",
+    "stability",
+    "base-locus",
+    "slope",
+    "delta-threshold",
+    "asym-check",
+    "hn-bound",
+    "defcomplex",
+)
+
+
+def _write(tmp_path: Path, doc: dict, name: str = "doc.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_a_product_through_a_zero_rank_vertex_hides_no_residual(tmp_path):
+    path = _write(tmp_path, ZERO_RANK_BUNDLE)
+    assert run(["validate", "--input", path])[0] == 0
+    code, payload = run_json(["moment", "--input", path])
+    assert code == 0
+    assert payload["zero"] is False
+    assert payload["residual"]["1"] == [[None, ["1"]], [None, None]]
+    for sub in ("stability", "base-locus", "defcomplex"):
+        code, out, err = run([sub, "--input", path])
+        assert (code, out) == (2, ""), sub
+        assert "moment residual nonzero" in err
+
+
+def test_moment_of_a_rep_with_a_zero_dimensional_vertex(tmp_path):
+    path = _write(tmp_path, ZERO_RANK_REP)
+    assert run(["validate", "--input", path])[0] == 0
+    code, out, err = run(["moment", "--input", path])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"residual": {"1": [["0"]], "2": []}, "zero": True}, indent=2) + "\n"
+
+
+def _with_zero_rank_vertex(doc: dict, at: str, inward: bool) -> dict:
+    # a new ordinary vertex "z" of rank 0 and an arrow "w" between it and `at`
+    out = copy.deepcopy(doc)
+    out["quiver"]["vertices"].append({"name": "z"})
+    tail, head = ("z", at) if inward else (at, "z")
+    out["quiver"]["arrows"].append({"name": "w", "tail": tail, "head": head})
+    if out["kind"] == "bundle":
+        out["bundles"]["z"] = []
+        out["twist"].update({"w+": 0, "w-": -2})
+        n = len(out["bundles"][at])
+    else:
+        out["dims"]["z"] = 0
+        n = out["dims"][at]
+    into_z, out_of_z = [], [[] for _ in range(n)]
+    out["data"]["w+"], out["data"]["w-"] = (out_of_z, into_z) if inward else (into_z, out_of_z)
+    return out
+
+
+def test_a_joined_zero_rank_vertex_changes_no_exit_code(tmp_path):
+    checked = 0
+    for fixture in (REP_STABLE, REP_UNSTABLE, BUNDLE_STABLE, BUNDLE_UNSTABLE, CHAIN_STABLE):
+        doc = json.loads(Path(fixture).read_text())
+        before = {sub: run([sub, "--input", fixture]) for sub in DOCUMENT_SUBCOMMANDS}
+        for vertex in doc["quiver"]["vertices"]:
+            for inward in (False, True):
+                path = _write(tmp_path, _with_zero_rank_vertex(doc, vertex["name"], inward))
+                for sub in DOCUMENT_SUBCOMMANDS:
+                    code, out, _ = run([sub, "--input", path])
+                    where = (fixture, vertex["name"], inward, sub)
+                    assert code == before[sub][0], where
+                    if sub == "moment":
+                        assert json.loads(out)["zero"] == json.loads(before[sub][1])["zero"], where
+                    checked += 1
+    assert checked == 9 * 2 * (2 + 2 + 2 + 2 + 3)

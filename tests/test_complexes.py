@@ -13,16 +13,24 @@ from quiverbundles.complexes import (
 )
 from quiverbundles.bundles import (
     TwistedQuiverBundle,
+    fiber_at,
     moment_residual_sheaf,
     residual_is_zero,
     validate,
 )
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, stable_bundles
 from quiverbundles.linalg import sparse_rank
-from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero, poly_matmul
+from quiverbundles.polynomials import HomogPoly, poly_mat_eval, poly_mat_is_zero, poly_matmul
 from quiverbundles.quivers import HypothesisError
+from quiverbundles.representations import action_derivative, moment_derivative
 
 from _builders import adhm_bundle, chain_bundle, form, rational_gauge
+from test_representations import (
+    _arrow_offsets,
+    _flatten_tangent,
+    _gauge_basis,
+    _unflatten_tangent,
+)
 
 ZERO = HomogPoly.zero()
 ONE = HomogPoly.constant(1)
@@ -89,6 +97,43 @@ def test_build_complex_rejects_nonzero_residual():
     )
     with pytest.raises(HypothesisError):
         build_complex(e)
+
+
+def _kappa_at(x):
+    # action_derivative on each unit gauge element, one column each
+    _, dim_x = _arrow_offsets(x)
+    cols = [_flatten_tangent(x, action_derivative(g, x)) for _, g in _gauge_basis(x)]
+    return tuple(tuple(col[r] for col in cols) for r in range(dim_x))
+
+
+def _mu_at(x):
+    # moment_derivative on each unit tangent vector, one column each
+    _, dim_x = _arrow_offsets(x)
+    cols = []
+    for c in range(dim_x):
+        unit = tuple(Fraction(int(r == c)) for r in range(dim_x))
+        dmu = moment_derivative(x, _unflatten_tangent(x, unit))
+        cols.append(tuple(v for i in x.double.ordinary_vertices for row in dmu[i] for v in row))
+    dim_g = sum(x.dims[i] ** 2 for i in x.double.ordinary_vertices)
+    return tuple(tuple(col[r] for col in cols) for r in range(dim_g))
+
+
+def test_differentials_evaluate_to_the_fiber_linearization():
+    # entry by entry: d_kappa and d_mu at [1 : k] are the action and moment
+    # derivatives of the fiber there, built one unit vector at a time
+    specs = [bundle_spec(k, seed) for seed in (0, 5) for k in range(24)]
+    specs += [InstanceSpec("adhm", (n,), 2, degree_bound=n, seed=1) for n in (3, 4)]
+    nonzero = 0
+    for spec in specs:
+        e = gen_bundle(spec)
+        c = build_complex(e)
+        for k in range(4):
+            x = fiber_at(e, (1, k))
+            kappa, mu = poly_mat_eval(c.d_kappa, 1, k), poly_mat_eval(c.d_mu, 1, k)
+            assert kappa == _kappa_at(x), (spec, k)
+            assert mu == _mu_at(x), (spec, k)
+            nonzero += any(v for row in kappa + mu for v in row)
+    assert nonzero > 180
 
 
 def test_serre_dual_degree_pairing():
