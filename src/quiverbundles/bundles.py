@@ -286,7 +286,7 @@ def generation_columns(
                 new_twist = twist + step
                 row = _flatten(image, new_twist, e.bundles[head].multidegree)
                 pivots = tables.setdefault((head, new_twist), {})
-                if not linalg.add_row(pivots, linalg._normalize_int_row(row)):
+                if not linalg.add_row(pivots, row):
                     continue
                 new_scale = scale / den
                 out[head].append((new_twist, _forms(image, new_scale)))

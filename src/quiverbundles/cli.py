@@ -274,6 +274,8 @@ def _cmd_asym_check(args: argparse.Namespace) -> int:
 
 def _cmd_hn_bound(args: argparse.Namespace) -> int:
     e = _need_bundle(_load(args.input))
+    if not residual_is_zero(e):
+        raise HypothesisError("moment residual nonzero; not quasimap data")
     delta = args.delta if args.delta is not None else max(instance_threshold(e), Fraction(1))
     holds = hn_quotient_bound_check(e, delta)
     _emit({"delta": str(delta), "holds": holds})

@@ -108,11 +108,19 @@ def _summand_degrees(
 
 def _check_degree_pattern(
     matrix: PolyMatrix, tgt: tuple[int, ...], src: tuple[int, ...]
-) -> None:
+) -> int:
+    """Check that each nonzero entry has degree tgt - src; return the
+    largest such degree (0 if there is none)."""
+    top = 0
     for r, row in enumerate(matrix):
         for c, entry in enumerate(row):
-            if not entry.is_zero() and entry.degree != tgt[r] - src[c]:
-                raise InvariantError("differential degree mismatch")
+            d = entry.degree
+            if d is not None:
+                if d != tgt[r] - src[c]:
+                    raise InvariantError("differential degree mismatch")
+                if d > top:
+                    top = d
+    return top
 
 
 def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
@@ -131,22 +139,14 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
     )
     degs_m1, degs_0 = _summand_degrees(e, labels_m1, labels_0)
     degs_1 = tuple(d + CANONICAL_DEGREE for d in degs_m1)
-    _check_degree_pattern(d_kappa, degs_0, degs_m1)
-    _check_degree_pattern(d_mu, degs_1, degs_0)
+    entry_max = max(
+        _check_degree_pattern(d_kappa, degs_0, degs_m1),
+        _check_degree_pattern(d_mu, degs_1, degs_0),
+    )
 
     all_deg = [d for v in e.double.vertices for d in e.bundles[v].multidegree]
     spread = (max(all_deg) - min(all_deg)) if all_deg else 0
     mag = max((abs(d) for _, d in e.twist.m), default=0)
-    entry_max = max(
-        (
-            entry.degree
-            for mat in (d_kappa, d_mu)
-            for row in mat
-            for entry in row
-            if not entry.is_zero()
-        ),
-        default=0,
-    )
     summand_max = max((abs(d) for d in degs_m1 + degs_0 + degs_1), default=0)
     window = max(mag + spread + 2, summand_max, -(-entry_max // 2) + 1)
 
@@ -221,11 +221,17 @@ def _layout(ranges: list[tuple[int, int]], base: int) -> tuple[Layout, int]:
 def _scatter(rows: list[dict[int, int]], matrix: IntRows, src: Layout, tgt: Layout) -> None:
     # multiplication by matrix (`integer_rows`); s^(d-i) t^i sends e to
     # e + i, and exponents leaving the target range are dropped.  Distinct
-    # (entry, i, e) hit distinct positions, so nothing accumulates.
+    # (entry, i, e) hit distinct positions, so nothing accumulates.  A
+    # target row or source summand with an empty range (H0 of O(n), n < 0,
+    # or H1 of O(n), n >= -1) takes or gives nothing and is skipped.
     for r, row in enumerate(matrix):
         t_base, t_lo, t_hi = tgt[r]
+        if t_hi < t_lo:
+            continue
         for c, coeffs in row:
             s_base, s_lo, s_hi = src[c]
+            if s_hi < s_lo:
+                continue
             for i, coeff in enumerate(coeffs):
                 if coeff == 0:
                     continue

@@ -3,7 +3,9 @@
 Dense routines work on immutable tuple-of-tuples matrices over
 `fractions.Fraction`; there is no floating point anywhere.  One kernel,
 `add_row`, does all elimination: it keeps a table of primitive integer
-pivot rows and reduces each new row fraction-free against it.
+pivot rows and reduces each new row fraction-free against it, removing
+the row's content once, when it stores it (a positive factor per step
+changes no primitive part; `add_row` has the argument).
 `pivot_columns` feeds it the rows of a {column: value} matrix shortest
 first, `sparse_rank` counts those columns, and `rank` is `sparse_rank` of
 a dense matrix; `_rref` back-substitutes its
@@ -112,8 +114,9 @@ def _rref(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, Fraction]]:
     """Reduced row echelon form of the rows, as {pivot column: row}.
 
     The rows go into one `add_row` table; back-substitution from the last
-    pivot clears each table row at the later pivots and divides it by its
-    leading entry.  That form is unique, so these are Gauss-Jordan's rows.
+    pivot clears each table row at the later pivots, removing its content
+    after each step, and divides it by its leading entry.  That form is
+    unique, so these are Gauss-Jordan's rows.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -122,7 +125,7 @@ def _rref(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, Fraction]]:
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for c in [c for c in row if c in reduced]:
-            row = _clear(row, reduced[c], c)
+            row = _normalize_int_row(_clear(row, reduced[c], c))
         reduced[lead] = row
     return {
         lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
@@ -192,7 +195,12 @@ def integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
 
 
 def _clear(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
-    """Clear row at col against pivot, fraction-free, and make it primitive."""
+    """Clear row at col against pivot, fraction-free, in place.
+
+    The row becomes (P/g) row - (R/g) pivot, P and R the two entries at
+    col and g = gcd(P, R).  Its content is left in: the caller removes
+    it once, where a row is kept.
+    """
     g = gcd(pivot[col], row[col])
     p, f = pivot[col] // g, row[col] // g
     if p != 1:
@@ -205,7 +213,7 @@ def _clear(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, in
             row[c] = w
         else:
             del row[c]
-    return _normalize_int_row(row)
+    return row
 
 
 def add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
@@ -214,34 +222,54 @@ def add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     The table maps each stored row's least column to that row, so its rows
     are in echelon form and span the rows added so far.  The new row is
     cleared against the pivot at its leading column (`_clear`) until it
-    vanishes or leads at a free column, where it is stored.  The row must
-    hold no zero entries; it is reduced in place.
+    vanishes or leads at a free column, where its content is removed and
+    it is stored.  The row must hold no zero entries; it is reduced in
+    place.
+
+    Content is removed once per stored row, not after every step, and the
+    stored row is the same: scaling r by c > 0 turns one step's
+    (P/g) r - (R/g) pivot into c g / g' times it, g' = gcd(P, cR), a
+    positive factor, so every intermediate row is a positive multiple of
+    the one a step-by-step removal gives and has the same primitive part.
+    Each step adds at most the pivot's largest bit length + 1 to the
+    row's, so within one reduction the growth stays polynomial.
     """
     while row:
         lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
-            pivots[lead] = row
+            pivots[lead] = _normalize_int_row(row)
             return True
         row = _clear(row, pivot, lead)
     return False
+
+
+def _int_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """A copy of a row whose values are all nonzero ints; `integer_row`
+    of any other."""
+    values = row.values()
+    if 0 not in values and all(map(int.__instancecheck__, values)):
+        return dict(row)
+    return integer_row(row)
 
 
 def pivot_columns(rows: Iterable[Mapping[int, Fraction]]) -> list[int]:
     """The columns independent of the columns before them, in increasing
     order, of a sparse matrix given as one {column: value} mapping per row.
 
-    Rows are cleared to primitive integer rows and added to one pivot table
+    Rows are cleared to integer rows without zero entries (a row of
+    nonzero ints is copied as it is; `add_row` removes its content when
+    it keeps it) and added to one pivot table
     (`add_row`) shortest first, the ordering of structured Gaussian
     elimination: sparse rows become pivots early, so the long rows reduced
     against them meet little fill-in.  The table is an echelon form of the
     row space, whatever order the rows came in, and the leading columns of
     any echelon form of a row space are the same: column c leads exactly
     when it is not a combination of the columns before it.  Exact; no
-    pivoting thresholds.
+    pivoting thresholds.  The argument rows are not changed.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted((integer_row(r) for r in rows), key=len):
+    for row in sorted(map(_int_row, filter(None, rows)), key=len):
         add_row(pivots, row)
     return sorted(pivots)
 

@@ -377,14 +377,13 @@ def integer_rows(a: PolyMatrix) -> tuple[IntRows, int]:
     """The nonzero entries of each row of L * a, as (column, ascending
     integer t-coefficients), and L, the common denominator of a's
     coefficients."""
-    den = lcm(*(x.denominator for row in a for e in row for x in e.coeffs))
+    nonzero = [[(c, e.coeffs) for c, e in enumerate(row) if e.coeffs] for row in a]
+    den = lcm(*{x.denominator for row in nonzero for _, cs in row for x in cs})
+    if den == 1:
+        return [[(c, tuple([x.numerator for x in cs])) for c, cs in row] for row in nonzero], 1
     rows = [
-        [
-            (c, tuple(x.numerator * (den // x.denominator) for x in e.coeffs))
-            for c, e in enumerate(row)
-            if not e.is_zero()
-        ]
-        for row in a
+        [(c, tuple([x.numerator * (den // x.denominator) for x in cs])) for c, cs in row]
+        for row in nonzero
     ]
     return rows, den
 

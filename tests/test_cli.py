@@ -676,6 +676,26 @@ def test_a_product_through_a_zero_rank_vertex_hides_no_residual(tmp_path):
         assert "moment residual nonzero" in err
 
 
+def test_every_verdict_refuses_data_off_the_moment_relation(tmp_path):
+    # ZERO_RANK_BUNDLE without vertex 2 and arrow e: the residual at vertex 1
+    # is phi_a+ phi_a- = [[0, 1], [0, 0]] with nothing to hide it
+    doc = copy.deepcopy(ZERO_RANK_BUNDLE)
+    doc["quiver"]["vertices"] = [v for v in doc["quiver"]["vertices"] if v["name"] != "2"]
+    doc["quiver"]["arrows"] = [a for a in doc["quiver"]["arrows"] if a["name"] != "e"]
+    del doc["bundles"]["2"]
+    for name in ("e+", "e-"):
+        del doc["twist"][name], doc["data"][name]
+    path = _write(tmp_path, doc)
+    assert run(["validate", "--input", path])[0] == 0
+    code, payload = run_json(["moment", "--input", path])
+    assert (code, payload["zero"]) == (0, False)
+    assert payload["residual"]["1"] == [[None, ["1"]], [None, None]]
+    for sub in ("stability", "base-locus", "asym-check", "hn-bound", "defcomplex"):
+        code, out, err = run([sub, "--input", path])
+        assert (code, out) == (2, ""), sub
+        assert "moment residual nonzero" in err, sub
+
+
 def test_moment_of_a_rep_with_a_zero_dimensional_vertex(tmp_path):
     path = _write(tmp_path, ZERO_RANK_REP)
     assert run(["validate", "--input", path])[0] == 0

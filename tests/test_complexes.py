@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverbundles import complexes
+from quiverbundles import complexes, linalg
 from quiverbundles.complexes import (
     build_complex,
     euler_char_rr,
@@ -221,6 +221,34 @@ def test_hypercoh_makes_one_cech_pass(monkeypatch):
     report = hypercoh_dims(build_complex(line_adhm(2)))
     assert dict(report.h) == {-1: 0, 0: 2, 1: 2, 2: 0}
     assert len(calls) == 3
+
+
+def test_hypercoh_removes_content_once_per_stored_pivot(monkeypatch):
+    # the D(0) rank counts its border rows, so the three ranks sum to the
+    # rows stored across the three pivot tables
+    corpus = [
+        line_adhm(2),
+        gen_bundle(bundle_spec(98, 0)),
+        gen_bundle(InstanceSpec("adhm", (6,), framing=2, degree_bound=6, seed=2)),
+    ]
+    for e in corpus:
+        k = build_complex(e)
+        ranks, normalized = [], []
+
+        def counting_rank(rows):
+            ranks.append(sparse_rank(rows))
+            return ranks[-1]
+
+        def counting_normalize(row, normalize=linalg._normalize_int_row):
+            normalized.append(len(row))
+            return normalize(row)
+
+        monkeypatch.setattr(complexes, "sparse_rank", counting_rank)
+        monkeypatch.setattr(linalg, "_normalize_int_row", counting_normalize)
+        hypercoh_dims(k)
+        monkeypatch.undo()
+        assert len(ranks) == 3
+        assert len(normalized) == sum(ranks) > 0
 
 
 def test_hypercoh_rejects_small_window():

@@ -20,7 +20,6 @@ PACKAGE = Path(quiverbundles.__file__).resolve().parent
 
 # (importing module, defining module, private name)
 ALLOWED = {
-    ("bundles", "linalg", "_normalize_int_row"),
     ("bundles", "polynomials", "_full_rank_minor_gcd"),
     ("bundles", "polynomials", "_minor_gcd"),
     ("generators", "bundles", "_generation"),

@@ -3,10 +3,13 @@
 `rref` below is the dense `Fraction` elimination that `linalg` used before
 its kernel, nullspace, solve and row basis all ran on `add_row`; the oracle
 test requires their answers to equal the ones derived from it.
+`_reference_add_row` is the kernel as it was when it removed content after
+every reduction step; `add_row` must build the same pivot tables.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from quiverbundles import linalg
 from quiverbundles.linalg import ONE, ZERO, Matrix, mat, shape, vec
@@ -72,6 +75,147 @@ def rref_row_space_basis(rows):
         return ()
     reduced, pivots = rref(tuple(live))
     return reduced[: len(pivots)]
+
+
+def _reference_normalize_int_row(row: dict[int, int]) -> dict[int, int]:
+    g = 0
+    for v in row.values():
+        g = gcd(g, abs(v))
+        if g == 1:
+            return row
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def _reference_clear(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """Clear row at col against pivot, fraction-free, and make it primitive."""
+    g = gcd(pivot[col], row[col])
+    p, f = pivot[col] // g, row[col] // g
+    if p != 1:
+        for c in row:
+            row[c] *= p
+    for c, v in pivot.items():
+        # pivot entries are nonzero, so w == 0 only where row has c
+        w = row.get(c, 0) - f * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    return _reference_normalize_int_row(row)
+
+
+def _reference_add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """Add an integer row to a pivot table; True iff it was independent.
+
+    The table maps each stored row's least column to that row, so its rows
+    are in echelon form and span the rows added so far.  The new row is
+    cleared against the pivot at its leading column (`_clear`) until it
+    vanishes or leads at a free column, where it is stored.  The row must
+    hold no zero entries; it is reduced in place.
+    """
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return True
+        row = _reference_clear(row, pivot, lead)
+    return False
+
+
+def _both_kernels(rows: list[dict[int, int]]) -> tuple[list, dict, list, dict]:
+    """Each kernel's return values and table over copies of the rows."""
+    new: dict[int, dict[int, int]] = {}
+    old: dict[int, dict[int, int]] = {}
+    got = [linalg.add_row(new, dict(row)) for row in rows]
+    want = [_reference_add_row(old, dict(row)) for row in rows]
+    return got, new, want, old
+
+
+def _random_int_rows(rng: random.Random, primitive: bool) -> list[dict[int, int]]:
+    m, n = rng.randint(1, 7), rng.randint(1, 8)
+    dense = [
+        [rng.randint(-12, 12) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(m)
+    ]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.randrange(m), rng.randrange(m)
+        ca, cb = rng.randint(-5, 5), rng.randint(-5, 5)
+        dense.append([ca * x + cb * y for x, y in zip(dense[a], dense[b])])
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    if primitive:
+        return [_reference_normalize_int_row(row) for row in rows]
+    return [{c: x * rng.randint(2, 6) for c, x in row.items()} for row in rows]
+
+
+def test_add_row_builds_the_reference_tables_on_primitive_rows():
+    rng = random.Random(18)
+    dependent = 0
+    for _ in range(3000):
+        rows = _random_int_rows(rng, primitive=True)
+        got, new, want, old = _both_kernels(rows)
+        assert got == want
+        assert new == old
+        dependent += not all(got)
+    assert dependent > 1000
+
+
+def test_add_row_stores_the_reference_primitive_parts():
+    rng = random.Random(81)
+    for _ in range(1000):
+        rows = _random_int_rows(rng, primitive=False)
+        got, new, want, old = _both_kernels(rows)
+        assert got == want
+        assert new == {c: _reference_normalize_int_row(row) for c, row in old.items()}
+        assert all(_reference_normalize_int_row(row) == row for row in new.values())
+
+
+def test_add_row_builds_the_reference_tables_on_scatter_rows(monkeypatch):
+    # the minimal model's rows, in `pivot_columns` order: the reference
+    # kernel got them cleared by `integer_row`, `add_row` gets them as they are
+    from quiverbundles import complexes
+    from quiverbundles.generators import stable_bundles
+
+    seen: list[list[dict[int, int]]] = []
+
+    def keep(rows):
+        seen.append([dict(row) for row in rows])
+        return linalg.sparse_rank(rows)
+
+    monkeypatch.setattr(complexes, "sparse_rank", keep)
+    for e in stable_bundles(20, seed=23, degree_bound=4):
+        complexes.hypercoh_dims(complexes.build_complex(e))
+    assert len(seen) == 60
+    stored = 0
+    for rows in seen:
+        rows.sort(key=len)
+        new: dict[int, dict[int, int]] = {}
+        old: dict[int, dict[int, int]] = {}
+        got = [linalg.add_row(new, dict(row)) for row in rows]
+        want = [_reference_add_row(old, _reference_normalize_int_row(dict(row))) for row in rows]
+        assert got == want
+        assert new == old
+        stored += len(new)
+    assert stored > 400
+
+
+def test_pivot_columns_and_sparse_rank_leave_their_rows_unchanged():
+    rng = random.Random(7)
+    kinds = {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        "mixed": lambda: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 3))),
+    }
+    for kind, draw in kinds.items():
+        for _ in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [{c: draw() for c in range(n) if rng.random() < 0.7} for _ in range(m)]
+            rows.extend(dict(rows[rng.randrange(m)]) for _ in range(rng.randint(0, 2)))
+            before = repr(rows)
+            columns = linalg.pivot_columns(rows)
+            assert repr(rows) == before, kind
+            assert linalg.sparse_rank(rows) == len(columns)
+            assert repr(rows) == before, kind
 
 
 def test_matmul_identity_and_trace():
