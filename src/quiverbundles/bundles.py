@@ -14,23 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from . import linalg
 from .polynomials import (
     HomogPoly,
     IntColumn,
+    IntRows,
     PolyMatrix,
-    _full_rank_minor_gcd,
-    _minor_gcd,
+    _int_full_rank_minor_gcd,
     fiber_rank,
-    generic_rank,
-    integer_columns,
+    generic_pivot_columns,
     integer_rows,
     poly_mat_eval,
-    poly_mat_is_zero,
-    poly_matmul,
-    poly_zeros,
 )
 from .quivers import DimensionVector, DoubleQuiver, HypothesisError, InvariantError
 from .representations import FramedRep
@@ -166,29 +163,74 @@ def validate(e: TwistedQuiverBundle) -> ValidationReport:
 def moment_residual_sheaf(e: TwistedQuiverBundle) -> dict[str, PolyMatrix]:
     """Relation residual per ordinary vertex, valued in forms of degree
     a_{i,k} - a_{i,l} - 2; the zero matrix everywhere iff the data is a
-    quiver-bundle point of the relation's zero locus."""
-    out: dict[str, PolyMatrix] = {}
-    for i in e.double.ordinary_vertices:
-        n = e.bundles[i].rank
-        acc = poly_zeros(n, n)
-        for a in e.double.arrows:
-            if a.head != i or not e.bundles[a.tail].rank:
-                continue  # a product through a zero-rank vertex is zero
-            term = poly_matmul(e.phi[a.name], e.phi[a.opposite])
-            if a.sign == 0:
-                acc = tuple(
-                    tuple(x + y for x, y in zip(ra, rt)) for ra, rt in zip(acc, term)
-                )
-            else:
-                acc = tuple(
-                    tuple(x - y for x, y in zip(ra, rt)) for ra, rt in zip(acc, term)
-                )
-        out[i] = acc
-    return out
+    quiver-bundle point of the relation's zero locus.  The residual at a
+    vertex is D^-1 times its integer residual (`_residual`)."""
+    return {
+        i: tuple(_forms(row, den) for row in residual)
+        for i, (residual, den) in _residual(e, _arrow_rows(e)).items()
+    }
 
 
 def residual_is_zero(e: TwistedQuiverBundle) -> bool:
-    return all(poly_mat_is_zero(m) for m in moment_residual_sheaf(e).values())
+    return _vanishes(_residual(e, _arrow_rows(e)))
+
+
+def _arrow_rows(e: TwistedQuiverBundle) -> dict[str, tuple[IntRows, int]]:
+    """`integer_rows` of every arrow matrix: its rows over Z and L_a."""
+    return {a.name: integer_rows(e.phi[a.name]) for a in e.double.arrows}
+
+
+def _residual(
+    e: TwistedQuiverBundle, rows: Mapping[str, tuple[IntRows, int]]
+) -> dict[str, tuple[list[list[tuple[int, ...]]], int]]:
+    """The moment residual per ordinary vertex i as an integer matrix of
+    forms (ascending t-coefficients, () for zero) and a denominator D.
+
+    With Phi_a = R_a / L_a, R_a the integer rows of `_arrow_rows`, each
+    term Phi_a Phi_abar of the relation at i is R_a R_abar / (L_a L_abar).
+    Over the common denominator D, the lcm of the L_a L_abar of the arrows
+    a into i, the residual is the sum of the signed integer products
+    (D / (L_a L_abar)) R_a R_abar, divided by D: exact, and zero exactly
+    when that sum is.  A product through a zero-rank vertex is zero and is
+    skipped.
+    """
+    out = {}
+    for i in e.double.ordinary_vertices:
+        terms = []
+        for a in e.double.arrows:
+            if a.head == i and e.bundles[a.tail].rank:
+                (r_a, l_a), (r_bar, l_bar) = rows[a.name], rows[a.opposite]
+                terms.append((-1 if a.sign else 1, l_a * l_bar, r_a, r_bar))
+        den = lcm(*(l for _, l, _, _ in terms))
+        n = e.bundles[i].rank
+        acc: list[list[list[int] | None]] = [[None] * n for _ in range(n)]
+        for sign, l, r_a, r_bar in terms:
+            f = sign * (den // l)
+            for k, row in enumerate(r_a):
+                out_row = acc[k]
+                for m, p in row:
+                    p = [f * x for x in p]
+                    for c, q in r_bar[m]:
+                        got = out_row[c]
+                        if got is None:
+                            out_row[c] = got = [0] * (len(p) + len(q) - 1)
+                        elif len(got) != len(p) + len(q) - 1:
+                            raise ValueError(
+                                f"degree mismatch {len(got) - 1} + {len(p) + len(q) - 2}"
+                            )
+                        for s, x in enumerate(p):
+                            if x:
+                                for j, y in enumerate(q, s):
+                                    got[j] += x * y
+        out[i] = (
+            [[tuple(p) if p and any(p) else () for p in row] for row in acc],
+            den,
+        )
+    return out
+
+
+def _vanishes(residuals: Mapping[str, tuple[list[list[tuple[int, ...]]], int]]) -> bool:
+    return not any(any(row) for residual, _ in residuals.values() for row in residual)
 
 
 @dataclass(frozen=True)
@@ -239,7 +281,19 @@ def generation_columns(
     e: TwistedQuiverBundle,
 ) -> dict[str, list[tuple[int, tuple[HomogPoly, ...]]]]:
     """Images of the framing sections under all arrow words, as (twist,
-    column) pairs per ordinary vertex.
+    column) pairs per ordinary vertex: the columns of `_walk`, each divided
+    by the product of the denominators L_a along its word."""
+    return {
+        i: [(twist, _forms(column, den)) for twist, column, den in columns]
+        for i, columns in _walk(e, _arrow_rows(e)).items()
+    }
+
+
+def _walk(
+    e: TwistedQuiverBundle, rows: Mapping[str, tuple[IntRows, int]]
+) -> dict[str, list[tuple[int, IntColumn, int]]]:
+    """The generation walk: per ordinary vertex, the kept word images of
+    the framing sections as (twist, integer column, denominator).
 
     Words start at the framing vertex and never revisit it (revisiting
     factors through the framing fiber and adds nothing new); length is
@@ -248,39 +302,37 @@ def generation_columns(
     kept columns of the same twist is dropped and not extended: both its
     minors contribution and all its downstream images are redundant.
 
-    The arithmetic is on integers.  Each arrow matrix is cleared once to
-    integer coefficients over the common denominator L_a of its entries,
-    and a column is carried as integer coefficient lists times an exact
-    scale, the product of 1 / L_a along its word; an image is then an
-    integer convolution.  Columns of one twist share a forced per-row
-    degree pattern, so they flatten to aligned coefficient vectors, and
-    the flattened integers go to the pivot table of their (vertex, twist):
-    a nonzero scale changes no span, so the same columns are kept.  Only
-    a kept column is turned into forms.
+    The arithmetic is on integers.  Each arrow matrix is Phi_a = R_a / L_a
+    with integer rows R_a (`_arrow_rows`), and a column is carried as
+    integer coefficient lists, the image of the framing section under the
+    R_a along its word, so an image is an integer convolution; the
+    product of the L_a along the word is its denominator.  Columns of one
+    twist share a forced per-row degree pattern, so they flatten to
+    aligned coefficient vectors, and the flattened integers go to the
+    pivot table of their (vertex, twist): a nonzero scale per column
+    changes no span, so the kept columns are those of the rational images.
     """
     framing = _framing_vertex(e)
     if any(d != 0 for d in e.bundles[framing].multidegree):
         raise HypothesisError("framing bundle must be trivial for generation analysis")
     v0 = e.bundles[framing].rank
     cap = sum(e.bundles[i].rank for i in e.double.ordinary_vertices)
-    out: dict[str, list[tuple[int, tuple[HomogPoly, ...]]]] = {
+    out: dict[str, list[tuple[int, IntColumn, int]]] = {
         i: [] for i in e.double.ordinary_vertices
     }
     arrows: dict[str, list] = {v: [] for v in e.double.vertices}
     for a in e.double.arrows:
         if a.head != framing:
-            rows, den = integer_rows(e.phi[a.name])
-            arrows[a.tail].append((a.head, e.twist.degree(a.name), rows, den))
+            arrows[a.tail].append((a.head, e.twist.degree(a.name), *rows[a.name]))
     tables: dict[tuple[str, int], dict[int, dict[int, int]]] = {}
-    frontier: list[tuple[str, int, IntColumn, Fraction]] = [
-        (framing, 0, [(1,) if r == c else () for r in range(v0)], Fraction(1))
-        for c in range(v0)
+    frontier: list[tuple[str, int, IntColumn, int]] = [
+        (framing, 0, [(1,) if r == c else () for r in range(v0)], 1) for c in range(v0)
     ]
     for _ in range(cap):
-        nxt: list[tuple[str, int, IntColumn, Fraction]] = []
-        for vertex, twist, col, scale in frontier:
-            for head, step, rows, den in arrows[vertex]:
-                image = [_convolve(row, col) for row in rows]
+        nxt: list[tuple[str, int, IntColumn, int]] = []
+        for vertex, twist, col, den in frontier:
+            for head, step, arrow_rows, arrow_den in arrows[vertex]:
+                image = [_convolve(row, col) for row in arrow_rows]
                 if not any(image):
                     continue
                 new_twist = twist + step
@@ -288,9 +340,8 @@ def generation_columns(
                 pivots = tables.setdefault((head, new_twist), {})
                 if not linalg.add_row(pivots, row):
                     continue
-                new_scale = scale / den
-                out[head].append((new_twist, _forms(image, new_scale)))
-                nxt.append((head, new_twist, image, new_scale))
+                out[head].append((new_twist, image, den * arrow_den))
+                nxt.append((head, new_twist, image, den * arrow_den))
         frontier = nxt
         if not frontier:
             break
@@ -331,30 +382,24 @@ def _flatten(column: IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dic
     return flat
 
 
-def _forms(column: IntColumn, scale: Fraction) -> tuple[HomogPoly, ...]:
-    num, den = scale.numerator, scale.denominator
+def _forms(column: IntColumn, den: int) -> tuple[HomogPoly, ...]:
+    """The forms of integer coefficient tuples over den, () for zero."""
     return tuple(
-        HomogPoly(len(p) - 1, tuple([Fraction(x * num, den) for x in p])) if p else HomogPoly.zero()
+        HomogPoly(len(p) - 1, tuple([Fraction(x, den) for x in p])) if p else HomogPoly.zero()
         for p in column
     )
-
-
-def _as_matrix(
-    columns: list[tuple[int, tuple[HomogPoly, ...]]], n: int
-) -> tuple[PolyMatrix, tuple[int, ...]]:
-    if not columns:
-        return (tuple(() for _ in range(n)), ())
-    matrix = tuple(tuple(col[r] for _, col in columns) for r in range(n))
-    return matrix, tuple(tw for tw, _ in columns)
 
 
 def _generation_matrices(
     e: TwistedQuiverBundle,
 ) -> dict[str, tuple[PolyMatrix, tuple[int, ...]]]:
-    cols = generation_columns(e)
-    return {
-        i: _as_matrix(cols[i], e.bundles[i].rank) for i in e.double.ordinary_vertices
-    }
+    """Per ordinary vertex the generation matrix, the `generation_columns`
+    side by side, and their twists."""
+    out = {}
+    for i, columns in generation_columns(e).items():
+        matrix = tuple(tuple(col[r] for _, col in columns) for r in range(e.bundles[i].rank))
+        out[i] = (matrix, tuple(tw for tw, _ in columns))
+    return out
 
 
 def generation_matrix(
@@ -378,10 +423,11 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
     The form at a vertex is the content-normalized gcd of the maximal
     minors of the generation matrix (each minor is homogeneous because
     all columns of a fixed word twist share a degree pattern).  The
-    matrices and their ranks are read from `_generation`.  At full rank n
-    the transposed matrix has n columns and, by that rank, full column
-    rank, so it goes straight to `polynomials._full_rank_minor_gcd`: one
-    echelon over Q[t] whose columns, the summands of the vertex bundle,
+    integer columns and their ranks are read from `_generation`.  At full
+    rank n the transposed matrix has n columns and, by that rank, full
+    column rank, so its rows, the integer columns, go straight to
+    `polynomials._int_full_rank_minor_gcd`: one echelon over Q[t] whose
+    columns, the summands of the vertex bundle,
     are taken in ascending order of their largest entry degree, which
     changes the minors by signs only.  Below full rank every maximal minor
     vanishes, so the form is zero.  The returned product vanishes exactly
@@ -394,7 +440,7 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
     polys: list[tuple[str, HomogPoly]] = []
     for i in e.double.ordinary_vertices:
         if gen.ranks[i] == e.bundles[i].rank:
-            g = _full_rank_minor_gcd(tuple(zip(*gen.matrices[i][0])))
+            g = _int_full_rank_minor_gcd([col for _, col, _ in gen.columns[i]])
         else:
             g = HomogPoly.zero()
         polys.append((i, g))
@@ -444,37 +490,52 @@ def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
 @dataclass(frozen=True)
 class _Generation:
     """The framing generation of quasimap data, computed once: per
-    ordinary vertex the generation matrix M_i with its column twists
-    (`_generation_matrices`) and its generic rank (`generic_rank`)."""
+    ordinary vertex the generation walk's (twist, integer column,
+    denominator) triples (`_walk`), and the columns J independent over
+    Q(t) of those before them when the columns are taken in ascending
+    order of twist (`polynomials.generic_pivot_columns`), as indices into
+    the walk's list; the generic rank is their number.
+
+    A column is the rational one times a positive constant, its
+    denominator, which changes no rank over Q(t) or in any fiber, so the
+    ranks and pivots are those of the generation matrix; the fibers are
+    taken on the integer columns."""
 
     e: TwistedQuiverBundle
-    matrices: Mapping[str, tuple[PolyMatrix, tuple[int, ...]]]
-    ranks: Mapping[str, int]
+    columns: Mapping[str, list[tuple[int, IntColumn, int]]]
+    pivots: Mapping[str, list[int]]
+
+    @property
+    def ranks(self) -> dict[str, int]:
+        return {i: len(j) for i, j in self.pivots.items()}
 
     @property
     def stable(self) -> bool:
         """Full generic rank at every ordinary vertex."""
-        return all(r == self.e.bundles[i].rank for i, r in self.ranks.items())
+        return all(len(j) == self.e.bundles[i].rank for i, j in self.pivots.items())
 
     def summary(self) -> GeneratedSummary:
-        """`generated_subsheaf_summary`, read off the matrices and ranks.
+        """`generated_subsheaf_summary`, read off the columns and pivots.
 
-        Below full rank the columns of M go to `polynomials._minor_gcd`
-        sorted stably by ascending twist, and its pivots are mapped back:
-        J is then the independent columns of least twist, whose entries
-        have the least degrees.  By the argument of
+        Below full rank J is the independent columns of least twist,
+        whose entries have the least degrees, and the rows of M[:, J] over
+        Z, the integer columns J side by side, go to
+        `polynomials._int_full_rank_minor_gcd`; that scales column j of
+        M[:, J] by its denominator, which changes the normalized gcd of
+        the maximal minors not at all.  By the argument of
         `generated_subsheaf_summary`, the degree deg F + tw_J of the gcd
         does not depend on J, so any J gives deg F.
         """
         degs: list[tuple[str, int]] = []
-        for i, rank in self.ranks.items():
-            if rank == self.e.bundles[i].rank:
+        for i, pivots in self.pivots.items():
+            n = self.e.bundles[i].rank
+            if len(pivots) == n:
                 degree = self.e.bundles[i].degree
             else:
-                matrix, twists = self.matrices[i]
-                order = sorted(range(len(twists)), key=twists.__getitem__)
-                pivots, g = _minor_gcd(tuple(tuple(row[j] for j in order) for row in matrix))
-                degree = g.degree - sum(twists[order[j]] for j in pivots)
+                columns = self.columns[i]
+                rows = [[columns[j][1][r] for j in pivots] for r in range(n)]
+                g = _int_full_rank_minor_gcd(rows)
+                degree = g.degree - sum(columns[j][0] for j in pivots)
             degs.append((i, degree))
         return GeneratedSummary(tuple(self.ranks.items()), tuple(degs))
 
@@ -488,13 +549,14 @@ class _Generation:
         maximal minor, that is, when all of them vanish at z, that is, when
         the fiber M_i(z) has rank below n_i.  So [1 : k] is off the base
         locus exactly when every vertex fiber there has full rank, and no
-        form is computed.  The fibers are taken on `integer_columns`.
+        form is computed.  The fibers are taken on the stored integer
+        columns.
         """
         vertices = []  # no vertex to check when the form is zero
         if self.stable:
             vertices = [
-                (integer_columns(matrix), self.e.bundles[i].rank)
-                for i, (matrix, _) in self.matrices.items()
+                ([col for _, col, _ in columns], self.e.bundles[i].rank)
+                for i, columns in self.columns.items()
             ]
         for k in count(1):
             if all(fiber_rank(columns, k) == n for columns, n in vertices):
@@ -503,14 +565,18 @@ class _Generation:
 
 def _generation(e: TwistedQuiverBundle) -> _Generation:
     """The generation record of quasimap data: the one place that refuses
-    data off the moment relation's zero locus and builds the generation
-    matrices and their generic ranks."""
-    if not residual_is_zero(e):
+    data off the moment relation's zero locus and runs the generation walk
+    and its generic ranks, all on the integer rows of the arrows."""
+    rows = _arrow_rows(e)
+    if not _vanishes(_residual(e, rows)):
         raise HypothesisError("moment residual nonzero; not quasimap data")
-    matrices = _generation_matrices(e)
-    return _Generation(
-        e, matrices, {i: generic_rank(matrices[i][0]) for i in e.double.ordinary_vertices}
-    )
+    columns = _walk(e, rows)
+    pivots = {}
+    for i, cols in columns.items():
+        order = sorted(range(len(cols)), key=lambda j: cols[j][0])
+        found = generic_pivot_columns([cols[j][1] for j in order], e.bundles[i].rank)
+        pivots[i] = [order[j] for j in found]
+    return _Generation(e, columns, pivots)
 
 
 # ---------------------------------------------------------------------------

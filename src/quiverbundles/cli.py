@@ -29,7 +29,7 @@ from .bundles import (
 )
 from .complexes import build_complex, euler_char_rr, hypercoh_dims
 from .generators import InstanceSpec, gen_bundle, gen_rep, run_suite
-from .polynomials import format_factored
+from .polynomials import format_factored, poly_mat_is_zero
 from .quivers import HypothesisError, InvariantError
 from .representations import is_stable_framed, moment
 from .serialization import (
@@ -158,7 +158,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         e = _need_bundle(item)
         residual = moment_residual_sheaf(e)
         payload = {i: encode_form_matrix(m) for i, m in residual.items()}
-        zero = residual_is_zero(e)
+        zero = all(poly_mat_is_zero(m) for m in residual.values())
     _emit({"zero": zero, "residual": payload})
     return 0
 

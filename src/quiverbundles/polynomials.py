@@ -9,25 +9,30 @@ of maximal minors without enumerating minors, generic ranks from one
 certified fiber (`generic_rank`), the cofactor determinant of a square
 form matrix, and rational-root factoring for display.  Forms in and out
 are exact rationals; inside, products, sums and evaluation work on
-integer numerators over a common denominator, and the echelon clears
-denominators once and works on integer rows by pseudo-division.
+integer numerators over a common denominator, and the echelon works on
+integer rows by pseudo-division.
 
-The gcd of the maximal minors (`_minor_gcd`) reads its pivot columns J,
-the columns independent of those before them, off the rows of the
-certified fiber, and `_full_rank_minor_gcd` runs the echelon on the
-columns J sorted by ascending largest entry degree.  J has full column
-rank, so reordering its columns changes each maximal minor by a sign and
-the gcd not at all; eliminating the low-degree columns first keeps the
-pseudo-remainders small, where the matrix's own column order let their
-coefficients swell far past those of the gcd.
+The gcd of the maximal minors of a matrix of full column rank has an
+integer core, `_int_full_rank_minor_gcd`, which takes the rows as integer
+coefficient tuples and runs the echelon on the columns sorted by
+ascending largest entry degree.  Reordering the columns changes each
+maximal minor by a sign and the gcd not at all; eliminating the
+low-degree columns first keeps the pseudo-remainders small, where the
+matrix's own column order let their coefficients swell far past those of
+the gcd.  `_full_rank_minor_gcd` and `_echelon` clear each row of forms
+by the common denominator of its coefficients and call the cores, and
+`_minor_gcd` first reads its pivot columns J, the columns independent of
+those before them, off the rows of the certified fiber.
 
 Every rank-only question about a form matrix is asked of integer data.
-`integer_columns` clears each column of the chart s = 1 by its own
-common denominator, which changes no rank, and `fiber_rank` evaluates
-those integer columns at [1 : k]; `integer_rows` clears a whole matrix by
-one denominator for the word images of `bundles` and the minimal-model
-scatter of `complexes`.  The generic rank is one such fiber
-at a point beyond every root of every minor, by Cauchy's root bound
+`generic_pivot_columns` and `fiber_rank` take a matrix as integer
+columns on the chart s = 1, each a positive multiple of the rational one,
+which changes no rank: `integer_columns` clears a form matrix's columns
+for `generic_rank` and `_pivot_columns`, and `bundles` passes the integer
+columns of its generation walk directly.  `integer_rows` clears a whole
+matrix by one denominator for the arrows of `bundles` and the
+minimal-model scatter of `complexes`.  The generic rank is one fiber at a
+point beyond every root of every minor, by Cauchy's root bound
 (`generic_rank`); the sample points off the base locus are the small k
 at which every vertex fiber has full rank.
 """
@@ -391,7 +396,9 @@ def integer_rows(a: PolyMatrix) -> tuple[IntRows, int]:
 def integer_columns(a: PolyMatrix) -> list[IntColumn]:
     """The columns of a on the chart s = 1, each times the common
     denominator of its coefficients: per column, per row, the ascending
-    t-coefficients of an integer polynomial, () for zero."""
+    t-coefficients of an integer polynomial, () for zero.  The rank
+    questions of `generic_rank` and `_pivot_columns` on a form matrix are
+    asked of these."""
     out = []
     for col in zip(*a):
         den = lcm(*(x.denominator for e in col for x in e.coeffs))
@@ -460,21 +467,28 @@ def generic_rank(a: PolyMatrix) -> int:
     return fiber_rank(columns, _generic_point(columns, len(a)))
 
 
-def _pivot_columns(a: PolyMatrix) -> list[int]:
-    """The columns of a that are independent over Q(t) of the columns
-    before them: the pivot columns of `_echelon(_chart(a))`.
+def generic_pivot_columns(columns: Sequence[IntColumn], rows: int) -> list[int]:
+    """The columns independent over Q(t) of the columns before them, of a
+    matrix with the given number of rows and these integer columns: the
+    pivot columns of its fiber at [1 : H + 1] (`generic_rank`), read off
+    the fiber's rows (`linalg.pivot_columns`); there are rho of them.
 
-    They are the pivot columns of the fiber of `generic_rank`, read off its
-    rows (`linalg.pivot_columns`).  The bound H there holds for every minor
-    on any set of columns, so every prefix of the columns has in that fiber
-    its rank over Q(t), and a column adds to the fiber's rank exactly when
-    it adds to the rank over Q(t).
+    The bound H holds for every minor on any set of columns, so every
+    prefix of the columns has in that fiber its rank over Q(t), and a
+    column adds to the fiber's rank exactly when it adds to the rank over
+    Q(t).  A matrix with no rows or no columns has none and evaluates no
+    fiber.
     """
-    columns = integer_columns(a)
-    if not min(len(a), len(columns)):
+    if not min(rows, len(columns)):
         return []
-    fiber = _fiber(columns, _generic_point(columns, len(a)))
-    return linalg.pivot_columns(dict(enumerate(row)) for row in zip(*fiber))
+    fiber = _fiber(columns, _generic_point(columns, rows))
+    return linalg.pivot_columns({c: x for c, x in enumerate(row) if x} for row in zip(*fiber))
+
+
+def _pivot_columns(a: PolyMatrix) -> list[int]:
+    """The pivot columns of `_echelon(_chart(a))`: `generic_pivot_columns`
+    of `integer_columns(a)`."""
+    return generic_pivot_columns(integer_columns(a), len(a))
 
 
 def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
@@ -484,20 +498,28 @@ def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
 
 
 def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
-    """Pivot columns and pivot polynomials of a row echelon over Q[x].
+    """Pivot columns and pivot polynomials of a row echelon over Q[x]:
+    `_int_echelon` of the rows, each first multiplied by the common
+    denominator of its coefficients, with the pivots returned with
+    `Fraction` coefficients.  Scaling a row by a nonzero rational is a
+    unit over Q[x]."""
+    cols, pivots = _int_echelon([_cleared(r) for r in rows])
+    return cols, [tuple(Fraction(x) for x in p) for p in pivots]
 
-    Each row is first multiplied by the common denominator of its
-    coefficients, so the elimination runs on integer rows.  In each column
-    the live row of least degree pseudo-divides the others until one is
-    left (`_sub_multiple`).  A step replaces a row by a * row - q * pivot
-    row, a a nonzero integer and q in Z[x], and divides the result by an
-    integer, its content.  Subtracting a multiple of another row has
-    determinant 1, and scaling a row by a nonzero rational is a unit over
-    Q[x], so every step is unimodular over Q[x]: for every column set J it
-    keeps the gcd of the k x k minors of the columns J up to a constant.
-    The pivots are returned with `Fraction` coefficients.
+
+def _int_echelon(rows: list[_IntRow]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Pivot columns and pivot polynomials of a row echelon over Q[x] of
+    integer rows; the list's rows are replaced as they are reduced.
+
+    In each column the live row of least degree pseudo-divides the others
+    until one is left (`_sub_multiple`).  A step replaces a row by
+    a * row - q * pivot row, a a nonzero integer and q in Z[x], and divides
+    the result by an integer, its content.  Subtracting a multiple of
+    another row has determinant 1, and scaling a row by a nonzero rational
+    is a unit over Q[x], so every step is unimodular over Q[x]: for every
+    column set J it keeps the gcd of the k x k minors of the columns J up
+    to a constant.
     """
-    rows = [_cleared(r) for r in rows]
     free = list(range(len(rows)))
     cols, pivots = [], []
     for c in range(len(rows[0]) if rows else 0):
@@ -511,15 +533,16 @@ def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
         if live:
             free.remove(live[0])
             cols.append(c)
-            pivots.append(tuple(Fraction(x) for x in rows[live[0]][c]))
+            pivots.append(rows[live[0]][c])
     return cols, pivots
 
 
 _IntRow = list[tuple[int, ...]]
 
 
-def _cleared(row: list[_Univ]) -> _IntRow:
-    """A chart row times the common denominator of its coefficients."""
+def _cleared(row: Sequence[Sequence[Fraction]]) -> _IntRow:
+    """A row of coefficient tuples times the common denominator of its
+    coefficients."""
     den = 1
     for e in row:
         for x in e:
@@ -574,34 +597,56 @@ def _minor_gcd(a: PolyMatrix) -> tuple[list[int], HomogPoly]:
 
 def _full_rank_minor_gcd(a: PolyMatrix) -> HomogPoly:
     """The normalized gcd of the maximal minors of a, which must have full
-    column rank over Q(t).
+    column rank over Q(t): `_int_full_rank_minor_gcd` of a's rows, each
+    times the common denominator of its coefficients.  Scaling a row or a
+    column by a positive constant multiplies each maximal minor by a
+    constant, the same for all of them, so their gcd changes by that
+    constant only, and `_normalized` fixes it."""
+    return _int_full_rank_minor_gcd([_cleared([e.coeffs for e in row]) for row in a])
 
-    The echelons run on sub, the columns of a sorted stably by ascending
+
+def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> HomogPoly:
+    """The normalized gcd of the maximal minors of the form matrix with
+    these rows, which must have full column rank over Q(t); an entry is
+    the integer coefficient tuple of a form, ascending in t, () for zero.
+
+    The echelons run on sub, the columns sorted stably by ascending
     largest entry degree, so that the low-degree columns are eliminated
     first and the high-degree ones meet small remainders.  A column
     permutation changes each maximal minor by a sign only, so the gcd is
-    that of a.  The echelon of sub on the chart s = 1 is triangular with
-    the pivots on the diagonal after unimodular steps, so on the chart the
-    gcd is their product (Kannan & Bachem, SIAM J. Comput. 8(4), 1979),
-    and `_normalized` fixes its constant.  Homogenizing it misses only s^m,
-    m the order of the gcd at [0:1]: zero when the fiber of sub there has
-    full rank, else the summed order at s = 0 of the pivots of sub on the
-    chart t = 1.  An echelon with fewer pivots than a has columns means
-    that a did not have full column rank: an `InvariantError`.
+    that of the matrix.  The echelon of sub on the chart s = 1 is
+    triangular with the pivots on the diagonal after unimodular steps, so
+    on the chart the gcd is their product (Kannan & Bachem, SIAM J.
+    Comput. 8(4), 1979), and `_normalized` fixes its constant.
+    Homogenizing it misses only s^m, m the order of the gcd at [0:1]: zero
+    when the fiber of sub there, the top coefficients, has full rank, else
+    the summed order at s = 0 of the pivots of sub on the chart t = 1.  An
+    echelon with fewer pivots than there are columns means that the matrix
+    did not have full column rank: an `InvariantError`.
     """
-    n = len(a[0]) if a else 0
-    order = sorted(range(n), key=lambda j: max(row[j].degree for row in a if not row[j].is_zero()))
-    sub = tuple(tuple(row[j] for j in order) for row in a)
-    pivots = _echelon(_chart(sub))[1]
+    n = len(rows[0]) if rows else 0
+    order = sorted(range(n), key=lambda j: max(len(row[j]) for row in rows if row[j]))
+    sub = [[row[j] for j in order] for row in rows]
+    pivots = _int_echelon([[_trimmed(p) for p in row] for row in sub])[1]
     if len(pivots) != n:
         raise InvariantError(f"echelon of {n} independent columns has {len(pivots)} pivots")
-    g = HomogPoly.constant(1)
+    g: list[int] = [1]
     for p in pivots:
-        g = g * HomogPoly(len(p) - 1, p)
-    if linalg.rank(poly_mat_eval(sub, 0, 1)) < n:
-        m = sum(next(k for k, x in enumerate(p) if x) for p in _echelon(_chart(sub, True))[1])
-        g = g * HomogPoly.monomial(m, 0)
-    return _normalized(g)
+        g = _int_product(g, p)
+    if linalg.rank([[p[-1] if p else 0 for p in row] for row in sub]) < n:
+        at_t = _int_echelon([[_trimmed(p[::-1]) for p in row] for row in sub])[1]
+        g += [0] * sum(next(k for k, x in enumerate(p) if x) for p in at_t)  # times s^m
+    return _normalized(HomogPoly(len(g) - 1, tuple(map(Fraction, g))))
+
+
+def _int_product(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials, ascending coefficients."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                out[j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,13 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
     nonzero scalar per vector or per arrow changes no span, so the spans,
     and their canonical bases from `row_space_basis`, are the same.
     """
+    return _subrep(x, _accepted(x, seeds))
+
+
+def _accepted(x: FramedRep, seeds: Mapping[str, Matrix]) -> dict[str, list[tuple[int, ...]]]:
+    """The vectors `closure` accepts, per vertex: independent, since
+    `add_row` accepts only a vector outside the span of those before it,
+    so their number is the dimension of the closure there."""
     tables: dict[str, dict[int, dict[int, int]]] = {v: {} for v in x.double.vertices}
     kept: dict[str, list[tuple[int, ...]]] = {v: [] for v in x.double.vertices}
     todo: list[tuple[str, tuple[int, ...]]] = []
@@ -347,6 +354,12 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
                 (head, tuple(sum(y * z for y, z in zip(row, w)) for row in m))
                 for head, m in arrows[v]
             )
+    return kept
+
+
+def _subrep(x: FramedRep, kept: Mapping[str, list[tuple[int, ...]]]) -> SubRep:
+    """The subrepresentation spanned by the accepted vectors, with the
+    canonical bases of `row_space_basis`."""
     bases = {v: linalg.row_space_basis(kept[v]) for v in x.double.vertices}
     dims = DimensionVector(
         tuple(x.double.vertices), tuple(len(bases[v]) for v in x.double.vertices)
@@ -381,13 +394,18 @@ def is_stable_framed(x: FramedRep) -> FramedStabilityVerdict:
     On failure the closure itself is the witness: a proper arrow-invariant
     framing-full family of strictly negative weight.  A zero-dimensional
     ordinary vertex is always full, as in the quasimap reading.
+
+    The closure's dimensions are the numbers of vectors it accepts
+    (`_accepted`), so the verdict needs no basis; the canonical bases are
+    built only for the witness of an unstable fiber.
     """
     framing = _framing_vertex(x)
     if x.dims[framing] == 0:
         raise HypothesisError("no framing dimension: v is zero at the framing vertex")
-    w = closure(x, {framing: linalg.identity(x.dims[framing])})
-    stable = w.dims.values == x.dims.values
-    return FramedStabilityVerdict(stable, None if stable else w)
+    kept = _accepted(x, {framing: linalg.identity(x.dims[framing])})
+    if tuple(len(kept[v]) for v in x.double.vertices) == x.dims.values:
+        return FramedStabilityVerdict(True, None)
+    return FramedStabilityVerdict(False, _subrep(x, kept))
 
 
 def _subsets(n: int):

@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from quiverbundles import cli, complexes
+from quiverbundles import bundles, cli, complexes
 from quiverbundles.bundles import base_locus
 from quiverbundles.cli import main
 from quiverbundles.polynomials import format_factored
@@ -694,6 +694,17 @@ def test_every_verdict_refuses_data_off_the_moment_relation(tmp_path):
         code, out, err = run([sub, "--input", path])
         assert (code, out) == (2, ""), sub
         assert "moment residual nonzero" in err, sub
+
+
+def test_moment_computes_the_bundle_residual_once(tmp_path, monkeypatch):
+    # `zero` is read off the residual that is printed
+    calls = []
+    real = bundles._residual
+    monkeypatch.setattr(bundles, "_residual", lambda *a: calls.append(1) or real(*a))
+    for path, zero in ((CHAIN_STABLE, True), (_write(tmp_path, ZERO_RANK_BUNDLE), False)):
+        calls.clear()
+        code, payload = run_json(["moment", "--input", path])
+        assert (code, payload["zero"], len(calls)) == (0, zero, 1)
 
 
 def test_moment_of_a_rep_with_a_zero_dimensional_vertex(tmp_path):

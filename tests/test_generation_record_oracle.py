@@ -1,0 +1,247 @@
+"""The integer generation record against the form pipeline it replaced.
+
+`bundles._generation` runs the generation walk, the generic ranks, the
+pivot columns and the base-locus gcds on integer columns.  The reference
+here is the former record, kept verbatim: the generation matrices of
+`Fraction`-valued forms (`_generation_matrices`), `generic_rank` and the
+`_minor_gcd` / `_full_rank_minor_gcd` entries on forms, and fibers taken
+on `integer_columns`.  Ranks, verdicts, summaries, base loci, the first
+points off the base locus and `sample_points` must be equal.
+
+A guard test then makes every form-building step raise while the public
+verdicts run, which shows that the verdict path builds no forms.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from itertools import count, islice
+from pathlib import Path
+from typing import Iterator, Mapping
+
+import pytest
+
+from quiverbundles import asymptotic_equivalence_check, bundles, polynomials
+from quiverbundles.bundles import (
+    BaseLocusReport,
+    GeneratedSummary,
+    TwistedQuiverBundle,
+    _generation,
+    _generation_matrices,
+    base_locus,
+    generated_subsheaf_summary,
+    is_stable_quasimap,
+)
+from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, sample_points
+from quiverbundles.polynomials import (
+    HomogPoly,
+    PolyMatrix,
+    _full_rank_minor_gcd,
+    _minor_gcd,
+    fiber_rank,
+    generic_rank,
+    integer_columns,
+)
+from quiverbundles.quivers import HypothesisError
+from quiverbundles.serialization import parse_document
+
+from _builders import chain_bundle, form, rational_gauge
+from test_residual_oracle import reference_residual_is_zero
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@dataclass(frozen=True)
+class _ReferenceGeneration:
+    e: TwistedQuiverBundle
+    matrices: Mapping[str, tuple[PolyMatrix, tuple[int, ...]]]
+    ranks: Mapping[str, int]
+
+    @property
+    def stable(self) -> bool:
+        return all(r == self.e.bundles[i].rank for i, r in self.ranks.items())
+
+    def summary(self) -> GeneratedSummary:
+        degs: list[tuple[str, int]] = []
+        for i, rank in self.ranks.items():
+            if rank == self.e.bundles[i].rank:
+                degree = self.e.bundles[i].degree
+            else:
+                matrix, twists = self.matrices[i]
+                order = sorted(range(len(twists)), key=twists.__getitem__)
+                pivots, g = _minor_gcd(tuple(tuple(row[j] for j in order) for row in matrix))
+                degree = g.degree - sum(twists[order[j]] for j in pivots)
+            degs.append((i, degree))
+        return GeneratedSummary(tuple(self.ranks.items()), tuple(degs))
+
+    def off_locus_points(self) -> Iterator[int]:
+        vertices = []  # no vertex to check when the form is zero
+        if self.stable:
+            vertices = [
+                (integer_columns(matrix), self.e.bundles[i].rank)
+                for i, (matrix, _) in self.matrices.items()
+            ]
+        for k in count(1):
+            if all(fiber_rank(columns, k) == n for columns, n in vertices):
+                yield k
+
+
+def _reference_generation(e: TwistedQuiverBundle) -> _ReferenceGeneration:
+    if not reference_residual_is_zero(e):
+        raise HypothesisError("moment residual nonzero; not quasimap data")
+    matrices = _generation_matrices(e)
+    return _ReferenceGeneration(
+        e, matrices, {i: generic_rank(matrices[i][0]) for i in e.double.ordinary_vertices}
+    )
+
+
+def _reference_base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
+    gen = _reference_generation(e)
+    total = HomogPoly.constant(1)
+    polys: list[tuple[str, HomogPoly]] = []
+    for i in e.double.ordinary_vertices:
+        if gen.ranks[i] == e.bundles[i].rank:
+            g = _full_rank_minor_gcd(tuple(zip(*gen.matrices[i][0])))
+        else:
+            g = HomogPoly.zero()
+        polys.append((i, g))
+        total = total * g
+    return BaseLocusReport(total, gen.stable, tuple(gen.ranks.items()), tuple(polys))
+
+
+def _reference_sample_points(e: TwistedQuiverBundle, n: int) -> tuple[tuple[int, int], ...]:
+    points = _reference_generation(e).off_locus_points()
+    return tuple((1, k) for k in islice(points, max(n, 0)))
+
+
+def _outcome(fn, e):
+    try:
+        return fn(e)
+    except HypothesisError as err:
+        return ("HypothesisError", str(err))
+
+
+def _record(gen):
+    return (
+        dict(gen.ranks),
+        gen.stable,
+        gen.summary(),
+        tuple(islice(gen.off_locus_points(), 3)),
+    )
+
+
+def _zero_rank_cases() -> list[TwistedQuiverBundle]:
+    zero = HomogPoly.zero()
+    return [
+        # vertex 2 has rank 0: full rank there, and no column reaches it
+        chain_bundle((0, 1), (), f=[[form(0, 3)], [form(1, 1, 2)]]),
+        # full rank with the base locus s * t^2, which meets [0 : 1]
+        chain_bundle((1, 2), (), f=[[form(1, 1, 0), zero], [zero, form(2, 0, 0, 1)]], r=2),
+        # vertex 1 has rank 0, so nothing reaches vertex 2: rank 0 of 2
+        chain_bundle((), (0, 1)),
+        # vertex 2 below full rank (1 of 2) with one generated column
+        chain_bundle(
+            (0,),
+            (0, 1),
+            f=[[form(0, 1)]],
+            e=[[form(0, 2)], [form(1, 1, 1)]],
+        ),
+        chain_bundle((0,), (0, 1), f=[[form(0, 1)]], e=[[zero], [form(1, 0, 5)]]),
+    ]
+
+
+def _corpus() -> list[TwistedQuiverBundle]:
+    docs = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("bundle_*.json"))]
+    out = [parse_document(d).bundle for d in docs]
+    out += [gen_bundle(bundle_spec(k, s)) for s in (0, 3, 9) for k in range(192)]
+    out += [
+        gen_bundle(InstanceSpec("adhm", (r,), framing=f, degree_bound=r, seed=s))
+        for r in range(3, 9)
+        for f in (1, 2)
+        for s in range(4)
+    ]
+    return out + _zero_rank_cases()
+
+
+def _assert_equal(e: TwistedQuiverBundle) -> str:
+    want = _outcome(_reference_generation, e)
+    got = _outcome(_generation, e)
+    if isinstance(want, tuple):
+        assert got == want
+        assert _outcome(base_locus, e) == want
+        return "refused"
+    assert _record(got) == _record(want)
+    assert base_locus(e) == _reference_base_locus(e)
+    assert generated_subsheaf_summary(e) == want.summary()
+    assert is_stable_quasimap(e) is want.stable
+    assert sample_points(e, 3) == _reference_sample_points(e, 3)
+    n = {i: e.bundles[i].rank for i in e.double.ordinary_vertices}
+    if any(not n[i] for i in n):
+        return "zero rank"
+    if any(0 < r < n[i] for i, r in want.ranks.items()):
+        return "below full rank"
+    return "stable" if want.stable else "unstable"
+
+
+def test_generation_record_matches_the_form_pipeline():
+    kinds: dict[str, int] = {}
+    for e in _corpus():
+        kind = _assert_equal(e)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["stable"] > 300
+    assert kinds["below full rank"] > 20
+    assert kinds["zero rank"] >= 3
+    e = _zero_rank_cases()[1]
+    assert str(base_locus(e).polynomial) == "s*t^2" and is_stable_quasimap(e)
+
+
+def test_generation_record_matches_the_form_pipeline_under_a_rational_gauge():
+    specs = [bundle_spec(k, 0) for k in range(96)] + [
+        InstanceSpec("adhm", (r,), framing=f, degree_bound=r, seed=s)
+        for r in range(3, 7)
+        for f in (1, 2)
+        for s in range(2)
+    ]
+    kinds: dict[str, int] = {}
+    for e in [gen_bundle(spec) for spec in specs] + _zero_rank_cases():
+        kind = _assert_equal(rational_gauge(e))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["stable"] > 50 and kinds["below full rank"] > 5
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a form was built on the verdict path")
+
+
+def test_verdicts_build_no_forms(monkeypatch):
+    instances = _corpus()[:3] + [
+        gen_bundle(InstanceSpec("adhm", (r,), framing=2, degree_bound=r, seed=s))
+        for r in (4, 6)
+        for s in range(4)
+    ] + [gen_bundle(bundle_spec(k, 3)) for k in range(64)] + _zero_rank_cases()
+    for name in ("_forms", "generation_columns", "_generation_matrices"):
+        monkeypatch.setattr(bundles, name, _raise)
+    for name in ("integer_columns", "_chart", "_cleared", "generic_rank"):
+        monkeypatch.setattr(polynomials, name, _raise)
+    verdicts = below = 0
+    for e in instances:
+        for fn in (
+            is_stable_quasimap,
+            base_locus,
+            generated_subsheaf_summary,
+            asymptotic_equivalence_check,
+            lambda e: sample_points(e, 3),
+        ):
+            verdicts += not isinstance(_outcome(fn, e), tuple)
+        below += not is_stable_quasimap(e)
+    assert verdicts > 300 and below > 10
+
+
+def test_the_guard_sees_a_form_pipeline(monkeypatch):
+    # the guard catches the reference, so a verdict path that built forms
+    # would fail the test above
+    monkeypatch.setattr(polynomials, "integer_columns", _raise)
+    e = gen_bundle(InstanceSpec("adhm", (4,), framing=2, degree_bound=4, seed=0))
+    with pytest.raises(AssertionError, match="a form was built"):
+        _reference_generation(e)

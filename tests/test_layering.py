@@ -20,8 +20,7 @@ PACKAGE = Path(quiverbundles.__file__).resolve().parent
 
 # (importing module, defining module, private name)
 ALLOWED = {
-    ("bundles", "polynomials", "_full_rank_minor_gcd"),
-    ("bundles", "polynomials", "_minor_gcd"),
+    ("bundles", "polynomials", "_int_full_rank_minor_gcd"),
     ("generators", "bundles", "_generation"),
     ("stability", "bundles", "_generation"),
 }

@@ -279,6 +279,34 @@ def test_is_stable_framed_examples():
     assert is_stable_framed(tiny).stable
 
 
+def test_is_stable_framed_builds_a_basis_only_for_a_witness(monkeypatch):
+    # the verdict reads the closure's dimensions off the accepted vectors;
+    # only an unstable fiber pays for the canonical bases of its witness
+    reps = [gen_rep(rep_spec(k, s)) for s in (0, 1) for k in range(60)]
+    reps += [random_rep(rep_spec(k, 2)) for k in range(60)]
+    want = {}
+    for i, x in enumerate(reps):
+        framing = x.double.framing
+        w = closure(x, {framing: linalg.identity(x.dims[framing])})
+        want[i] = (w.dims.values == x.dims.values, w)
+    calls = []
+    real = linalg.row_space_basis
+    monkeypatch.setattr(linalg, "row_space_basis", lambda rows: calls.append(1) or real(rows))
+    stable = unstable = 0
+    for i, x in enumerate(reps):
+        calls.clear()
+        verdict = is_stable_framed(x)
+        is_stable, w = want[i]
+        assert verdict.stable is is_stable
+        if is_stable:
+            assert verdict.witness is None and calls == []
+            stable += 1
+        else:
+            assert verdict.witness == w and calls
+            unstable += 1
+    assert stable > 30 and unstable > 30
+
+
 def test_is_stable_framed_hypothesis_errors():
     q = Quiver(("0", "1"), (Arrow("loop", "1", "1"), Arrow("frame", "0", "1")), framing="0")
     dq = double(q)
