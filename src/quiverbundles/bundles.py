@@ -172,7 +172,16 @@ def moment_residual_sheaf(e: TwistedQuiverBundle) -> dict[str, PolyMatrix]:
 
 
 def residual_is_zero(e: TwistedQuiverBundle) -> bool:
-    return _vanishes(_residual(e, _arrow_rows(e)))
+    return relation_rows(e) is not None
+
+
+def relation_rows(e: TwistedQuiverBundle) -> dict[str, tuple[IntRows, int]] | None:
+    """The integer rows of every arrow matrix and their denominators L_a
+    (`_arrow_rows`) if the moment residual, computed on those rows,
+    vanishes; None if it does not.  The callers that need the data on the
+    relation take their rows from here, so each arrow is cleared once."""
+    rows = _arrow_rows(e)
+    return rows if _vanishes(_residual(e, rows)) else None
 
 
 def _arrow_rows(e: TwistedQuiverBundle) -> dict[str, tuple[IntRows, int]]:
@@ -567,8 +576,8 @@ def _generation(e: TwistedQuiverBundle) -> _Generation:
     """The generation record of quasimap data: the one place that refuses
     data off the moment relation's zero locus and runs the generation walk
     and its generic ranks, all on the integer rows of the arrows."""
-    rows = _arrow_rows(e)
-    if not _vanishes(_residual(e, rows)):
+    rows = relation_rows(e)
+    if rows is None:
         raise HypothesisError("moment residual nonzero; not quasimap data")
     columns = _walk(e, rows)
     pivots = {}

@@ -54,19 +54,23 @@ column first, so a row's P entries are cleared against the border rows
 first instead of being carried as fill-in through the elimination of
 the model columns.
 
-The three matrices are scattered from integer entries: kappa and mu are
-each cleared once by the common denominator of their coefficients.  Every
-row of D(-1), D0 and D1, and every border row, is a row of one of them
-(a border row's unit entry becomes kappa's denominator), so this scales
-rows by nonzero constants and changes no rank.
+The three matrices are scattered from integer entries as stored:
+`build_complex` assembles L kappa and L mu on the arrows' integer rows,
+L the common denominator of the arrow matrices, and nothing clears them
+again.  Every row of D(-1), D0 and D1 is L times a row of the rational
+model, and a border row's unit entry is L, so each row is scaled by the
+one positive constant L and no rank changes; kappa and mu carry the same
+scale, so the Schur argument above holds as it stands.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
-from .bundles import SplitBundle, TwistedQuiverBundle, is_stable_quasimap, residual_is_zero
+from .bundles import SplitBundle, TwistedQuiverBundle, is_stable_quasimap, relation_rows
 from .linalg import sparse_rank
-from .polynomials import HomogPoly, IntRows, PolyMatrix, integer_rows
+from .polynomials import HomogPoly, IntRows, PolyMatrix
 from .quivers import HypothesisError, InvariantError
 from .representations import Label, linearization, linearization_bases
 
@@ -76,8 +80,13 @@ CANONICAL_DEGREE = -2  # genus zero
 @dataclass(frozen=True)
 class DeformationComplex:
     """Terms in homological degrees -1, 0, 1 as flattened sums of line
-    bundles, with one (vertex, k, l) or (arrow, k, l) label per summand;
-    the differentials are matrices of forms in the flattened bases."""
+    bundles, with one (vertex, k, l) or (arrow, k, l) label per summand.
+
+    The differentials are stored as `kappa` = L kappa and `mu` = L dmu,
+    integer rows in the format of `polynomials.integer_rows` (per row,
+    (column, ascending integer t-coefficients)) over one common
+    denominator `den` = L of the arrows; `d_kappa` and `d_mu` build the
+    matrices of forms in the flattened bases from them on access."""
 
     labels_minus1: tuple[Label, ...]
     labels_zero: tuple[Label, ...]
@@ -85,9 +94,30 @@ class DeformationComplex:
     term_minus1: SplitBundle
     term_zero: SplitBundle
     term_one: SplitBundle
-    d_kappa: PolyMatrix
-    d_mu: PolyMatrix
+    kappa: IntRows
+    mu: IntRows
+    den: int
     min_window: int
+
+    @property
+    def d_kappa(self) -> PolyMatrix:
+        return _forms(self.kappa, len(self.labels_minus1), self.den)
+
+    @property
+    def d_mu(self) -> PolyMatrix:
+        return _forms(self.mu, len(self.labels_zero), self.den)
+
+
+def _forms(rows: IntRows, n: int, den: int) -> PolyMatrix:
+    """The n-column matrix of forms rows / den."""
+    zero = HomogPoly.zero()
+    out = []
+    for row in rows:
+        dense = [zero] * n
+        for c, p in row:
+            dense[c] = HomogPoly(len(p) - 1, tuple([Fraction(v, den) for v in p]))
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def _summand_degrees(
@@ -106,20 +136,17 @@ def _summand_degrees(
     return degs_g, tuple(degs_t)
 
 
-def _check_degree_pattern(
-    matrix: PolyMatrix, tgt: tuple[int, ...], src: tuple[int, ...]
-) -> int:
+def _check_degree_pattern(matrix: IntRows, tgt: tuple[int, ...], src: tuple[int, ...]) -> int:
     """Check that each nonzero entry has degree tgt - src; return the
     largest such degree (0 if there is none)."""
     top = 0
-    for r, row in enumerate(matrix):
-        for c, entry in enumerate(row):
-            d = entry.degree
-            if d is not None:
-                if d != tgt[r] - src[c]:
-                    raise InvariantError("differential degree mismatch")
-                if d > top:
-                    top = d
+    for want, row in zip(tgt, matrix):
+        for c, p in row:
+            d = len(p) - 1
+            if d != want - src[c]:
+                raise InvariantError("differential degree mismatch")
+            if d > top:
+                top = d
     return top
 
 
@@ -131,17 +158,26 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
     phi.  Its docstring proves that they compose to zero exactly under the
     zero-residual hypothesis, which is refused up front;
     `run_suite("defcomplex")` multiplies the composition out.
+
+    Each arrow is cleared to integer rows once, by `bundles.relation_rows`,
+    which also checks the relation on those rows.  Every arrow is then
+    rescaled to L, the lcm of their denominators L_a, so one L serves
+    both differentials.
     """
-    if not residual_is_zero(e):
+    rows = relation_rows(e)
+    if rows is None:
         raise HypothesisError("moment residual nonzero; no deformation complex")
-    labels_m1, labels_0, d_kappa, d_mu = linearization(
-        e.double, e.rank_vector(), e.phi, HomogPoly.zero()
+    den = lcm(*(l for _, l in rows.values()))
+    labels_m1, labels_0, kappa, mu = linearization(
+        e.double,
+        e.rank_vector(),
+        {a: _rescaled(r, den // l) for a, (r, l) in rows.items()},
     )
     degs_m1, degs_0 = _summand_degrees(e, labels_m1, labels_0)
     degs_1 = tuple(d + CANONICAL_DEGREE for d in degs_m1)
     entry_max = max(
-        _check_degree_pattern(d_kappa, degs_0, degs_m1),
-        _check_degree_pattern(d_mu, degs_1, degs_0),
+        _check_degree_pattern(kappa, degs_0, degs_m1),
+        _check_degree_pattern(mu, degs_1, degs_0),
     )
 
     all_deg = [d for v in e.double.vertices for d in e.bundles[v].multidegree]
@@ -157,10 +193,17 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
         SplitBundle(degs_m1),
         SplitBundle(degs_0),
         SplitBundle(degs_1),
-        d_kappa,
-        d_mu,
+        kappa,
+        mu,
+        den,
         window,
     )
+
+
+def _rescaled(rows: IntRows, f: int) -> IntRows:
+    if f == 1:
+        return rows
+    return [[(c, tuple([f * v for v in p])) for c, p in row] for row in rows]
 
 
 def euler_char_rr(e: TwistedQuiverBundle, g: int = 0) -> int:
@@ -205,38 +248,41 @@ class CohomologyReport:
         return dict(self.h)[k]
 
 
-# (base, lo, hi) per summand: exponents lo..hi of summand c sit at
-# positions base .. base + hi - lo; an empty range takes no positions
+# (offset, lo, hi) per summand: exponent e of summand c, lo <= e <= hi,
+# sits at position offset + e; an empty range takes no positions
 Layout = tuple[tuple[int, int, int], ...]
 
 
 def _layout(ranges: list[tuple[int, int]], base: int) -> tuple[Layout, int]:
     out = []
     for lo, hi in ranges:
-        out.append((base, lo, hi))
-        base += max(0, hi - lo + 1)
+        out.append((base - lo, lo, hi))
+        if hi >= lo:
+            base += hi - lo + 1
     return tuple(out), base
 
 
 def _scatter(rows: list[dict[int, int]], matrix: IntRows, src: Layout, tgt: Layout) -> None:
-    # multiplication by matrix (`integer_rows`); s^(d-i) t^i sends e to
+    # multiplication by matrix (integer rows); s^(d-i) t^i sends e to
     # e + i, and exponents leaving the target range are dropped.  Distinct
     # (entry, i, e) hit distinct positions, so nothing accumulates.  A
     # target row or source summand with an empty range (H0 of O(n), n < 0,
     # or H1 of O(n), n >= -1) takes or gives nothing and is skipped.
-    for r, row in enumerate(matrix):
-        t_base, t_lo, t_hi = tgt[r]
+    for (t_off, t_lo, t_hi), row in zip(tgt, matrix):
         if t_hi < t_lo:
             continue
         for c, coeffs in row:
-            s_base, s_lo, s_hi = src[c]
+            s_off, s_lo, s_hi = src[c]
             if s_hi < s_lo:
                 continue
+            # source position q = s_off + e goes to target row q + shift + i
+            shift = t_off - s_off
             for i, coeff in enumerate(coeffs):
-                if coeff == 0:
-                    continue
-                for e in range(max(s_lo, t_lo - i), min(s_hi, t_hi - i) + 1):
-                    rows[t_base + e + i - t_lo][s_base + e - s_lo] = coeff
+                if coeff:
+                    lo = t_lo - i if t_lo - i > s_lo else s_lo
+                    hi = t_hi - i if t_hi - i < s_hi else s_hi
+                    for q in range(s_off + lo, s_off + hi + 1):
+                        rows[q + shift + i][q] = coeff
 
 
 def _minimal_dims(k: DeformationComplex) -> tuple[int, int, int, int]:
@@ -258,8 +304,7 @@ def _minimal_dims(k: DeformationComplex) -> tuple[int, int, int, int]:
     z_h1, dim_1 = h1(deg_0, h0_k1)
     o_h1, dim_2 = h1(deg_1, 0)
 
-    kappa, den_kappa = integer_rows(k.d_kappa)
-    mu, _ = integer_rows(k.d_mu)
+    kappa, mu = k.kappa, k.mu
     d_m1: list[dict[int, int]] = [{} for _ in range(dim_0)]
     _scatter(d_m1, kappa, m1_h0, z_h0)
     d_0: list[dict[int, int]] = [{} for _ in range(dim_1)]
@@ -274,7 +319,7 @@ def _minimal_dims(k: DeformationComplex) -> tuple[int, int, int, int]:
     top = max(deg_1, default=0)
     ranges = [(n - top, min(n, -1)) for n in deg_0]
     mid, size = _layout(ranges, 0)
-    border = [{c - size: den_kappa} for c in range(size)]
+    border = [{c - size: k.den} for c in range(size)]
     _scatter(border, kappa, m1_h1, mid)
     _scatter(d_0, mu, _layout(ranges, -size)[0], o_h0)
 

@@ -7,10 +7,10 @@ pivot rows and reduces each new row fraction-free against it, removing
 the row's content once, when it stores it (a positive factor per step
 changes no primitive part; `add_row` has the argument).
 `pivot_columns` feeds it the rows of a {column: value} matrix shortest
-first, `sparse_rank` counts those columns, and `rank` is `sparse_rank` of
-a dense matrix; `_rref` back-substitutes its
-table into the reduced row echelon form, from which `nullspace`, `solve`
-and `row_space_basis` read their answers.
+first and stops once every column holds a pivot, `sparse_rank` counts
+those columns, and `rank` is `sparse_rank` of a dense matrix; `_rref`
+back-substitutes its table into the reduced row echelon form, from which
+`nullspace`, `solve` and `row_space_basis` read their answers.
 """
 
 from __future__ import annotations
@@ -257,24 +257,36 @@ def pivot_columns(rows: Iterable[Mapping[int, Fraction]]) -> list[int]:
     """The columns independent of the columns before them, in increasing
     order, of a sparse matrix given as one {column: value} mapping per row.
 
-    Rows are cleared to integer rows without zero entries (a row of
-    nonzero ints is copied as it is; `add_row` removes its content when
-    it keeps it) and added to one pivot table
-    (`add_row`) shortest first, the ordering of structured Gaussian
-    elimination: sparse rows become pivots early, so the long rows reduced
-    against them meet little fill-in.  The table is an echelon form of the
-    row space, whatever order the rows came in, and the leading columns of
-    any echelon form of a row space are the same: column c leads exactly
-    when it is not a combination of the columns before it.  Exact; no
-    pivoting thresholds.  The argument rows are not changed.
+    The rows are added to one pivot table (`add_row`) shortest first, the
+    ordering of structured Gaussian elimination: sparse rows become pivots
+    early, so the long rows reduced against them meet little fill-in.
+    Each row is cleared to an integer row without zero entries only when
+    it is reached (a row of nonzero ints is copied as it is; `add_row`
+    removes its content when it keeps it).  The table is an echelon form
+    of the row space, whatever order the rows came in, and the leading
+    columns of any echelon form of a row space are the same: column c
+    leads exactly when it is not a combination of the columns before it.
+
+    The addition stops once the table holds as many pivots as there are
+    distinct columns among the rows.  That is exact: the pivot rows then
+    span every vector supported on those columns, so each row not yet
+    added lies in their span and would be rejected, and the table is
+    already the one all the rows give.  A matrix of full column rank (as
+    D(-1) of a stable quasimap's minimal model, in `complexes`) never
+    reduces its dependent rows.  Exact; no pivoting thresholds.  The
+    argument rows are not changed.
     """
+    rows = sorted(filter(None, rows), key=len)
+    columns = len(set().union(*rows))
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(map(_int_row, filter(None, rows)), key=len):
-        add_row(pivots, row)
+    for row in rows:
+        if add_row(pivots, _int_row(row)) and len(pivots) == columns:
+            break
     return sorted(pivots)
 
 
 def sparse_rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
     """Rank of a sparse matrix given as one {column: value} mapping per row:
-    the number of its `pivot_columns`."""
+    the number of its `pivot_columns`, so the early stop there (once every
+    column holds a pivot) applies here too."""
     return len(pivot_columns(rows))

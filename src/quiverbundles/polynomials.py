@@ -30,11 +30,12 @@ columns on the chart s = 1, each a positive multiple of the rational one,
 which changes no rank: `integer_columns` clears a form matrix's columns
 for `generic_rank` and `_pivot_columns`, and `bundles` passes the integer
 columns of its generation walk directly.  `integer_rows` clears a whole
-matrix by one denominator for the arrows of `bundles` and the
-minimal-model scatter of `complexes`.  The generic rank is one fiber at a
-point beyond every root of every minor, by Cauchy's root bound
-(`generic_rank`); the sample points off the base locus are the small k
-at which every vertex fiber has full rank.
+matrix by one denominator: each arrow of `bundles`, once, for the
+residual, the generation walk and the deformation complex of
+`complexes`, which is assembled and ranked on those rows.  The generic
+rank is one fiber at a point beyond every root of every minor, by
+Cauchy's root bound (`generic_rank`); the sample points off the base
+locus are the small k at which every vertex fiber has full rank.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ brute-force oracle, torus rescaling, and the reduced tangent space at a
 moment-map level.
 
 `linearization` assembles the gauge action derivative kappa and the
-moment derivative dmu as matrices in unit-matrix bases, over rationals
-or over forms; the reduced tangent space here and the deformation
-complex in `complexes` both take them from it, and its docstring holds
-the one proof that dmu kappa vanishes on a level set.
+moment derivative dmu as matrices in unit-matrix bases, on integer rows
+of constants or of form coefficients over one common denominator; the
+reduced tangent space here and the deformation complex in `complexes`
+both take them from it, and its docstring holds the one proof that dmu
+kappa vanishes on a level set.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping
 
 from . import linalg
 from .linalg import Matrix, Vector
+from .polynomials import IntRows
 from .quivers import (
     DimensionVector,
     DoubleQuiver,
@@ -36,8 +38,6 @@ from .quivers import (
 ZERO = Fraction(0)
 
 Label = tuple[str, int, int]
-Entry = TypeVar("Entry")
-EntryMatrix = tuple[tuple[Entry, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -221,26 +221,19 @@ def linearization_bases(
     labelled (i, k, l), and the tangent basis, those of each doubled arrow
     a labelled (a, k, l); vertices and arrows in quiver order, each block
     row-major."""
-    gauge = tuple(
-        (i, k, l) for i in dq.ordinary_vertices for k in range(ranks[i]) for l in range(ranks[i])
-    )
+    n = {v: ranks[v] for v in dq.vertices}
+    gauge = tuple((i, k, l) for i in dq.ordinary_vertices for k in range(n[i]) for l in range(n[i]))
     tangent = tuple(
-        (a.name, k, l)
-        for a in dq.arrows
-        for k in range(ranks[a.head])
-        for l in range(ranks[a.tail])
+        (a.name, k, l) for a in dq.arrows for k in range(n[a.head]) for l in range(n[a.tail])
     )
     return gauge, tangent
 
 
 def linearization(
-    dq: DoubleQuiver,
-    ranks: Mapping[str, int],
-    blocks: Mapping[str, Sequence[Sequence[Entry]]],
-    zero: Entry,
-) -> tuple[tuple[Label, ...], tuple[Label, ...], EntryMatrix, EntryMatrix]:
+    dq: DoubleQuiver, ranks: Mapping[str, int], rows: Mapping[str, IntRows]
+) -> tuple[tuple[Label, ...], tuple[Label, ...], IntRows, IntRows]:
     """The bases of `linearization_bases` and the matrices of kappa and
-    dmu at the arrow matrices x = `blocks`, in the complex
+    dmu at the arrow matrices x, in the complex
 
         g --kappa--> T --dmu--> g*.
 
@@ -250,9 +243,16 @@ def linearization(
     moment map, dmu(xi)_i = sum over arrows b with head i of (-1)^sign
     (xi_b x_bbar + x_b xi_bbar); its rows are the entries (i, k, l) of
     dmu_i, labelled like the gauge basis, and its columns the tangent
-    basis.  Only +, - and the truthiness of entries are used, so the same
-    code serves rational matrices and matrices of forms; `zero` is the
-    zero entry.
+    basis.
+
+    Matrices in and out are integer rows in the format of
+    `polynomials.integer_rows`: per row, the nonzero entries as (column,
+    ascending integer t-coefficients).  `rows` holds L x_a for every
+    arrow, over one common L, so the output is L kappa and L dmu; at a
+    rational point every entry is a 1-tuple.  Placements that land on one
+    entry add coefficientwise, and a sum that cancels is dropped: on a
+    loop a at i, kappa has x_ll - x_kk from (i, k, l) to (a, k, l), and
+    dmu meets the terms of both arrows of a loop pair.
 
     dmu kappa is [g_i, mu_i(x)] at i, so the two maps compose to zero
     exactly on a level set: with xi = kappa(g) and t the tail of b,
@@ -262,49 +262,66 @@ def linearization(
     signed sum over b is [g_i, mu_i(x) + lambda_i I] = [g_i, mu_i(x)],
     which vanishes when the moment residual mu(x) does.
     """
+    ranks = {v: ranks[v] for v in dq.vertices}
     gauge, tangent = linearization_bases(dq, ranks)
     g_at = {i: c for c, (i, k, l) in enumerate(gauge) if k == l == 0}
     t_at = {a: c for c, (a, k, l) in enumerate(tangent) if k == l == 0}
-    kappa = [[zero] * len(gauge) for _ in tangent]
-    mu = [[zero] * len(tangent) for _ in gauge]
+    kappa: list[dict[int, tuple[int, ...]]] = [{} for _ in tangent]
+    mu: list[dict[int, tuple[int, ...]]] = [{} for _ in gauge]
     framing = dq.framing
     for a in dq.arrows:
         n_h, n_t = ranks[a.head], ranks[a.tail]
         if not (n_h and n_t):
             continue  # a product through a zero-rank vertex is zero
-        x, x_bar = blocks[a.name], blocks[a.opposite]
+        x, x_bar = rows[a.name], rows[a.opposite]
         at, bar_at = t_at[a.name], t_at[a.opposite]
         if a.head != framing:
-            head_at, plus = g_at[a.head], a.sign == 0
+            head_at = g_at[a.head]
             for m, row in enumerate(x):
-                for l, entry in enumerate(row):
-                    if entry:
-                        # g_head x_a: E_km of the head moves row m to row k
-                        for k in range(n_h):
-                            kappa[at + k * n_t + l][head_at + k * n_h + m] += entry
-            for m, row in enumerate(x_bar):
-                for l, entry in enumerate(row):
-                    if entry:
-                        # xi_a x_abar: E_km of a meets row m of x_abar
-                        term = entry if plus else -entry
-                        for k in range(n_h):
-                            mu[head_at + k * n_h + l][at + k * n_t + m] += term
-            for k, row in enumerate(x):
-                for m, entry in enumerate(row):
-                    if entry:
-                        # x_a xi_abar: E_ml of abar meets column m of x_a
-                        term = entry if plus else -entry
-                        for l in range(n_h):
-                            mu[head_at + k * n_h + l][bar_at + m * n_h + l] += term
+                for l, p in row:
+                    # g_head x_a: E_km of the head moves row m to row k
+                    for k in range(n_h):
+                        _place(kappa[at + k * n_t + l], head_at + k * n_h + m, p)
+            signed, signed_bar = (x, x_bar) if a.sign == 0 else (_negated(x), _negated(x_bar))
+            for m, row in enumerate(signed_bar):
+                for l, p in row:
+                    # xi_a x_abar: E_km of a meets row m of x_abar
+                    for k in range(n_h):
+                        _place(mu[head_at + k * n_h + l], at + k * n_t + m, p)
+            for k, row in enumerate(signed):
+                for m, p in row:
+                    # x_a xi_abar: E_ml of abar meets column m of x_a
+                    for l in range(n_h):
+                        _place(mu[head_at + k * n_h + l], bar_at + m * n_h + l, p)
         if a.tail != framing:
             tail_at = g_at[a.tail]
-            for k, row in enumerate(x):
-                for m, entry in enumerate(row):
-                    if entry:
-                        # x_a g_tail: E_ml of the tail moves column m to column l
-                        for l in range(n_t):
-                            kappa[at + k * n_t + l][tail_at + m * n_t + l] -= entry
-    return gauge, tangent, tuple(map(tuple, kappa)), tuple(map(tuple, mu))
+            for k, row in enumerate(_negated(x)):
+                for m, p in row:
+                    # x_a g_tail: E_ml of the tail moves column m to column l
+                    for l in range(n_t):
+                        _place(kappa[at + k * n_t + l], tail_at + m * n_t + l, p)
+    return gauge, tangent, _sorted(kappa), _sorted(mu)
+
+
+def _negated(rows: IntRows) -> IntRows:
+    return [[(c, tuple([-v for v in p])) for c, p in row] for row in rows]
+
+
+def _sorted(rows: list[dict[int, tuple[int, ...]]]) -> IntRows:
+    return [sorted(row.items()) for row in rows]
+
+
+def _place(row: dict[int, tuple[int, ...]], c: int, p: tuple[int, ...]) -> None:
+    """Add p to entry c of row; a sum that cancels is removed."""
+    got = row.get(c)
+    if got is None:
+        row[c] = p
+    elif len(got) != len(p):
+        raise ValueError(f"degree mismatch {len(got) - 1} + {len(p) - 1}")
+    elif any(s := tuple([u + v for u, v in zip(got, p)])):
+        row[c] = s
+    else:
+        del row[c]
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +538,15 @@ def _gram(
     )
 
 
+def _dense(rows: IntRows, n: int) -> tuple[tuple[int, ...], ...]:
+    """The n-column integer matrix of constant integer rows."""
+    out = [[0] * n for _ in rows]
+    for dense, row in zip(out, rows):
+        for c, (v,) in row:
+            dense[c] = v
+    return tuple(map(tuple, out))
+
+
 def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> ReducedTangentReport:
     """Dimension and symplectic nondegeneracy of ker(moment derivative)/im(action derivative).
 
@@ -528,15 +554,23 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
     non-injective action derivative (positive-dimensional stabilizer) is
     reported through the flag, not raised.  The two maps come from
     `linearization` at x, which proves that they compose to zero on the
-    level set.
+    level set, with the arrows cleared to constant integer rows by the
+    common denominator L of their entries.  So they come as L kappa and
+    L dmu; one positive scale changes neither the rank of kappa nor the
+    kernel of dmu, and the Gram matrix reads only that kernel.
     """
     residual = moment(x, level)
     if any(not linalg.is_zero_matrix(m) for m in residual.values()):
         raise HypothesisError("moment residual nonzero at the given level")
 
-    gauge, tangent, kappa, mu = linearization(x.double, x.dims, x.x, ZERO)
-    rank_kappa = linalg.rank(kappa)
-    kernel = linalg.nullspace(mu) if gauge else linalg.identity(len(tangent))
+    den = lcm(*(y.denominator for m in x.x.values() for row in m for y in row))
+    rows = {
+        a: [[(c, (y.numerator * (den // y.denominator),)) for c, y in enumerate(row) if y] for row in m]
+        for a, m in x.x.items()
+    }
+    gauge, tangent, kappa, mu = linearization(x.double, x.dims, rows)
+    rank_kappa = linalg.rank(_dense(kappa, len(gauge)))
+    kernel = linalg.nullspace(_dense(mu, len(tangent))) if gauge else linalg.identity(len(tangent))
     dimension = len(kernel) - rank_kappa
     nondeg = (linalg.rank(_gram(x.double, tangent, kernel)) == dimension) if kernel else dimension == 0
     return ReducedTangentReport(dimension, nondeg, rank_kappa == len(gauge))

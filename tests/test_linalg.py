@@ -382,6 +382,41 @@ def test_pivot_columns_match_rref_oracle():
     assert deficient > 100
 
 
+def test_pivot_columns_stops_once_every_column_holds_a_pivot(monkeypatch):
+    # a tall matrix of full column rank: once each of its n columns holds a
+    # pivot, the rows left lie in the span and are never added; a matrix
+    # with a dependent column gets every row added
+    rng = random.Random(20)
+    added = []
+    real = linalg.add_row
+
+    def counting(pivots, row):
+        added.append(len(row))
+        return real(pivots, row)
+
+    monkeypatch.setattr(linalg, "add_row", counting)
+    full = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = rng.randint(2 * n + 1, 4 * n + 1)
+        rows = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)] for _ in range(m)]
+        deficient = n > 1 and rng.random() < 0.3
+        if deficient:
+            for row in rows:
+                row[n - 1] = 2 * row[0]
+        a = tuple(tuple(row) for row in rows)
+        want = list(rref(a)[1])
+        sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in a]
+        added.clear()
+        assert linalg.pivot_columns(sparse) == want
+        if want == list(range(n)):
+            full += 1
+            assert len(added) < m
+        else:
+            assert len(added) == m
+    assert full > 100
+
+
 def test_oracle_empty_shapes():
     assert linalg.nullspace(()) == rref_nullspace(()) == ()
     assert linalg.row_space_basis(()) == rref_row_space_basis(()) == ()
