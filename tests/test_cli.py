@@ -377,6 +377,23 @@ def test_verdict_stdout_matches_pinned_files():
     assert seen == set(codes)
 
 
+def test_slope_arithmetic_matches_pinned_outputs():
+    # slope and delta-threshold on every bundle fixture and on flag classes
+    # (v1 = 0 and 1, negative and fractional d, mu1 and delta), and
+    # stability, asym-check and hn-bound at delta in {1/3, 1, delta0 - 1,
+    # delta0}; a record with stderr null ends in an argparse usage line,
+    # whose wrapping follows the terminal width
+    records = json.loads((EXPECTED / "slope_arithmetic.json").read_text())
+    for record in records:
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
+        code, out, err = run(argv)
+        name = " ".join(record["argv"])
+        assert (code, out) == (record["code"], record["stdout"]), name
+        if record["stderr"] is not None:
+            assert err == record["stderr"], name
+    assert len(records) == 77
+
+
 def test_defcomplex_huge_window_answers_quickly():
     # the window is validated and echoed; no computation grows with it
     start = time.perf_counter()
