@@ -30,7 +30,7 @@ from .polynomials import (
     poly_mat_eval,
 )
 from .quivers import DimensionVector, DoubleQuiver, HypothesisError, InvariantError
-from .representations import FramedRep
+from .representations import FramedRep, _framing_closure
 
 
 @dataclass(frozen=True)
@@ -275,6 +275,21 @@ def fiber_at(e: TwistedQuiverBundle, z: tuple[object, object]) -> FramedRep:
     return FramedRep(e.double, dims, x)
 
 
+def _evaluated(rows: IntRows, width: int, k: int) -> list[list[int]]:
+    """Integer rows of the given width at [1 : k], dense, by Horner's rule
+    on each entry's ascending t-coefficients."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for c, p in row:
+            acc = 0
+            for x in reversed(p):
+                acc = acc * k + x
+            dense[c] = acc
+        out.append(dense)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # framing generation: words, base locus, generated subsheaf
 
@@ -508,9 +523,12 @@ class _Generation:
     A column is the rational one times a positive constant, its
     denominator, which changes no rank over Q(t) or in any fiber, so the
     ranks and pivots are those of the generation matrix; the fibers are
-    taken on the integer columns."""
+    taken on the integer columns.  The record also keeps the arrows'
+    integer rows and denominators L_a (`relation_rows`), from which
+    `fiber_generated` reads the sample fiber."""
 
     e: TwistedQuiverBundle
+    rows: Mapping[str, tuple[IntRows, int]]
     columns: Mapping[str, list[tuple[int, IntColumn, int]]]
     pivots: Mapping[str, list[int]]
 
@@ -571,6 +589,21 @@ class _Generation:
             if all(fiber_rank(columns, k) == n for columns, n in vertices):
                 yield k
 
+    def fiber_generated(self, k: int) -> bool:
+        """`is_stable_framed(fiber_at(e, (1, k))).stable`, on the arrows'
+        integer rows: R_a = L_a Phi_a evaluated at [1 : k] by Horner's rule
+        on its ascending t-coefficients is L_a Phi_a(1, k), a positive
+        scale of the fiber's matrix, which changes no span, so the framing
+        closure (`representations._framing_closure`) has the fiber's
+        dimensions."""
+        e = self.e
+        ranks = {v: e.bundles[v].rank for v in e.double.vertices}
+        fiber = {
+            a.name: _evaluated(self.rows[a.name][0], ranks[a.tail], k) for a in e.double.arrows
+        }
+        kept = _framing_closure(e.double, ranks, fiber)
+        return all(len(kept[v]) == n for v, n in ranks.items())
+
 
 def _generation(e: TwistedQuiverBundle) -> _Generation:
     """The generation record of quasimap data: the one place that refuses
@@ -585,7 +618,7 @@ def _generation(e: TwistedQuiverBundle) -> _Generation:
         order = sorted(range(len(cols)), key=lambda j: cols[j][0])
         found = generic_pivot_columns([cols[j][1] for j in order], e.bundles[i].rank)
         pivots[i] = [order[j] for j in found]
-    return _Generation(e, columns, pivots)
+    return _Generation(e, rows, columns, pivots)
 
 
 # ---------------------------------------------------------------------------

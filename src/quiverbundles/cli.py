@@ -335,7 +335,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
         return 0
-    Path(args.out).write_text(text)
+    try:
+        Path(args.out).write_text(text)
+    except OSError as err:
+        raise _InputError(f"cannot write {args.out}: {err}") from None
     _emit({"written": args.out})
     return 0
 

@@ -319,6 +319,10 @@ def _minimal_dims(k: DeformationComplex) -> tuple[int, int, int, int]:
     top = max(deg_1, default=0)
     ranges = [(n - top, min(n, -1)) for n in deg_0]
     mid, size = _layout(ranges, 0)
+    # The border unit u = L enters the Schur complement only as d2 / u, so
+    # no u != 0 changes r_0 and no test can pin it: with D0 = [[mu00, c d2],
+    # [0, kappa11]], c = L / u, rows times diag(I, c I) and columns times
+    # diag(I, I / c) give back the matrix with c = 1.
     border = [{c - size: k.den} for c in range(size)]
     _scatter(border, kappa, m1_h1, mid)
     _scatter(d_0, mu, _layout(ranges, -size)[0], o_h0)

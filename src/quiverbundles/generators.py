@@ -721,7 +721,12 @@ def run_suite(name: str, count: int = 50, seed: int = 0) -> SuiteReport:
     fiber-consistency fiber verdicts match the symbolic verdict
     closure-brute     closure stability equals the brute-force oracle
                       (count caps the corpus; zero means the whole corpus)
+
+    A negative count is refused: every loop would run zero times and the
+    suite would pass over no instance.
     """
+    if count < 0:
+        raise ValueError(f"suite count must be nonnegative, got {count}")
     failures: list[str] = []
     instances = 0
     if name == "hamiltonian":

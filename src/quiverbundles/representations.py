@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
+from operator import mul
 from typing import Mapping
 
 from . import linalg
@@ -348,28 +349,40 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
 
 
 def _accepted(x: FramedRep, seeds: Mapping[str, Matrix]) -> dict[str, list[tuple[int, ...]]]:
-    """The vectors `closure` accepts, per vertex: independent, since
-    `add_row` accepts only a vector outside the span of those before it,
-    so their number is the dimension of the closure there."""
-    tables: dict[str, dict[int, dict[int, int]]] = {v: {} for v in x.double.vertices}
-    kept: dict[str, list[tuple[int, ...]]] = {v: [] for v in x.double.vertices}
+    """The vectors `closure` accepts, per vertex: `_int_accepted` of the
+    seed columns and the arrow matrices, each matrix cleared by the common
+    denominator of its entries (`_cleared`)."""
     todo: list[tuple[str, tuple[int, ...]]] = []
     for v, m in seeds.items():
-        if v not in tables:
+        if v not in x.double.vertices:
             raise ValueError(f"seed at unknown vertex {v!r}")
         if m and linalg.shape(m)[0] != x.dims[v]:
             raise ValueError(f"seed at {v!r} lives in the wrong fiber")
         todo.extend((v, w) for w in zip(*_cleared(m)))
-    arrows: dict[str, list[tuple[str, list[list[int]]]]] = {v: [] for v in x.double.vertices}
-    for a in x.double.arrows:
-        arrows[a.tail].append((a.head, _cleared(x.x[a.name])))
+    return _int_accepted(x.double, {a.name: _cleared(x.x[a.name]) for a in x.double.arrows}, todo)
+
+
+def _int_accepted(
+    dq: DoubleQuiver,
+    arrows: Mapping[str, list[list[int]]],
+    todo: list[tuple[str, tuple[int, ...]]],
+) -> dict[str, list[tuple[int, ...]]]:
+    """The closure's accepted vectors on integer arrow matrices, from the
+    seed vectors `todo` (taken last first): independent, since `add_row`
+    accepts only a vector outside the span of those before it, so their
+    number is the dimension of the closure there."""
+    tables: dict[str, dict[int, dict[int, int]]] = {v: {} for v in dq.vertices}
+    kept: dict[str, list[tuple[int, ...]]] = {v: [] for v in dq.vertices}
+    out: dict[str, list[tuple[str, list[list[int]]]]] = {v: [] for v in dq.vertices}
+    for a in dq.arrows:
+        out[a.tail].append((a.head, arrows[a.name]))
     while todo:
         v, w = todo.pop()
         if linalg.add_row(tables[v], {c: y for c, y in enumerate(w) if y}):
             kept[v].append(w)
             todo.extend(
-                (head, tuple(sum(y * z for y, z in zip(row, w)) for row in m))
-                for head, m in arrows[v]
+                (head, tuple([sum(map(mul, row, w)) for row in m]))
+                for head, m in out[v]
             )
     return kept
 
@@ -397,8 +410,8 @@ class FramedStabilityVerdict:
     witness: SubRep | None
 
 
-def _framing_vertex(x: FramedRep) -> str:
-    framing = x.double.framing
+def _framing_vertex(dq: DoubleQuiver) -> str:
+    framing = dq.framing
     if framing is None:
         raise HypothesisError("framed stability needs a framing vertex")
     return framing
@@ -413,16 +426,35 @@ def is_stable_framed(x: FramedRep) -> FramedStabilityVerdict:
     ordinary vertex is always full, as in the quasimap reading.
 
     The closure's dimensions are the numbers of vectors it accepts
-    (`_accepted`), so the verdict needs no basis; the canonical bases are
-    built only for the witness of an unstable fiber.
+    (`_framing_closure`, on the arrow matrices cleared by `_cleared`), so
+    the verdict needs no basis; the canonical bases are built only for the
+    witness of an unstable fiber.
     """
-    framing = _framing_vertex(x)
-    if x.dims[framing] == 0:
-        raise HypothesisError("no framing dimension: v is zero at the framing vertex")
-    kept = _accepted(x, {framing: linalg.identity(x.dims[framing])})
+    kept = _framing_closure(
+        x.double, x.dims, {a.name: _cleared(x.x[a.name]) for a in x.double.arrows}
+    )
     if tuple(len(kept[v]) for v in x.double.vertices) == x.dims.values:
         return FramedStabilityVerdict(True, None)
     return FramedStabilityVerdict(False, _subrep(x, kept))
+
+
+def _framing_closure(
+    dq: DoubleQuiver,
+    dims: Mapping[str, int] | DimensionVector,
+    arrows: Mapping[str, list[list[int]]],
+) -> dict[str, list[tuple[int, ...]]]:
+    """The vectors the closure of the full framing fiber accepts
+    (`_int_accepted`), on integer arrow matrices of the given dimensions:
+    the core of `is_stable_framed`, shared with the sample fiber of
+    `bundles._Generation`.  A positive scale per arrow matrix changes no
+    span, so any such scale of the rational matrices gives the same
+    verdict."""
+    framing = _framing_vertex(dq)
+    n = dims[framing]
+    if n == 0:
+        raise HypothesisError("no framing dimension: v is zero at the framing vertex")
+    units = [(framing, tuple([int(r == c) for r in range(n)])) for c in range(n)]
+    return _int_accepted(dq, arrows, units)
 
 
 def _subsets(n: int):
@@ -438,7 +470,7 @@ def brute_force_framed_check(x: FramedRep) -> bool:
     keeps the arrow-invariant ones with full framing part, and looks for a
     proper one; never calls the closure routine.
     """
-    framing = _framing_vertex(x)
+    framing = _framing_vertex(x.double)
     for a in x.double.arrows:
         m = x.x[a.name]
         for col in linalg.transpose(m):

@@ -13,23 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Iterable
 
 from .bundles import (
     GeneratedSummary,
     TwistedQuiverBundle,
     _generation,
-    fiber_at,
     generated_subsheaf_summary,
     hn_filtration_split,
     hn_step_indices,
     subbundle_is_arrow_invariant,
 )
 from .quivers import HypothesisError
-from .representations import is_stable_framed
-
-ZERO = Fraction(0)
 
 Rational = Fraction | int
 
@@ -117,7 +112,33 @@ def slope_of(z: CentralCharge) -> Slope:
 
 
 def mu_delta(c: NumericalClass, delta: Rational) -> Slope:
-    return slope_of(central_charge(c, delta))
+    """slope_of(central_charge(c, delta)), from `_mu`."""
+    delta = Fraction(delta)
+    mu = _mu(c, delta.numerator, delta.denominator)
+    return INFINITE_SLOPE if mu is None else Slope(Fraction(*mu))
+
+
+def _mu(c: NumericalClass, p: int, q: int) -> tuple[int, int] | None:
+    """mu_delta(c) at delta = p/q, q > 0, as integers: (numerator,
+    denominator > 0) of (q d + p v0) / (q v1), or None for +inf, when
+    v1 = 0 < q d + p v0.  The charge is (v1, (q d + p v0) / q), so this
+    is its slope, with the errors of `central_charge` and `slope_of`."""
+    if p <= 0:
+        raise ValueError("delta must be positive")
+    im = q * c.d + p * c.v0
+    if c.v1 > 0:
+        return im, q * c.v1
+    if im > 0:
+        return None
+    raise ValueError(f"no slope in (-inf, +inf] for charge (0, {Fraction(im, q)})")
+
+
+def _compare(a: tuple[int, int] | None, b: tuple[int, int] | None) -> int:
+    """Sign of a - b for slopes from `_mu`, None being +inf."""
+    if a is None or b is None:
+        return (b is not None) - (a is not None)
+    x, y = a[0] * b[1], b[0] * a[1]
+    return (x > y) - (x < y)
 
 
 @dataclass(frozen=True)
@@ -203,8 +224,11 @@ def delta_threshold(v0: int, v1: int, mu1_of_e: Rational, N: int) -> Fraction:
         raise ValueError("need positive framing and ordinary ranks")
     if N < 0:
         raise ValueError("degree bound must be nonnegative")
-    gap = Fraction(v0, v1 * (v1 - 1)) if v1 > 1 else Fraction(v0)
-    return Fraction(floor((N + abs(Fraction(mu1_of_e))) / gap) + 1)
+    # with |mu1| = a/b and gap = v0/g: (N + a/b) / gap = (N b + a) g / (b v0)
+    mu1 = Fraction(mu1_of_e)
+    a, b = abs(mu1.numerator), mu1.denominator
+    g = v1 * (v1 - 1) if v1 > 1 else 1
+    return Fraction((N * b + a) * g // (b * v0) + 1)
 
 
 def threshold_inequality_holds(
@@ -304,16 +328,18 @@ def check_delta_stability(
     """
     total = e if isinstance(e, NumericalClass) else numerical_class(e)
     delta = Fraction(delta)
-    mu_total = mu_delta(total, delta)
-    entries = [(f, mu_delta(_family_entry(f, total), delta)) for f in family]
+    p, q = delta.numerator, delta.denominator
+    mu_total = _mu(total, p, q)
+    entries = [(f, _mu(_family_entry(f, total), p, q)) for f in family]
     witness: NumericalClass | None = None
-    witness_mu: Slope | None = None
+    witness_mu: tuple[int, int] | None = None
     ge = gt = False
     for f, mu in entries:
-        if mu >= mu_total:
+        order = _compare(mu, mu_total)
+        if order >= 0:
             ge = True
-            gt = gt or mu > mu_total
-            if witness_mu is None or mu > witness_mu:
+            gt = gt or order > 0
+            if witness is None or _compare(mu, witness_mu) > 0:
                 witness, witness_mu = f, mu
     return DeltaVerdict(delta, total, ge, gt, witness, len(entries))
 
@@ -400,20 +426,21 @@ def asymptotic_equivalence_check(
     fiber of the generation matrices M_i has full rank n_i, or [1 : 1]
     when some generic rank is short: the first point off the base locus,
     found without computing its form.  One generation record
-    (`bundles._generation`) serves the rank verdict, the sample point and
+    (`bundles._generation`) serves the rank verdict, the sample point, the
+    closure on the sample fiber (taken on the arrows' integer rows) and
     the generated subsheaf of the subobject family.
     """
     delta0 = instance_threshold(e)
     delta = delta0 if delta is None else Fraction(delta)
     gen = _generation(e)
-    z = (Fraction(1), Fraction(next(gen.off_locus_points())))
-    cond_fiber = is_stable_framed(fiber_at(e, z)).stable
+    k = next(gen.off_locus_points())
+    cond_fiber = gen.fiber_generated(k)
     family = _subobject_family(e, gen.summary())
     verdict = check_delta_stability(e, delta, family)
     return AsymReport(
         stable_quasimap=gen.stable,
         generically_generated=cond_fiber,
-        sample_point=z,
+        sample_point=(Fraction(1), Fraction(k)),
         delta=delta,
         delta0=delta0,
         verdict=verdict,
@@ -429,13 +456,19 @@ def hn_quotient_bound_check(e: TwistedQuiverBundle, delta: Rational) -> bool:
     Delta-dependent: small delta can fail the bound even on stable
     instances, so callers pick delta at or above the instance threshold.
     """
-    mu = mu_delta(numerical_class(e), Fraction(delta))
-    if mu.is_infinite:
+    c = numerical_class(e)
+    delta = Fraction(delta)
+    mu = _mu(c, delta.numerator, delta.denominator)
+    if mu is None:
         return True
+    n, q = mu
     strata = hn_filtration_split(e)
     l = len(strata)
     step = max([0] + [d for _, d in e.twist.m])
-    base = max(ZERO, mu.value)
-    return all(
-        s.slope <= base + (l - i) * step for i, s in enumerate(strata, start=1)
-    )
+    # slope <= max(0, n/q) + (l - i) step: m = slope - (l - i) step is at
+    # most 0 or m q <= n; every stratum slope is an integer degree
+    for i, s in enumerate(strata, start=1):
+        m = s.slope.numerator - (l - i) * step
+        if m > 0 and m * q > n:
+            return False
+    return True

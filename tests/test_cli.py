@@ -17,6 +17,7 @@ from pathlib import Path
 from quiverbundles import bundles, cli, complexes
 from quiverbundles.bundles import base_locus
 from quiverbundles.cli import main
+from quiverbundles.generators import comparison_corpus
 from quiverbundles.polynomials import format_factored
 from quiverbundles.serialization import parse_document, schema_errors
 
@@ -279,6 +280,19 @@ def test_suite_smoke_and_unknown_name():
     assert code == 2 and "bogus" in err
 
 
+def test_suite_refuses_a_negative_count():
+    # a negative count would run no instance and pass, even under --strict
+    for name in ("hamiltonian", "closure-brute", "bogus"):
+        code, out, err = run(["suite", "--name", name, "--count", "-1", "--strict"])
+        assert (code, out) == (2, ""), name
+        assert err == "error: suite count must be nonnegative, got -1\n", name
+    # zero runs no instance, except closure-brute, which runs its whole corpus
+    code, payload = run_json(["suite", "--name", "hamiltonian", "--count", "0", "--strict"])
+    assert code == 0 and payload["instances"] == "0" and payload["passed"] is True
+    code, payload = run_json(["suite", "--name", "closure-brute", "--count", "0", "--strict"])
+    assert code == 0 and payload["instances"] == str(sum(1 for _ in comparison_corpus()))
+
+
 def test_schema_flag_prints_shipped_schema():
     code, out, _ = run(["--schema"])
     assert code == 0
@@ -504,6 +518,15 @@ def _imports_jsonschema(args: list[str]) -> bool:
     return any(line.split("|")[-1].strip() == "jsonschema" for line in proc.stderr.splitlines())
 
 
+def test_gen_to_a_path_that_cannot_be_written_exits_2(tmp_path):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        proc = _fresh(["-m", "quiverbundles.cli", "gen", "--kind", "bundle", "--preset", "adhm",
+                       "--dims", "2", "--out", str(target)])
+        assert (proc.returncode, proc.stdout) == (2, ""), target
+        assert proc.stderr.startswith(f"error: cannot write {target}: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_the_parser_loads_on_first_use_and_jsonschema_never():
     probe = "import quiverbundles.cli as c; print(c._build_parser.cache_info().misses)"
     assert _fresh(["-c", probe]).stdout == "0\n"
@@ -536,6 +559,7 @@ WITHOUT_JSONSCHEMA = """
 import contextlib, io, json, sys
 sys.modules["jsonschema"] = None
 from quiverbundles.cli import main
+from quiverbundles.generators import comparison_corpus
 out = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()

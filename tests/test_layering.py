@@ -21,6 +21,7 @@ PACKAGE = Path(quiverbundles.__file__).resolve().parent
 # (importing module, defining module, private name)
 ALLOWED = {
     ("bundles", "polynomials", "_int_full_rank_minor_gcd"),
+    ("bundles", "representations", "_framing_closure"),
     ("generators", "bundles", "_generation"),
     ("stability", "bundles", "_generation"),
 }
