@@ -345,13 +345,6 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
     nonzero scalar per vector or per arrow changes no span, so the spans,
     and their canonical bases from `row_space_basis`, are the same.
     """
-    return _subrep(x, _accepted(x, seeds))
-
-
-def _accepted(x: FramedRep, seeds: Mapping[str, Matrix]) -> dict[str, list[tuple[int, ...]]]:
-    """The vectors `closure` accepts, per vertex: `_int_accepted` of the
-    seed columns and the arrow matrices, each matrix cleared by the common
-    denominator of its entries (`_cleared`)."""
     todo: list[tuple[str, tuple[int, ...]]] = []
     for v, m in seeds.items():
         if v not in x.double.vertices:
@@ -359,18 +352,20 @@ def _accepted(x: FramedRep, seeds: Mapping[str, Matrix]) -> dict[str, list[tuple
         if m and linalg.shape(m)[0] != x.dims[v]:
             raise ValueError(f"seed at {v!r} lives in the wrong fiber")
         todo.extend((v, w) for w in zip(*_cleared(m)))
-    return _int_accepted(x.double, {a.name: _cleared(x.x[a.name]) for a in x.double.arrows}, todo)
+    arrows = {a.name: _cleared(x.x[a.name]) for a in x.double.arrows}
+    return _subrep(x, _accepted(x.double, arrows, todo))
 
 
-def _int_accepted(
+def _accepted(
     dq: DoubleQuiver,
     arrows: Mapping[str, list[list[int]]],
     todo: list[tuple[str, tuple[int, ...]]],
 ) -> dict[str, list[tuple[int, ...]]]:
-    """The closure's accepted vectors on integer arrow matrices, from the
-    seed vectors `todo` (taken last first): independent, since `add_row`
-    accepts only a vector outside the span of those before it, so their
-    number is the dimension of the closure there."""
+    """The vectors the closure accepts, per vertex, on integer arrow
+    matrices from the integer seed vectors `todo` (taken last first):
+    independent, since `add_row` accepts only a vector outside the span of
+    those before it, so their number is the dimension of the closure
+    there."""
     tables: dict[str, dict[int, dict[int, int]]] = {v: {} for v in dq.vertices}
     kept: dict[str, list[tuple[int, ...]]] = {v: [] for v in dq.vertices}
     out: dict[str, list[tuple[str, list[list[int]]]]] = {v: [] for v in dq.vertices}
@@ -381,8 +376,7 @@ def _int_accepted(
         if linalg.add_row(tables[v], {c: y for c, y in enumerate(w) if y}):
             kept[v].append(w)
             todo.extend(
-                (head, tuple([sum(map(mul, row, w)) for row in m]))
-                for head, m in out[v]
+                (head, tuple([sum(map(mul, row, w)) for row in m])) for head, m in out[v]
             )
     return kept
 
@@ -444,7 +438,7 @@ def _framing_closure(
     arrows: Mapping[str, list[list[int]]],
 ) -> dict[str, list[tuple[int, ...]]]:
     """The vectors the closure of the full framing fiber accepts
-    (`_int_accepted`), on integer arrow matrices of the given dimensions:
+    (`_accepted`), on integer arrow matrices of the given dimensions:
     the core of `is_stable_framed`, shared with the sample fiber of
     `bundles._Generation`.  A positive scale per arrow matrix changes no
     span, so any such scale of the rational matrices gives the same
@@ -454,7 +448,7 @@ def _framing_closure(
     if n == 0:
         raise HypothesisError("no framing dimension: v is zero at the framing vertex")
     units = [(framing, tuple([int(r == c) for r in range(n)])) for c in range(n)]
-    return _int_accepted(dq, arrows, units)
+    return _accepted(dq, arrows, units)
 
 
 def _subsets(n: int):
