@@ -112,7 +112,7 @@ def slope_of(z: CentralCharge) -> Slope:
 
 
 def mu_delta(c: NumericalClass, delta: Rational) -> Slope:
-    """slope_of(central_charge(c, delta)), from `_mu`."""
+    """The slope of central_charge(c, delta), taken on integers by `_mu`."""
     delta = Fraction(delta)
     mu = _mu(c, delta.numerator, delta.denominator)
     return INFINITE_SLOPE if mu is None else Slope(Fraction(*mu))
