@@ -24,7 +24,10 @@ from .polynomials import (
     IntRows,
     PolyMatrix,
     _int_full_rank_minor_gcd,
+    add_product,
+    dense_at,
     fiber_rank,
+    form,
     generic_pivot_columns,
     integer_rows,
     poly_mat_eval,
@@ -200,8 +203,9 @@ def _residual(
     Over the common denominator D, the lcm of the L_a L_abar of the arrows
     a into i, the residual is the sum of the signed integer products
     (D / (L_a L_abar)) R_a R_abar, divided by D: exact, and zero exactly
-    when that sum is.  A product through a zero-rank vertex is zero and is
-    skipped.
+    when that sum is.  Each entry accumulates its products by
+    `polynomials.add_product`.  A product through a zero-rank vertex is
+    zero and is skipped.
     """
     out = {}
     for i in e.double.ordinary_vertices:
@@ -220,17 +224,7 @@ def _residual(
                 for m, p in row:
                     p = [f * x for x in p]
                     for c, q in r_bar[m]:
-                        got = out_row[c]
-                        if got is None:
-                            out_row[c] = got = [0] * (len(p) + len(q) - 1)
-                        elif len(got) != len(p) + len(q) - 1:
-                            raise ValueError(
-                                f"degree mismatch {len(got) - 1} + {len(p) + len(q) - 2}"
-                            )
-                        for s, x in enumerate(p):
-                            if x:
-                                for j, y in enumerate(q, s):
-                                    got[j] += x * y
+                        out_row[c] = add_product(out_row[c], p, q)
         out[i] = (
             [[tuple(p) if p and any(p) else () for p in row] for row in acc],
             den,
@@ -275,21 +269,6 @@ def fiber_at(e: TwistedQuiverBundle, z: tuple[object, object]) -> FramedRep:
     return FramedRep(e.double, dims, x)
 
 
-def _evaluated(rows: IntRows, width: int, k: int) -> list[list[int]]:
-    """Integer rows of the given width at [1 : k], dense, by Horner's rule
-    on each entry's ascending t-coefficients."""
-    out = []
-    for row in rows:
-        dense = [0] * width
-        for c, p in row:
-            acc = 0
-            for x in reversed(p):
-                acc = acc * k + x
-            dense[c] = acc
-        out.append(dense)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # framing generation: words, base locus, generated subsheaf
 
@@ -329,12 +308,13 @@ def _walk(
     The arithmetic is on integers.  Each arrow matrix is Phi_a = R_a / L_a
     with integer rows R_a (`_arrow_rows`), and a column is carried as
     integer coefficient lists, the image of the framing section under the
-    R_a along its word, so an image is an integer convolution; the
-    product of the L_a along the word is its denominator.  Columns of one
-    twist share a forced per-row degree pattern, so they flatten to
-    aligned coefficient vectors, and the flattened integers go to the
-    pivot table of their (vertex, twist): a nonzero scale per column
-    changes no span, so the kept columns are those of the rational images.
+    R_a along its word, so an image is a sum of integer products
+    (`_convolve`); the product of the L_a along the word is its
+    denominator.  Columns of one twist share a forced per-row degree
+    pattern, so they flatten to aligned coefficient vectors, and the
+    flattened integers go to the pivot table of their (vertex, twist): a
+    nonzero scale per column changes no span, so the kept columns are
+    those of the rational images.
     """
     framing = _framing_vertex(e)
     if any(d != 0 for d in e.bundles[framing].multidegree):
@@ -373,21 +353,11 @@ def _walk(
 
 
 def _convolve(row: list[tuple[int, tuple[int, ...]]], col: IntColumn) -> tuple[int, ...]:
-    """The form sum of row[c] * col[c], integer coefficients, () for zero."""
-    acc: list[int] = []
+    """The form sum of row[c] * col[c] (`add_product`), () for zero."""
+    acc = None
     for c, p in row:
-        q = col[c]
-        if not q:
-            continue
-        if not acc:
-            acc = [0] * (len(p) + len(q) - 1)
-        elif len(acc) != len(p) + len(q) - 1:
-            raise ValueError(f"degree mismatch {len(acc) - 1} + {len(p) + len(q) - 2}")
-        for i, x in enumerate(p):
-            if x:
-                for j, y in enumerate(q, i):
-                    acc[j] += x * y
-    return tuple(acc) if any(acc) else ()
+        acc = add_product(acc, p, col[c])
+    return tuple(acc) if acc and any(acc) else ()
 
 
 def _flatten(column: IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dict[int, int]:
@@ -407,11 +377,8 @@ def _flatten(column: IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dic
 
 
 def _forms(column: IntColumn, den: int) -> tuple[HomogPoly, ...]:
-    """The forms of integer coefficient tuples over den, () for zero."""
-    return tuple(
-        HomogPoly(len(p) - 1, tuple([Fraction(x, den) for x in p])) if p else HomogPoly.zero()
-        for p in column
-    )
+    """The forms of integer coefficient tuples over den (`form`)."""
+    return tuple(form(p, den) for p in column)
 
 
 def _generation_matrices(
@@ -591,15 +558,14 @@ class _Generation:
 
     def fiber_generated(self, k: int) -> bool:
         """`is_stable_framed(fiber_at(e, (1, k))).stable`, on the arrows'
-        integer rows: R_a = L_a Phi_a evaluated at [1 : k] by Horner's rule
-        on its ascending t-coefficients is L_a Phi_a(1, k), a positive
-        scale of the fiber's matrix, which changes no span, so the framing
-        closure (`representations._framing_closure`) has the fiber's
-        dimensions."""
+        integer rows: R_a = L_a Phi_a evaluated at [1 : k]
+        (`polynomials.dense_at`) is L_a Phi_a(1, k), a positive scale of
+        the fiber's matrix, which changes no span, so the framing closure
+        (`representations._framing_closure`) has the fiber's dimensions."""
         e = self.e
         ranks = {v: e.bundles[v].rank for v in e.double.vertices}
         fiber = {
-            a.name: _evaluated(self.rows[a.name][0], ranks[a.tail], k) for a in e.double.arrows
+            a.name: dense_at(self.rows[a.name][0], ranks[a.tail], k) for a in e.double.arrows
         }
         kept = _framing_closure(e.double, ranks, fiber)
         return all(len(kept[v]) == n for v, n in ranks.items())

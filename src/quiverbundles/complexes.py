@@ -65,12 +65,11 @@ scale, so the Schur argument above holds as it stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .bundles import SplitBundle, TwistedQuiverBundle, is_stable_quasimap, relation_rows
 from .linalg import sparse_rank
-from .polynomials import HomogPoly, IntRows, PolyMatrix
+from .polynomials import IntRows, PolyMatrix, form, scaled_rows
 from .quivers import HypothesisError, InvariantError
 from .representations import Label, linearization, linearization_bases
 
@@ -86,7 +85,8 @@ class DeformationComplex:
     integer rows in the format of `polynomials.integer_rows` (per row,
     (column, ascending integer t-coefficients)) over one common
     denominator `den` = L of the arrows; `d_kappa` and `d_mu` build the
-    matrices of forms in the flattened bases from them on access."""
+    matrices of forms in the flattened bases from them on access
+    (`polynomials.form`)."""
 
     labels_minus1: tuple[Label, ...]
     labels_zero: tuple[Label, ...]
@@ -101,23 +101,13 @@ class DeformationComplex:
 
     @property
     def d_kappa(self) -> PolyMatrix:
-        return _forms(self.kappa, len(self.labels_minus1), self.den)
+        n = len(self.labels_minus1)
+        return tuple(tuple(form(dict(r).get(c, ()), self.den) for c in range(n)) for r in self.kappa)
 
     @property
     def d_mu(self) -> PolyMatrix:
-        return _forms(self.mu, len(self.labels_zero), self.den)
-
-
-def _forms(rows: IntRows, n: int, den: int) -> PolyMatrix:
-    """The n-column matrix of forms rows / den."""
-    zero = HomogPoly.zero()
-    out = []
-    for row in rows:
-        dense = [zero] * n
-        for c, p in row:
-            dense[c] = HomogPoly(len(p) - 1, tuple([Fraction(v, den) for v in p]))
-        out.append(tuple(dense))
-    return tuple(out)
+        n = len(self.labels_zero)
+        return tuple(tuple(form(dict(r).get(c, ()), self.den) for c in range(n)) for r in self.mu)
 
 
 def _summand_degrees(
@@ -161,8 +151,8 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
 
     Each arrow is cleared to integer rows once, by `bundles.relation_rows`,
     which also checks the relation on those rows.  Every arrow is then
-    rescaled to L, the lcm of their denominators L_a, so one L serves
-    both differentials.
+    rescaled to L, the lcm of their denominators L_a
+    (`polynomials.scaled_rows`), so one L serves both differentials.
     """
     rows = relation_rows(e)
     if rows is None:
@@ -171,7 +161,7 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
     labels_m1, labels_0, kappa, mu = linearization(
         e.double,
         e.rank_vector(),
-        {a: _rescaled(r, den // l) for a, (r, l) in rows.items()},
+        {a: scaled_rows(r, den // l) for a, (r, l) in rows.items()},
     )
     degs_m1, degs_0 = _summand_degrees(e, labels_m1, labels_0)
     degs_1 = tuple(d + CANONICAL_DEGREE for d in degs_m1)
@@ -198,12 +188,6 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
         den,
         window,
     )
-
-
-def _rescaled(rows: IntRows, f: int) -> IntRows:
-    if f == 1:
-        return rows
-    return [[(c, tuple([f * v for v in p])) for c, p in row] for row in rows]
 
 
 def euler_char_rr(e: TwistedQuiverBundle, g: int = 0) -> int:

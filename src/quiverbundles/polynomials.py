@@ -12,6 +12,16 @@ are exact rationals; inside, products, sums and evaluation work on
 integer numerators over a common denominator, and the echelon works on
 integer rows by pseudo-division.
 
+This module owns the integer form format: a form as the tuple of its
+ascending integer t-coefficients on the chart s = 1, () for zero, and a
+matrix as `IntRows`, per row the nonzero entries as (column, form).  Its
+arithmetic is here once, and `HomogPoly`, `bundles`, `representations`
+and `complexes` all use it: `add_product` (acc + u v in place, the one
+coefficient product), `at` (the value at [s : t], the one Horner loop),
+`dense_at` (rows at [1 : k] as a dense integer matrix), `form` (integer
+coefficients over a denominator as a `HomogPoly`) and `scaled_rows`
+(rows times an integer).
+
 The gcd of the maximal minors of a matrix of full column rank has an
 integer core, `_int_full_rank_minor_gcd`, which takes the rows as integer
 coefficient tuples and runs the echelon on the columns sorted by
@@ -133,16 +143,7 @@ class HomogPoly:
         # integer numerators over the common denominator; a product of
         # nonzero forms is nonzero
         (xs, dx), (ys, dy) = _integral(self.coeffs), _integral(other.coeffs)
-        out = [0] * (len(xs) + len(ys) - 1)
-        ys = list(enumerate(ys))
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in ys:
-                    out[i + j] += x * y
-        den = dx * dy
-        if den == 1:
-            return HomogPoly(self.degree + other.degree, tuple([Fraction(v) for v in out]))
-        return HomogPoly(self.degree + other.degree, tuple([Fraction(v, den) for v in out]))
+        return form(add_product(None, xs, ys), dx * dy)
 
     def scaled(self, c: object) -> HomogPoly:
         c = Fraction(c)
@@ -162,10 +163,7 @@ class HomogPoly:
             t0 = Fraction(t0)
         s, t = s0.numerator * t0.denominator, t0.numerator * s0.denominator
         xs, den = _integral(self.coeffs)
-        acc, s_power = 0, 1
-        for x in reversed(xs):  # Horner from t^d down: acc * T + x * S^(d - k)
-            acc = acc * t + x * s_power
-            s_power *= s
+        acc = at(xs, t, s)
         den *= (s0.denominator * t0.denominator) ** self.degree
         return Fraction(acc) if den == 1 else Fraction(acc, den)
 
@@ -375,8 +373,62 @@ def poly_det(a: PolyMatrix) -> HomogPoly:
     return minor(0, 0)
 
 
+# ---------------------------------------------------------------------------
+# integer forms: ascending integer t-coefficients, () for zero
+
 IntRows = list[list[tuple[int, tuple[int, ...]]]]
 IntColumn = list[tuple[int, ...]]
+
+
+def add_product(acc: list[int] | None, u: Sequence[int], v: Sequence[int]) -> list[int] | None:
+    """acc + u * v, in place; None stands for zero, and comes back when u
+    or v is zero.  acc and u * v of different degrees are a ValueError."""
+    if not (u and v):
+        return acc
+    n = len(u) + len(v) - 1
+    if acc is None:
+        acc = [0] * n
+    elif len(acc) != n:
+        raise ValueError(f"degree mismatch {len(acc) - 1} + {n - 1}")
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                acc[j] += x * y
+    return acc
+
+
+def at(p: Sequence[int], t: int, s: int = 1) -> int:
+    """The form p at [s : t], sum of p[k] s^(d - k) t^k, d = len(p) - 1,
+    by Horner's rule from t^d down; 0 for ()."""
+    acc, s_power = 0, 1
+    for x in reversed(p):
+        acc = acc * t + x * s_power
+        s_power *= s
+    return acc
+
+
+def dense_at(rows: IntRows, width: int, k: int) -> list[list[int]]:
+    """The integer rows at [1 : k], each a dense row of the given width.
+    Rows of constants give the same matrix at every k."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for c, p in row:
+            dense[c] = at(p, k)
+        out.append(dense)
+    return out
+
+
+def form(p: Sequence[int], den: int = 1) -> HomogPoly:
+    """The form with coefficients p / den."""
+    return HomogPoly(len(p) - 1, tuple([Fraction(x, den) for x in p])) if p else _ZERO_POLY
+
+
+def scaled_rows(rows: IntRows, f: int) -> IntRows:
+    """Integer rows times f."""
+    if f == 1:
+        return rows
+    return [[(c, tuple([f * x for x in p])) for c, p in row] for row in rows]
 
 
 def integer_rows(a: PolyMatrix) -> tuple[IntRows, int]:
@@ -409,16 +461,7 @@ def integer_columns(a: PolyMatrix) -> list[IntColumn]:
 
 def _fiber(columns: Sequence[IntColumn], k: int) -> list[list[int]]:
     """The integer columns evaluated at [1 : k], column by column."""
-    values = []
-    for col in columns:
-        column = []
-        for p in col:
-            acc = 0
-            for x in reversed(p):
-                acc = acc * k + x
-            column.append(acc)
-        values.append(column)
-    return values
+    return [[at(p, k) for p in col] for col in columns]
 
 
 def fiber_rank(columns: Sequence[IntColumn], k: int) -> int:
@@ -631,23 +674,13 @@ def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> HomogPoly:
     pivots = _int_echelon([[_trimmed(p) for p in row] for row in sub])[1]
     if len(pivots) != n:
         raise InvariantError(f"echelon of {n} independent columns has {len(pivots)} pivots")
-    g: list[int] = [1]
+    g = [1]
     for p in pivots:
-        g = _int_product(g, p)
+        g = add_product(None, g, p)
     if linalg.rank([[p[-1] if p else 0 for p in row] for row in sub]) < n:
         at_t = _int_echelon([[_trimmed(p[::-1]) for p in row] for row in sub])[1]
         g += [0] * sum(next(k for k, x in enumerate(p) if x) for p in at_t)  # times s^m
-    return _normalized(HomogPoly(len(g) - 1, tuple(map(Fraction, g))))
-
-
-def _int_product(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    """The product of two integer polynomials, ascending coefficients."""
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v, i):
-                out[j] += x * y
-    return out
+    return _normalized(form(g))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +748,7 @@ def _rational_root(core: Sequence[Fraction]) -> Fraction | None:
     by Cauchy's bound |p/q| <= 1 + max |a_i / a_n| (i < n), and for the
     reversal |q/p| <= 1 + max |a_i / a_0| (i > 0).  Each divisor list is
     found once; a candidate is tested on integers,
-    sum a_i p^i q^(n - i) = 0.
+    sum a_i p^i q^(n - i) = 0, the form core at [q : p] (`at`).
     """
     ints = [int(c) for c in core]
     a0, an = abs(ints[0]), abs(ints[-1])
@@ -731,11 +764,7 @@ def _rational_root(core: Sequence[Fraction]) -> Fraction | None:
             if p * an > q * top or int_gcd(p, q) != 1:
                 continue
             for cand in (p, -p):
-                acc, q_power = 0, 1
-                for x in reversed(ints):  # Horner: acc * p + a_i * q^(n - i)
-                    acc = acc * cand + x * q_power
-                    q_power *= q
-                if acc == 0:
+                if at(ints, cand, q) == 0:
                     return Fraction(cand, q)
     return None
 

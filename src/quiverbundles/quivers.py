@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -56,8 +57,10 @@ class Quiver:
         if self.framing is not None and self.framing not in vset:
             raise ValueError(f"framing vertex {self.framing!r} not a vertex")
 
-    @property
+    @cached_property
     def ordinary_vertices(self) -> tuple[str, ...]:
+        # cached in the instance __dict__, which a frozen dataclass allows;
+        # equality and hashing read only the fields
         return tuple(v for v in self.vertices if v != self.framing)
 
 

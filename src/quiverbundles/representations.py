@@ -26,7 +26,7 @@ from typing import Mapping
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .polynomials import IntRows
+from .polynomials import IntRows, dense_at, scaled_rows
 from .quivers import (
     DimensionVector,
     DoubleQuiver,
@@ -250,10 +250,13 @@ def linearization(
     `polynomials.integer_rows`: per row, the nonzero entries as (column,
     ascending integer t-coefficients).  `rows` holds L x_a for every
     arrow, over one common L, so the output is L kappa and L dmu; at a
-    rational point every entry is a 1-tuple.  Placements that land on one
-    entry add coefficientwise, and a sum that cancels is dropped: on a
-    loop a at i, kappa has x_ll - x_kk from (i, k, l) to (a, k, l), and
-    dmu meets the terms of both arrows of a loop pair.
+    rational point every entry is a 1-tuple.  The signs, (-1)^sign in dmu
+    and the minus of x_a g_tail, scale whole arrows
+    (`polynomials.scaled_rows`).
+    Placements that land on one entry add coefficientwise, and a sum that
+    cancels is dropped: on a loop a at i, kappa has x_ll - x_kk from
+    (i, k, l) to (a, k, l), and dmu meets the terms of both arrows of a
+    loop pair.
 
     dmu kappa is [g_i, mu_i(x)] at i, so the two maps compose to zero
     exactly on a level set: with xi = kappa(g) and t the tail of b,
@@ -283,7 +286,8 @@ def linearization(
                     # g_head x_a: E_km of the head moves row m to row k
                     for k in range(n_h):
                         _place(kappa[at + k * n_t + l], head_at + k * n_h + m, p)
-            signed, signed_bar = (x, x_bar) if a.sign == 0 else (_negated(x), _negated(x_bar))
+            sign = -1 if a.sign else 1
+            signed, signed_bar = scaled_rows(x, sign), scaled_rows(x_bar, sign)
             for m, row in enumerate(signed_bar):
                 for l, p in row:
                     # xi_a x_abar: E_km of a meets row m of x_abar
@@ -296,16 +300,12 @@ def linearization(
                         _place(mu[head_at + k * n_h + l], bar_at + m * n_h + l, p)
         if a.tail != framing:
             tail_at = g_at[a.tail]
-            for k, row in enumerate(_negated(x)):
+            for k, row in enumerate(scaled_rows(x, -1)):
                 for m, p in row:
                     # x_a g_tail: E_ml of the tail moves column m to column l
                     for l in range(n_t):
                         _place(kappa[at + k * n_t + l], tail_at + m * n_t + l, p)
     return gauge, tangent, _sorted(kappa), _sorted(mu)
-
-
-def _negated(rows: IntRows) -> IntRows:
-    return [[(c, tuple([-v for v in p])) for c, p in row] for row in rows]
 
 
 def _sorted(rows: list[dict[int, tuple[int, ...]]]) -> IntRows:
@@ -564,15 +564,6 @@ def _gram(
     )
 
 
-def _dense(rows: IntRows, n: int) -> tuple[tuple[int, ...], ...]:
-    """The n-column integer matrix of constant integer rows."""
-    out = [[0] * n for _ in rows]
-    for dense, row in zip(out, rows):
-        for c, (v,) in row:
-            dense[c] = v
-    return tuple(map(tuple, out))
-
-
 def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> ReducedTangentReport:
     """Dimension and symplectic nondegeneracy of ker(moment derivative)/im(action derivative).
 
@@ -582,8 +573,9 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
     `linearization` at x, which proves that they compose to zero on the
     level set, with the arrows cleared to constant integer rows by the
     common denominator L of their entries.  So they come as L kappa and
-    L dmu; one positive scale changes neither the rank of kappa nor the
-    kernel of dmu, and the Gram matrix reads only that kernel.
+    L dmu, densified by `polynomials.dense_at`; one positive scale changes
+    neither the rank of kappa nor the kernel of dmu, and the Gram matrix
+    reads only that kernel.
     """
     residual = moment(x, level)
     if any(not linalg.is_zero_matrix(m) for m in residual.values()):
@@ -595,8 +587,8 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
         for a, m in x.x.items()
     }
     gauge, tangent, kappa, mu = linearization(x.double, x.dims, rows)
-    rank_kappa = linalg.rank(_dense(kappa, len(gauge)))
-    kernel = linalg.nullspace(_dense(mu, len(tangent))) if gauge else linalg.identity(len(tangent))
+    rank_kappa = linalg.rank(dense_at(kappa, len(gauge), 0))
+    kernel = linalg.nullspace(dense_at(mu, len(tangent), 0)) if gauge else linalg.identity(len(tangent))
     dimension = len(kernel) - rank_kappa
     nondeg = (linalg.rank(_gram(x.double, tangent, kernel)) == dimension) if kernel else dimension == 0
     return ReducedTangentReport(dimension, nondeg, rank_kappa == len(gauge))

@@ -14,6 +14,7 @@ from quiverbundles.bundles import (
     degree_vector,
     fiber_at,
     generated_subsheaf_summary,
+    generation_columns,
     generation_matrix,
     hn_filtration_split,
     hn_step_indices,
@@ -23,6 +24,7 @@ from quiverbundles.bundles import (
     subbundle_is_arrow_invariant,
     validate,
 )
+from quiverbundles.complexes import build_complex
 from quiverbundles.generators import sample_points
 from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero
 from quiverbundles.quivers import HypothesisError, TorusElement
@@ -183,6 +185,29 @@ def test_generation_entry_points_require_zero_residual(entry):
     assert not residual_is_zero(e)
     with pytest.raises(HypothesisError, match="moment residual nonzero"):
         GENERATION_ENTRY_POINTS[entry](e)
+
+
+MIXED_DEGREE_ENTRY_POINTS = {
+    "residual_is_zero": residual_is_zero,
+    "moment_residual_sheaf": moment_residual_sheaf,
+    "is_stable_quasimap": is_stable_quasimap,
+    "generation_columns": generation_columns,
+    "build_complex": build_complex,
+}
+
+
+@pytest.mark.parametrize("entry", MIXED_DEGREE_ENTRY_POINTS)
+def test_loop_entries_of_mixed_degree_raise_degree_mismatch(entry):
+    # built without validate: loop+ has entries of degrees 0 and 1 in one
+    # row, so loop+ loop- and loop+ iota each add a degree-1 product to a
+    # degree-0 one
+    e = adhm_bundle(
+        [0, 0], b1=[[ONE, S], [S, ONE]], b2=[[ONE, ONE], [ONE, ONE]], iota=[[ONE], [ONE]]
+    )
+    with pytest.raises(ValueError) as info:
+        MIXED_DEGREE_ENTRY_POINTS[entry](e)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "degree mismatch 0 + 1"
 
 
 def test_full_rank_base_locus_reads_no_pivot_columns(monkeypatch):

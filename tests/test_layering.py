@@ -62,6 +62,41 @@ def private_uses(path: Path) -> set[tuple[str, str, str]]:
     return uses
 
 
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads; a `__future__` import
+    binds no name."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_import_no_unused_names():
+    found = {
+        p.stem: unused_imports(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
+    }
+    assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_unused_import_detection(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from math import gcd, lcm as l\n"
+        "def f(x: Fraction) -> int:\n"
+        "    return l(x.denominator, 2)\n"
+    )
+    assert unused_imports(probe) == ["gcd", "os"]
+
+
 def test_private_names_cross_modules_only_by_the_allowlist():
     found = set().union(*(private_uses(p) for p in sorted(PACKAGE.glob("*.py"))))
     assert found - ALLOWED == set()
