@@ -169,7 +169,7 @@ def moment_residual_sheaf(e: TwistedQuiverBundle) -> dict[str, PolyMatrix]:
     quiver-bundle point of the relation's zero locus.  The residual at a
     vertex is D^-1 times its integer residual (`_residual`)."""
     return {
-        i: tuple(_forms(row, den) for row in residual)
+        i: tuple(tuple(form(p, den) for p in row) for row in residual)
         for i, (residual, den) in _residual(e, _arrow_rows(e)).items()
     }
 
@@ -287,7 +287,7 @@ def generation_columns(
     column) pairs per ordinary vertex: the columns of `_walk`, each divided
     by the product of the denominators L_a along its word."""
     return {
-        i: [(twist, _forms(column, den)) for twist, column, den in columns]
+        i: [(twist, tuple(form(p, den) for p in column)) for twist, column, den in columns]
         for i, columns in _walk(e, _arrow_rows(e)).items()
     }
 
@@ -374,11 +374,6 @@ def _flatten(column: IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dic
                 flat[j] = x
         base += width
     return flat
-
-
-def _forms(column: IntColumn, den: int) -> tuple[HomogPoly, ...]:
-    """The forms of integer coefficient tuples over den (`form`)."""
-    return tuple(form(p, den) for p in column)
 
 
 def _generation_matrices(

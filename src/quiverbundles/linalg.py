@@ -11,12 +11,17 @@ first and stops once every column holds a pivot, `sparse_rank` counts
 those columns, and `rank` is `sparse_rank` of a dense matrix; `_rref`
 back-substitutes its table into the reduced row echelon form, from which
 `nullspace`, `solve` and `row_space_basis` read their answers.
+
+`cleared` is the package's one clearing step: it scales groups of
+rationals by the lcm L of their denominators to integers and returns L.
+`integer_row` here, the forms and form matrices of `polynomials` and the
+arrow matrices of `representations` all become integers through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -184,14 +189,26 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def cleared(groups: Sequence[Iterable[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """Each group of rationals times L, the lcm of all their denominators,
+    as a tuple of integers, and L.  This is the one place where rationals
+    become integers over a common denominator.  Zeros stay 0; no groups,
+    or only empty ones, give L = 1.  The groups are read twice, so each
+    must be a collection, not an iterator."""
+    den = 1
+    for g in groups:
+        for x in g:
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+    if den == 1:
+        return [tuple([x.numerator for x in g]) for g in groups], 1
+    return [tuple([x.numerator * (den // x.denominator) for x in g]) for g in groups], den
+
+
 def integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
     """The nonzero entries of a rational row, scaled to coprime integers."""
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    return _normalize_int_row(
-        {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-    )
+    (values,), _ = cleared((row.values(),))
+    return _normalize_int_row({c: v for c, v in zip(row, values) if v})
 
 
 def _clear(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:

@@ -10,7 +10,8 @@ certified fiber (`generic_rank`), the cofactor determinant of a square
 form matrix, and rational-root factoring for display.  Forms in and out
 are exact rationals; inside, products, sums and evaluation work on
 integer numerators over a common denominator, and the echelon works on
-integer rows by pseudo-division.
+integer rows by pseudo-division.  Every such clearing of rationals is
+`linalg.cleared`; this module takes no common denominator of its own.
 
 This module owns the integer form format: a form as the tuple of its
 ascending integer t-coefficients on the chart s = 1, () for zero, and a
@@ -30,18 +31,20 @@ maximal minor by a sign and the gcd not at all; eliminating the
 low-degree columns first keeps the pseudo-remainders small, where the
 matrix's own column order let their coefficients swell far past those of
 the gcd.  `_full_rank_minor_gcd` and `_echelon` clear each row of forms
-by the common denominator of its coefficients and call the cores, and
-`_minor_gcd` first reads its pivot columns J, the columns independent of
-those before them, off the rows of the certified fiber.
+by the common denominator of its coefficients (`linalg.cleared`) and
+call the cores, and `_minor_gcd` first reads its pivot columns J, the
+columns independent of those before them, off the rows of the certified
+fiber.
 
 Every rank-only question about a form matrix is asked of integer data.
 `generic_pivot_columns` and `fiber_rank` take a matrix as integer
 columns on the chart s = 1, each a positive multiple of the rational one,
 which changes no rank: `integer_columns` clears a form matrix's columns
-for `generic_rank` and `_pivot_columns`, and `bundles` passes the integer
-columns of its generation walk directly.  `integer_rows` clears a whole
-matrix by one denominator: each arrow of `bundles`, once, for the
-residual, the generation walk and the deformation complex of
+(`linalg.cleared`, one call per column) for `generic_rank` and
+`_pivot_columns`, and `bundles` passes the integer columns of its
+generation walk directly.  `integer_rows` clears a whole matrix by one
+denominator (one `linalg.cleared` call): each arrow of `bundles`, once,
+for the residual, the generation walk and the deformation complex of
 `complexes`, which is assembled and ranked on those rows.  The generic
 rank is one fiber at a point beyond every root of every minor, by
 Cauchy's root bound (`generic_rank`); the sample points off the base
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm, prod
+from math import gcd as int_gcd, prod
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -140,10 +143,10 @@ class HomogPoly:
     def __mul__(self, other: HomogPoly) -> HomogPoly:
         if self.is_zero() or other.is_zero():
             return _ZERO_POLY
-        # integer numerators over the common denominator; a product of
-        # nonzero forms is nonzero
-        (xs, dx), (ys, dy) = _integral(self.coeffs), _integral(other.coeffs)
-        return form(add_product(None, xs, ys), dx * dy)
+        # integer numerators over the common denominator L, so the product
+        # is over L^2; a product of nonzero forms is nonzero
+        (xs, ys), den = linalg.cleared((self.coeffs, other.coeffs))
+        return form(add_product(None, xs, ys), den * den)
 
     def scaled(self, c: object) -> HomogPoly:
         c = Fraction(c)
@@ -162,7 +165,7 @@ class HomogPoly:
         if not isinstance(t0, (int, Fraction)):
             t0 = Fraction(t0)
         s, t = s0.numerator * t0.denominator, t0.numerator * s0.denominator
-        xs, den = _integral(self.coeffs)
+        (xs,), den = linalg.cleared((self.coeffs,))
         acc = at(xs, t, s)
         den *= (s0.denominator * t0.denominator) ** self.degree
         return Fraction(acc) if den == 1 else Fraction(acc, den)
@@ -190,15 +193,6 @@ class HomogPoly:
 
 
 _ZERO_POLY = HomogPoly(None, ())
-
-
-def _integral(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over their common denominator, and it."""
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // m) for c, m in zip(coeffs, dens)], den
 
 
 def _monomial_str(s_pow: int, t_pow: int) -> str:
@@ -257,10 +251,7 @@ def _univ_gcd(u: Sequence[Fraction], v: Sequence[Fraction]) -> _Univ:
 
 def _primitive(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to coprime integer coefficients with positive leading one."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    (ints,), _ = linalg.cleared((coeffs,))
     g = 0
     for v in ints:
         g = int_gcd(g, abs(v))
@@ -435,15 +426,9 @@ def integer_rows(a: PolyMatrix) -> tuple[IntRows, int]:
     """The nonzero entries of each row of L * a, as (column, ascending
     integer t-coefficients), and L, the common denominator of a's
     coefficients."""
-    nonzero = [[(c, e.coeffs) for c, e in enumerate(row) if e.coeffs] for row in a]
-    den = lcm(*{x.denominator for row in nonzero for _, cs in row for x in cs})
-    if den == 1:
-        return [[(c, tuple([x.numerator for x in cs])) for c, cs in row] for row in nonzero], 1
-    rows = [
-        [(c, tuple([x.numerator * (den // x.denominator) for x in cs])) for c, cs in row]
-        for row in nonzero
-    ]
-    return rows, den
+    forms, den = linalg.cleared([e.coeffs for row in a for e in row if e.coeffs])
+    it = iter(forms)
+    return [[(c, next(it)) for c, e in enumerate(row) if e.coeffs] for row in a], den
 
 
 def integer_columns(a: PolyMatrix) -> list[IntColumn]:
@@ -452,11 +437,7 @@ def integer_columns(a: PolyMatrix) -> list[IntColumn]:
     t-coefficients of an integer polynomial, () for zero.  The rank
     questions of `generic_rank` and `_pivot_columns` on a form matrix are
     asked of these."""
-    out = []
-    for col in zip(*a):
-        den = lcm(*(x.denominator for e in col for x in e.coeffs))
-        out.append([tuple(x.numerator * (den // x.denominator) for x in e.coeffs) for e in col])
-    return out
+    return [linalg.cleared([e.coeffs for e in col])[0] for col in zip(*a)]
 
 
 def _fiber(columns: Sequence[IntColumn], k: int) -> list[list[int]]:
@@ -547,7 +528,7 @@ def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
     denominator of its coefficients, with the pivots returned with
     `Fraction` coefficients.  Scaling a row by a nonzero rational is a
     unit over Q[x]."""
-    cols, pivots = _int_echelon([_cleared(r) for r in rows])
+    cols, pivots = _int_echelon([linalg.cleared(r)[0] for r in rows])
     return cols, [tuple(Fraction(x) for x in p) for p in pivots]
 
 
@@ -582,16 +563,6 @@ def _int_echelon(rows: list[_IntRow]) -> tuple[list[int], list[tuple[int, ...]]]
 
 
 _IntRow = list[tuple[int, ...]]
-
-
-def _cleared(row: Sequence[Sequence[Fraction]]) -> _IntRow:
-    """A row of coefficient tuples times the common denominator of its
-    coefficients."""
-    den = 1
-    for e in row:
-        for x in e:
-            den = den * x.denominator // int_gcd(den, x.denominator)
-    return [tuple(x.numerator * (den // x.denominator) for x in e) for e in row]
 
 
 def _sub_multiple(row: _IntRow, pivot_row: _IntRow, c: int) -> _IntRow:
@@ -646,7 +617,7 @@ def _full_rank_minor_gcd(a: PolyMatrix) -> HomogPoly:
     column by a positive constant multiplies each maximal minor by a
     constant, the same for all of them, so their gcd changes by that
     constant only, and `_normalized` fixes it."""
-    return _int_full_rank_minor_gcd([_cleared([e.coeffs for e in row]) for row in a])
+    return _int_full_rank_minor_gcd([linalg.cleared([e.coeffs for e in row])[0] for row in a])
 
 
 def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> HomogPoly:

@@ -12,7 +12,8 @@ moment derivative dmu as matrices in unit-matrix bases, on integer rows
 of constants or of form coefficients over one common denominator; the
 reduced tangent space here and the deformation complex in `complexes`
 both take them from it, and its docstring holds the one proof that dmu
-kappa vanishes on a level set.
+kappa vanishes on a level set.  Rational matrices become those integer
+rows, and the closures' integer vectors, only through `linalg.cleared`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
 from operator import mul
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -340,10 +340,11 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
     accepted vector was offered at its head), so they are the closure.
 
     The vectors are integers: each seed matrix and each arrow's matrix is
-    cleared once by the common denominator of its entries.  A vector then
-    stands for a nonzero multiple of the one the rational maps give, and a
-    nonzero scalar per vector or per arrow changes no span, so the spans,
-    and their canonical bases from `row_space_basis`, are the same.
+    cleared once by the common denominator of its entries
+    (`linalg.cleared`).  A vector then stands for a nonzero multiple of
+    the one the rational maps give, and a nonzero scalar per vector or per
+    arrow changes no span, so the spans, and their canonical bases from
+    `row_space_basis`, are the same.
     """
     todo: list[tuple[str, tuple[int, ...]]] = []
     for v, m in seeds.items():
@@ -351,14 +352,14 @@ def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
             raise ValueError(f"seed at unknown vertex {v!r}")
         if m and linalg.shape(m)[0] != x.dims[v]:
             raise ValueError(f"seed at {v!r} lives in the wrong fiber")
-        todo.extend((v, w) for w in zip(*_cleared(m)))
-    arrows = {a.name: _cleared(x.x[a.name]) for a in x.double.arrows}
+        todo.extend((v, w) for w in zip(*linalg.cleared(m)[0]))
+    arrows = {a.name: linalg.cleared(x.x[a.name])[0] for a in x.double.arrows}
     return _subrep(x, _accepted(x.double, arrows, todo))
 
 
 def _accepted(
     dq: DoubleQuiver,
-    arrows: Mapping[str, list[list[int]]],
+    arrows: Mapping[str, Sequence[Sequence[int]]],
     todo: list[tuple[str, tuple[int, ...]]],
 ) -> dict[str, list[tuple[int, ...]]]:
     """The vectors the closure accepts, per vertex, on integer arrow
@@ -368,7 +369,7 @@ def _accepted(
     there."""
     tables: dict[str, dict[int, dict[int, int]]] = {v: {} for v in dq.vertices}
     kept: dict[str, list[tuple[int, ...]]] = {v: [] for v in dq.vertices}
-    out: dict[str, list[tuple[str, list[list[int]]]]] = {v: [] for v in dq.vertices}
+    out: dict[str, list[tuple[str, Sequence[Sequence[int]]]]] = {v: [] for v in dq.vertices}
     for a in dq.arrows:
         out[a.tail].append((a.head, arrows[a.name]))
     while todo:
@@ -390,12 +391,6 @@ def _subrep(x: FramedRep, kept: Mapping[str, list[tuple[int, ...]]]) -> SubRep:
     )
     basis = {v: linalg.transpose(bases[v]) if bases[v] else tuple(() for _ in range(x.dims[v])) for v in x.double.vertices}
     return SubRep(basis, dims)
-
-
-def _cleared(m: Matrix) -> list[list[int]]:
-    """m times the common denominator of its entries."""
-    den = lcm(*(y.denominator for row in m for y in row))
-    return [[y.numerator * (den // y.denominator) for y in row] for row in m]
 
 
 @dataclass(frozen=True)
@@ -420,12 +415,12 @@ def is_stable_framed(x: FramedRep) -> FramedStabilityVerdict:
     ordinary vertex is always full, as in the quasimap reading.
 
     The closure's dimensions are the numbers of vectors it accepts
-    (`_framing_closure`, on the arrow matrices cleared by `_cleared`), so
-    the verdict needs no basis; the canonical bases are built only for the
-    witness of an unstable fiber.
+    (`_framing_closure`, on the arrow matrices cleared by
+    `linalg.cleared`), so the verdict needs no basis; the canonical bases
+    are built only for the witness of an unstable fiber.
     """
     kept = _framing_closure(
-        x.double, x.dims, {a.name: _cleared(x.x[a.name]) for a in x.double.arrows}
+        x.double, x.dims, {a.name: linalg.cleared(x.x[a.name])[0] for a in x.double.arrows}
     )
     if tuple(len(kept[v]) for v in x.double.vertices) == x.dims.values:
         return FramedStabilityVerdict(True, None)
@@ -435,7 +430,7 @@ def is_stable_framed(x: FramedRep) -> FramedStabilityVerdict:
 def _framing_closure(
     dq: DoubleQuiver,
     dims: Mapping[str, int] | DimensionVector,
-    arrows: Mapping[str, list[list[int]]],
+    arrows: Mapping[str, Sequence[Sequence[int]]],
 ) -> dict[str, list[tuple[int, ...]]]:
     """The vectors the closure of the full framing fiber accepts
     (`_accepted`), on integer arrow matrices of the given dimensions:
@@ -572,18 +567,19 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
     reported through the flag, not raised.  The two maps come from
     `linearization` at x, which proves that they compose to zero on the
     level set, with the arrows cleared to constant integer rows by the
-    common denominator L of their entries.  So they come as L kappa and
-    L dmu, densified by `polynomials.dense_at`; one positive scale changes
-    neither the rank of kappa nor the kernel of dmu, and the Gram matrix
-    reads only that kernel.
+    common denominator L of all their entries (one `linalg.cleared`
+    call).  So they come as L kappa and L dmu, densified by
+    `polynomials.dense_at`; one positive scale changes neither the rank of
+    kappa nor the kernel of dmu, and the Gram matrix reads only that
+    kernel.
     """
     residual = moment(x, level)
     if any(not linalg.is_zero_matrix(m) for m in residual.values()):
         raise HypothesisError("moment residual nonzero at the given level")
 
-    den = lcm(*(y.denominator for m in x.x.values() for row in m for y in row))
+    ints = iter(linalg.cleared([row for m in x.x.values() for row in m])[0])
     rows = {
-        a: [[(c, (y.numerator * (den // y.denominator),)) for c, y in enumerate(row) if y] for row in m]
+        a: [[(c, (y,)) for c, y in enumerate(next(ints)) if y] for _ in m]
         for a, m in x.x.items()
     }
     gauge, tangent, kappa, mu = linearization(x.double, x.dims, rows)

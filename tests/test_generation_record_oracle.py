@@ -220,9 +220,9 @@ def test_verdicts_build_no_forms(monkeypatch):
         for r in (4, 6)
         for s in range(4)
     ] + [gen_bundle(bundle_spec(k, 3)) for k in range(64)] + _zero_rank_cases()
-    for name in ("_forms", "generation_columns", "_generation_matrices"):
+    for name in ("form", "generation_columns", "_generation_matrices"):
         monkeypatch.setattr(bundles, name, _raise)
-    for name in ("integer_columns", "_chart", "_cleared", "generic_rank"):
+    for name in ("integer_columns", "_chart", "generic_rank"):
         monkeypatch.setattr(polynomials, name, _raise)
     verdicts = below = 0
     for e in instances:
@@ -239,9 +239,12 @@ def test_verdicts_build_no_forms(monkeypatch):
 
 
 def test_the_guard_sees_a_form_pipeline(monkeypatch):
-    # the guard catches the reference, so a verdict path that built forms
-    # would fail the test above
+    # the guard catches the reference, and a form built directly in
+    # `bundles`, so a verdict path that built forms would fail the test above
     monkeypatch.setattr(polynomials, "integer_columns", _raise)
     e = gen_bundle(InstanceSpec("adhm", (4,), framing=2, degree_bound=4, seed=0))
     with pytest.raises(AssertionError, match="a form was built"):
         _reference_generation(e)
+    monkeypatch.setattr(bundles, "form", _raise)
+    with pytest.raises(AssertionError, match="a form was built"):
+        bundles.generation_columns(e)

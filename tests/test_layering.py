@@ -7,6 +7,12 @@ modules shows up here rather than as a scatter of private imports.  The
 generation analysis of `bundles` (residual check, generation matrices,
 generic ranks, sample points, generated subsheaf) is shared through one
 record, `_generation`.
+
+Rationals become integers over a common denominator in one place,
+`linalg.cleared`.  Every other function in `src/` that reads
+`.denominator` splits a single rational into numerator and denominator,
+and is listed in DENOMINATOR_READERS, so a second clearing step shows up
+here.
 """
 
 from __future__ import annotations
@@ -24,6 +30,17 @@ ALLOWED = {
     ("bundles", "representations", "_framing_closure"),
     ("generators", "bundles", "_generation"),
     ("stability", "bundles", "_generation"),
+}
+
+# (module, function) pairs that read `.denominator`; a method is Class.method
+DENOMINATOR_READERS = {
+    ("linalg", "cleared"),
+    ("polynomials", "HomogPoly.evaluate"),
+    ("polynomials", "factor_binary_form"),
+    ("stability", "mu_delta"),
+    ("stability", "delta_threshold"),
+    ("stability", "check_delta_stability"),
+    ("stability", "hn_quotient_bound_check"),
 }
 
 
@@ -121,4 +138,61 @@ def test_private_use_detection_on_both_import_forms(tmp_path):
         ("probe", "bundles", "_summary"),
         ("probe", "polynomials", "_echelon"),
         ("probe", "linalg", "_rref"),
+    }
+
+
+def denominator_readers(path: Path) -> set[tuple[str, str]]:
+    """The (module, function) pairs of a module that read an attribute
+    `denominator`: a method as Class.method, a nested function or lambda
+    under the top-level function or method that holds it, and a read
+    outside any function under its class or as <module>."""
+    scopes: list[tuple[str, ast.AST]] = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                scopes.append((f"{node.name}.{item.name}" if method else node.name, item))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes.append((node.name, node))
+        else:
+            scopes.append(("<module>", node))
+    return {
+        (path.stem, name)
+        for name, scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Attribute) and node.attr == "denominator"
+    }
+
+
+def test_only_cleared_takes_a_common_denominator():
+    found = set().union(*(denominator_readers(p) for p in sorted(PACKAGE.glob("*.py"))))
+    assert found - DENOMINATOR_READERS == set()
+    assert DENOMINATOR_READERS - found == set(), "readers that no longer read `.denominator`"
+
+
+def test_denominator_reader_detection(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from fractions import Fraction\n"
+        "HALF = Fraction(1, 2).denominator\n"
+        "class Form:\n"
+        "    scale = HALF\n"
+        "    def value(self, x):\n"
+        "        return x.numerator\n"
+        "    def cleared(self, xs):\n"
+        "        return [x * max(y.denominator for y in xs) for x in xs]\n"
+        "def split(x):\n"
+        "    def inner(y):\n"
+        "        return y.denominator\n"
+        "    return inner(x)\n"
+        "def lcm_of(xs):\n"
+        "    return sorted(xs, key=lambda x: x.denominator)\n"
+        "def untouched(x):\n"
+        "    return x.numerator\n"
+    )
+    assert denominator_readers(probe) == {
+        ("probe", "<module>"),
+        ("probe", "Form.cleared"),
+        ("probe", "split"),
+        ("probe", "lcm_of"),
     }

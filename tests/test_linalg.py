@@ -9,7 +9,7 @@ every reduction step; `add_row` must build the same pivot tables.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from quiverbundles import linalg
 from quiverbundles.linalg import ONE, ZERO, Matrix, mat, shape, vec
@@ -308,6 +308,27 @@ def _q(rng, height=9):
 
 def _random_matrix(rng, m, n):
     return [[_q(rng) if rng.random() < 0.6 else ZERO for _ in range(n)] for _ in range(m)]
+
+
+def test_cleared_against_fraction_arithmetic():
+    rng = random.Random(23)
+    for _ in range(400):
+        groups = [
+            tuple(_q(rng) if rng.random() < 0.7 else ZERO for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        ints, den = linalg.cleared(groups)
+        assert den == lcm(*(x.denominator for g in groups for x in g))
+        assert [len(g) for g in ints] == [len(g) for g in groups]
+        for group, got in zip(groups, ints):
+            assert all(type(v) is int for v in got)
+            assert [Fraction(v) for v in got] == [x * den for x in group]
+            assert all(v == 0 for x, v in zip(group, got) if x == 0)
+        integral = [tuple(Fraction(x.numerator) for x in g) for g in groups]
+        assert linalg.cleared(integral) == ([tuple(x.numerator for x in g) for g in groups], 1)
+    assert linalg.cleared([]) == ([], 1)
+    assert linalg.cleared([(), ()]) == ([(), ()], 1)
+    assert linalg.cleared([(ZERO, Fraction(1, 6)), (Fraction(-3, 4),)]) == ([(0, 2), (-9,)], 12)
 
 
 def test_nullspace_solve_row_basis_match_rref_oracle():

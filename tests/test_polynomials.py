@@ -76,6 +76,37 @@ def test_gcd_random_products_recover_common_factor_degree():
         assert g.degree >= common.degree
 
 
+def _divides(d, p):
+    """d | p for nonzero forms: the s- and t-powers of d are at most p's
+    (`_split`), and d's core divides p's with zero remainder in Q[t]; both
+    cores are prime to s and t, so this is divisibility of forms."""
+    (ad, bd, core_d), (ap, bp, core_p) = polynomials._split(d), polynomials._split(p)
+    return ad <= ap and bd <= bp and polynomials._univ_divmod(core_p, core_d)[1] == ()
+
+
+def test_gcd_of_random_products_is_checked_by_exact_division():
+    rng = random.Random(31)
+
+    def draw(degree):
+        return HomogPoly.of(
+            degree, [rng.randint(-5, 5) if rng.random() < 0.8 else 0 for _ in range(degree + 1)]
+        )
+
+    checked = 0
+    for _ in range(300):
+        a, b, c = draw(rng.randint(0, 4)), draw(rng.randint(0, 4)), draw(rng.randint(1, 3))
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            continue
+        ac, bc = a * c, b * c
+        g = poly_gcd(ac, bc)
+        assert _divides(c, g) and _divides(g, ac) and _divides(g, bc)
+        checked += 1
+    assert checked > 150
+    # the check refuses non-divisors by each of its three parts
+    assert not _divides(T, S * S + T * T) and not _divides(S * S, S * T)
+    assert not _divides(S + T, S * S + T * T) and _divides(S + T, S * S - T * T)
+
+
 def test_poly_det_two_by_two():
     m = poly_mat([[S, T], [T, S]])
     assert poly_det(m) == S * S - T * T
