@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from . import linalg
@@ -90,6 +91,10 @@ class TwistedQuiverBundle:
     phi: Mapping[str, PolyMatrix]
 
     def __post_init__(self) -> None:
+        # read-only copies, so a bundle cannot change under the generation
+        # record that `_generation` keeps for it
+        object.__setattr__(self, "bundles", MappingProxyType(dict(self.bundles)))
+        object.__setattr__(self, "phi", MappingProxyType(dict(self.phi)))
         if set(self.bundles) != set(self.double.vertices):
             raise ValueError("bundle assignment must cover exactly the vertices")
         names = {a.name for a in self.double.arrows}
@@ -475,12 +480,13 @@ def generated_subsheaf_summary(e: TwistedQuiverBundle) -> GeneratedSummary:
 
 @dataclass(frozen=True)
 class _Generation:
-    """The framing generation of quasimap data, computed once: per
-    ordinary vertex the generation walk's (twist, integer column,
-    denominator) triples (`_walk`), and the columns J independent over
-    Q(t) of those before them when the columns are taken in ascending
-    order of twist (`polynomials.generic_pivot_columns`), as indices into
-    the walk's list; the generic rank is their number.
+    """The framing generation of quasimap data, built once per bundle for
+    all the verdicts asked of it in a row (`_generation`): per ordinary
+    vertex the generation walk's (twist, integer column, denominator)
+    triples (`_walk`), and the columns J independent over Q(t) of those
+    before them when the columns are taken in ascending order of twist
+    (`polynomials.generic_pivot_columns`), as indices into the walk's
+    list; the generic rank is their number.
 
     A column is the rational one times a positive constant, its
     denominator, which changes no rank over Q(t) or in any fiber, so the
@@ -566,10 +572,29 @@ class _Generation:
         return all(len(kept[v]) == n for v, n in ranks.items())
 
 
+_recent: _Generation | None = None
+
+
 def _generation(e: TwistedQuiverBundle) -> _Generation:
     """The generation record of quasimap data: the one place that refuses
     data off the moment relation's zero locus and runs the generation walk
-    and its generic ranks, all on the integer rows of the arrows."""
+    and its generic ranks, all on the integer rows of the arrows.
+
+    The record last built is kept in one module slot and returned while
+    the same bundle object asks again, so `is_stable_quasimap`,
+    `base_locus`, `generated_subsheaf_summary`, the asymptotic check and
+    the sample points, asked of one bundle in a row, share one build.  A
+    bundle's mappings are read-only copies, so the record cannot go stale;
+    the slot holds its bundle, so no other bundle can take its identity.
+    Data off the relation is never stored: it is refused on every call.
+    One slot, not a cache on the bundle, keeps at most one record alive
+    and gives no caller a reuse that it does not have by asking several
+    verdicts of one bundle.
+    """
+    global _recent
+    recent = _recent  # one read: a concurrent caller swaps the slot whole
+    if recent is not None and recent.e is e:
+        return recent
     rows = relation_rows(e)
     if rows is None:
         raise HypothesisError("moment residual nonzero; not quasimap data")
@@ -579,7 +604,8 @@ def _generation(e: TwistedQuiverBundle) -> _Generation:
         order = sorted(range(len(cols)), key=lambda j: cols[j][0])
         found = generic_pivot_columns([cols[j][1] for j in order], e.bundles[i].rank)
         pivots[i] = [order[j] for j in found]
-    return _Generation(e, rows, columns, pivots)
+    recent = _recent = _Generation(e, rows, columns, pivots)
+    return recent
 
 
 # ---------------------------------------------------------------------------

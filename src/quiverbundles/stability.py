@@ -428,7 +428,9 @@ def asymptotic_equivalence_check(
     found without computing its form.  One generation record
     (`bundles._generation`) serves the rank verdict, the sample point, the
     closure on the sample fiber (taken on the arrows' integer rows) and
-    the generated subsheaf of the subobject family.
+    the generated subsheaf of the subobject family; it is the record that
+    `is_stable_quasimap` or `base_locus`, asked of the same bundle just
+    before, left in the slot of `_generation`, so it is not built again.
     """
     delta0 = instance_threshold(e)
     delta = delta0 if delta is None else Fraction(delta)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverbundles import linalg, polynomials
+from quiverbundles import bundles as bundles_module, linalg, polynomials
 from quiverbundles.bundles import (
     SplitBundle,
     TwistData,
@@ -26,10 +27,10 @@ from quiverbundles.bundles import (
 )
 from quiverbundles.complexes import build_complex
 from quiverbundles.generators import sample_points
-from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero
+from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero, poly_zeros
 from quiverbundles.quivers import HypothesisError, TorusElement
 from quiverbundles.representations import is_stable_framed, moment
-from quiverbundles.serialization import parse_document
+from quiverbundles.serialization import bundle_to_doc, parse_document
 from quiverbundles.stability import asymptotic_equivalence_check, subobject_family
 
 from _builders import (
@@ -360,3 +361,39 @@ def test_subbundle_invariance_check():
     # selecting only the low summand is not invariant: b1 maps it upward
     low = {"0": (), "1": (1,)}
     assert not subbundle_is_arrow_invariant(e, low)
+
+
+def _verdicts(e):
+    # each verdict built afresh, not read from the slot of `_generation`
+    out = []
+    for fn in GENERATION_ENTRY_POINTS.values():
+        bundles_module._recent = None
+        out.append(fn(e))
+    return out
+
+
+def test_bundle_keeps_read_only_copies_of_its_mappings():
+    # `_generation` keeps the record of the last bundle it saw, so a bundle
+    # must not change under it when its caller's dicts do
+    doc = json.loads((FIXTURES / "bundle_adhm_stable.json").read_text())
+    e0 = parse_document(doc).bundle
+    given_bundles, given_phi = dict(e0.bundles), dict(e0.phi)
+    e = TwistedQuiverBundle(e0.double, given_bundles, e0.twist, given_phi)
+    want, want_doc = _verdicts(e), bundle_to_doc(e)
+    assert want[1] is True  # is_stable_quasimap
+
+    given_phi["frame+"] = poly_zeros(2, 1)
+    given_bundles["1"] = SplitBundle((1, 1))
+    assert e.phi == e0.phi and e.bundles == e0.bundles
+    assert _verdicts(e) == want
+    assert bundle_to_doc(e) == want_doc
+    with pytest.raises(TypeError):
+        e.phi["frame+"] = poly_zeros(2, 1)
+    with pytest.raises(TypeError):
+        e.bundles["1"] = SplitBundle((1, 1))
+
+    assert e == e0 and e == parse_document(doc).bundle
+    assert e != dataclasses.replace(e, phi={**e.phi, "frame+": poly_zeros(2, 1)})
+    copy = dataclasses.replace(e)
+    assert copy == e and copy is not e and copy.phi is not e.phi
+    assert parse_document(bundle_to_doc(e)).bundle == e

@@ -748,6 +748,17 @@ def test_moment_computes_the_bundle_residual_once(tmp_path, monkeypatch):
         assert (code, payload["zero"], len(calls)) == (0, zero, 1)
 
 
+def test_stability_with_delta_builds_the_generation_record_once(monkeypatch):
+    # the verdict and the subobject family of the slope comparison share
+    # one generation record
+    calls = []
+    real = bundles._walk
+    monkeypatch.setattr(bundles, "_walk", lambda *a: calls.append(1) or real(*a))
+    code, payload = run_json(["stability", "--input", CHAIN_STABLE, "--delta", "50"])
+    assert (code, payload["stable"], len(calls)) == (0, True, 1)
+    assert payload["delta_verdict"]["refutes_stability"] is False
+
+
 def test_moment_of_a_rep_with_a_zero_dimensional_vertex(tmp_path):
     path = _write(tmp_path, ZERO_RANK_REP)
     assert run(["validate", "--input", path])[0] == 0

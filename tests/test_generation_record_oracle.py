@@ -10,11 +10,18 @@ points off the base locus and `sample_points` must be equal.
 
 A guard test then makes every form-building step raise while the public
 verdicts run, which shows that the verdict path builds no forms.
+
+The record of the last bundle is kept in one slot and shared by the
+verdicts asked of that bundle in a row.  The record-sharing tests count
+the builds, and the unshared record, built afresh for every verdict, is
+the reference for the shared one.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
@@ -27,6 +34,7 @@ from quiverbundles.bundles import (
     BaseLocusReport,
     GeneratedSummary,
     TwistedQuiverBundle,
+    _Generation,
     _generation,
     _generation_matrices,
     base_locus,
@@ -46,7 +54,7 @@ from quiverbundles.polynomials import (
 from quiverbundles.quivers import HypothesisError
 from quiverbundles.serialization import parse_document
 
-from _builders import chain_bundle, form, rational_gauge
+from _builders import adhm_bundle, chain_bundle, form, rational_gauge
 from test_residual_oracle import reference_residual_is_zero
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -176,12 +184,16 @@ def _assert_equal(e: TwistedQuiverBundle) -> str:
     assert generated_subsheaf_summary(e) == want.summary()
     assert is_stable_quasimap(e) is want.stable
     assert sample_points(e, 3) == _reference_sample_points(e, 3)
+    return _kind(e, want.ranks, want.stable)
+
+
+def _kind(e: TwistedQuiverBundle, ranks: Mapping[str, int], stable: bool) -> str:
     n = {i: e.bundles[i].rank for i in e.double.ordinary_vertices}
     if any(not n[i] for i in n):
         return "zero rank"
-    if any(0 < r < n[i] for i, r in want.ranks.items()):
+    if any(0 < r < n[i] for i, r in ranks.items()):
         return "below full rank"
-    return "stable" if want.stable else "unstable"
+    return "stable" if stable else "unstable"
 
 
 def test_generation_record_matches_the_form_pipeline():
@@ -248,3 +260,137 @@ def test_the_guard_sees_a_form_pipeline(monkeypatch):
     monkeypatch.setattr(bundles, "form", _raise)
     with pytest.raises(AssertionError, match="a form was built"):
         bundles.generation_columns(e)
+
+
+ENTRY_POINTS = (
+    is_stable_quasimap,
+    base_locus,
+    generated_subsheaf_summary,
+    asymptotic_equivalence_check,
+    lambda e: sample_points(e, 3),
+)
+
+
+def _count(monkeypatch, name: str) -> list[TwistedQuiverBundle]:
+    """The bundles that `bundles.<name>` is called with, in order."""
+    calls: list[TwistedQuiverBundle] = []
+    real = getattr(bundles, name)
+    monkeypatch.setattr(bundles, name, lambda e, *a: calls.append(e) or real(e, *a))
+    return calls
+
+
+def _unshared(e: TwistedQuiverBundle) -> list:
+    """Every verdict on a record built afresh for it: the reference."""
+    out = []
+    for fn in ENTRY_POINTS:
+        bundles._recent = None
+        out.append(_outcome(fn, e))
+    return out
+
+
+def _shared(e: TwistedQuiverBundle) -> list:
+    _outcome(is_stable_quasimap, e)  # fills the slot, so every verdict below reads it
+    return [_outcome(fn, e) for fn in ENTRY_POINTS]
+
+
+def _below_full_rank() -> TwistedQuiverBundle:
+    for k in range(192):
+        e = gen_bundle(bundle_spec(k, 0))
+        gen = _generation(e)
+        if _kind(e, gen.ranks, gen.stable) == "below full rank":
+            return e
+    raise AssertionError("no bundle below full rank")
+
+
+def _mixed() -> list[TwistedQuiverBundle]:
+    stable = gen_bundle(InstanceSpec("adhm", (4,), framing=2, degree_bound=4, seed=0))
+    return [stable, _below_full_rank()] + _zero_rank_cases()
+
+
+def test_the_verdicts_of_one_bundle_share_one_record(monkeypatch):
+    monkeypatch.setattr(bundles, "_recent", None)
+    instances = _mixed()
+    walks = _count(monkeypatch, "_walk")
+    for e in instances:
+        walks.clear()
+        for fn in ENTRY_POINTS + ENTRY_POINTS:
+            fn(e)
+        assert len(walks) == 1 and walks[0] is e
+        # the record lives in the slot, never on the bundle
+        assert not any(isinstance(v, _Generation) for v in vars(e).values())
+
+
+def test_interleaved_bundles_each_get_their_own_verdicts(monkeypatch):
+    monkeypatch.setattr(bundles, "_recent", None)
+    e1, e2 = _mixed()[:2]
+    want = {id(e): _unshared(e) for e in (e1, e2)}
+    assert want[id(e1)] != want[id(e2)]
+    walks = _count(monkeypatch, "_walk")
+    for e in (e1, e2, e1):
+        assert [_outcome(fn, e) for fn in ENTRY_POINTS] == want[id(e)]
+    assert [id(e) for e in walks] == [id(e1), id(e2), id(e1)]
+
+
+def test_data_off_the_relation_is_refused_on_every_call(monkeypatch):
+    # the loops do not commute, so the moment residual is nonzero
+    zero, one = HomogPoly.zero(), HomogPoly.constant(1)
+    off = adhm_bundle(
+        [2, 1, 0],
+        b1=[[zero, one, zero], [zero, zero, one], [zero, zero, zero]],
+        b2=[[zero, one, zero], [zero, zero, zero], [zero, zero, zero]],
+    )
+    e = _mixed()[0]
+    recent = _generation(e)
+    checks = _count(monkeypatch, "relation_rows")
+    walks = _count(monkeypatch, "_walk")
+    for fn in ENTRY_POINTS + ENTRY_POINTS:
+        with pytest.raises(HypothesisError, match="moment residual nonzero"):
+            fn(off)
+    assert len(checks) == 2 * len(ENTRY_POINTS) and walks == []
+    assert bundles._recent is recent
+
+
+def test_shared_records_match_unshared_ones():
+    corpus = [gen_bundle(bundle_spec(k, s)) for s in (0, 3) for k in range(96)] + [
+        gen_bundle(InstanceSpec("adhm", (r,), framing=f, degree_bound=r, seed=s))
+        for r in range(3, 7)
+        for f in (1, 2)
+        for s in range(2)
+    ]
+    corpus += _zero_rank_cases()
+    # all references first, so each shared pass starts with the slot
+    # holding the record of the bundle before
+    wants = [_unshared(e) for e in corpus]
+    kinds: dict[str, int] = {}
+    for e, want in zip(corpus, wants):
+        assert _shared(e) == want
+        report = want[1]  # base_locus
+        kind = _kind(e, dict(report.vertex_ranks), report.stable)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["stable"] > 50 and kinds["below full rank"] > 5 and kinds["zero rank"] >= 3
+
+
+def test_threads_each_get_their_own_record():
+    # `_generation` reads the slot once per call, so a thread never returns
+    # the record that another thread stored in between
+    instances = _mixed()[:2] + _zero_rank_cases()[:2]
+    wants = [_unshared(e)[1] for e in instances]  # base_locus
+    wrong: list[TwistedQuiverBundle] = []
+
+    def ask(e: TwistedQuiverBundle, want) -> None:
+        for _ in range(100):
+            if _generation(e).e is not e or base_locus(e) != want:
+                wrong.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=pair) for pair in zip(instances, wants)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -6,7 +6,7 @@ module m, must be listed in ALLOWED, so that a protocol shared by several
 modules shows up here rather than as a scatter of private imports.  The
 generation analysis of `bundles` (residual check, generation matrices,
 generic ranks, sample points, generated subsheaf) is shared through one
-record, `_generation`.
+record, `_generation`, the only routine that builds it.
 
 Rationals become integers over a common denominator in one place,
 `linalg.cleared`.  Every other function in `src/` that reads
@@ -141,11 +141,11 @@ def test_private_use_detection_on_both_import_forms(tmp_path):
     }
 
 
-def denominator_readers(path: Path) -> set[tuple[str, str]]:
-    """The (module, function) pairs of a module that read an attribute
-    `denominator`: a method as Class.method, a nested function or lambda
-    under the top-level function or method that holds it, and a read
-    outside any function under its class or as <module>."""
+def _scopes(path: Path) -> list[tuple[str, ast.AST]]:
+    """The top-level scopes of a module by name: a method as Class.method,
+    a nested function or lambda under the top-level function or method
+    that holds it, and code outside any function under its class or as
+    <module>."""
     scopes: list[tuple[str, ast.AST]] = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.ClassDef):
@@ -156,11 +156,43 @@ def denominator_readers(path: Path) -> set[tuple[str, str]]:
             scopes.append((node.name, node))
         else:
             scopes.append(("<module>", node))
+    return scopes
+
+
+def denominator_readers(path: Path) -> set[tuple[str, str]]:
+    """The (module, scope) pairs of a module that read an attribute
+    `denominator` (scopes as in `_scopes`)."""
     return {
         (path.stem, name)
-        for name, scope in scopes
+        for name, scope in _scopes(path)
         for node in ast.walk(scope)
         if isinstance(node, ast.Attribute) and node.attr == "denominator"
+    }
+
+
+def callers(path: Path, callee: str) -> set[tuple[str, str]]:
+    """The (module, scope) pairs of a module that call `callee` by name or
+    as an attribute (scopes as in `_scopes`)."""
+    return {
+        (path.stem, name)
+        for name, scope in _scopes(path)
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_the_generation_record_is_built_only_in_generation():
+    # one builder, so the slot of `_generation` sees every record and no
+    # other routine keeps or rebuilds one; `generation_columns` walks for
+    # the form pipeline, which no verdict takes
+    files = sorted(PACKAGE.glob("*.py"))
+    assert set().union(*(callers(p, "_Generation") for p in files)) == {
+        ("bundles", "_generation")
+    }
+    assert set().union(*(callers(p, "_walk") for p in files)) == {
+        ("bundles", "_generation"),
+        ("bundles", "generation_columns"),
     }
 
 
