@@ -207,8 +207,9 @@ def cleared(groups: Sequence[Iterable[Fraction]]) -> tuple[list[tuple[int, ...]]
 
 def integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
     """The nonzero entries of a rational row, scaled to coprime integers."""
-    (values,), _ = cleared((row.values(),))
-    return _normalize_int_row({c: v for c, v in zip(row, values) if v})
+    nonzero = {c: v for c, v in row.items() if v}
+    (values,), _ = cleared((nonzero.values(),))
+    return _normalize_int_row(dict(zip(nonzero, values)))
 
 
 def _clear(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:

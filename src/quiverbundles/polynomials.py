@@ -391,7 +391,12 @@ def add_product(acc: list[int] | None, u: Sequence[int], v: Sequence[int]) -> li
 def at(p: Sequence[int], t: int, s: int = 1) -> int:
     """The form p at [s : t], sum of p[k] s^(d - k) t^k, d = len(p) - 1,
     by Horner's rule from t^d down; 0 for ()."""
-    acc, s_power = 0, 1
+    acc = 0
+    if s == 1:
+        for x in reversed(p):
+            acc = acc * t + x
+        return acc
+    s_power = 1
     for x in reversed(p):
         acc = acc * t + x * s_power
         s_power *= s

@@ -5,10 +5,10 @@ a kind tag, and per-doubled-arrow data blocks: "p/q" scalar matrices for
 representations, form matrices (null or a coefficient list per entry) for
 bundles, plus dims and an optional moment level, or multidegrees and twist
 degrees.  Schema and cross-reference problems are reported with the JSON
-pointer of the offending field.  Validation walks the shipped schema file
-itself (`_errors`), with Draft 2020-12 semantics and the messages of
-`jsonschema` 4.26; `jsonschema` is only a test dependency, the oracle that
-walk is compared against.
+pointer of the offending field.  Validation runs the shipped schema file
+compiled once per process into one closure per keyword (`_compile`), with
+Draft 2020-12 semantics and the messages of `jsonschema` 4.26; `jsonschema`
+is only a test dependency, the oracle those closures are compared against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from numbers import Number
-from typing import Iterator, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .bundles import SplitBundle, TwistData, TwistedQuiverBundle
 from .linalg import Matrix
@@ -46,8 +46,8 @@ def _schema() -> dict:
 
 def _inline_refs(node: object, defs: dict) -> object:
     """node with every {"$ref": "#/$defs/name"} replaced by that definition,
-    itself inlined (no definition refers to itself): the walk in `_errors`
-    then resolves no reference."""
+    itself inlined (no definition refers to itself): `_compile` then
+    resolves no reference."""
     if isinstance(node, dict):
         if list(node) == ["$ref"]:
             return _inline_refs(defs[node["$ref"].removeprefix("#/$defs/")], defs)
@@ -67,7 +67,7 @@ _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "string": lambda x: isinstance(x, str),
 }
-# the keywords `_errors` implements, and the annotations it passes over
+# the keywords `_compile` implements, and the annotations it passes over
 _KEYWORDS = {
     "type", "const", "enum", "required", "properties", "additionalProperties", "items",
     "minItems", "minLength", "minimum", "pattern", "oneOf", "$schema", "title", "$defs",
@@ -75,7 +75,7 @@ _KEYWORDS = {
 
 
 def _known(schema: object) -> dict:
-    """schema, refused unless `_errors` knows each keyword and type in it
+    """schema, refused unless `_compile` knows each keyword and type in it
     and the branches of each oneOf have pairwise different types."""
     branches = schema.get("oneOf", []) if isinstance(schema, dict) else []
     types = [b.get("type") for b in branches if isinstance(b, dict)]
@@ -110,62 +110,155 @@ def _equal(a: object, b: object) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
-def _errors(schema: dict, x: object, path: tuple[str, ...]) -> Iterator[tuple[tuple, str]]:
-    """(path, message) for each violation of schema by x, in keyword order:
-    Draft 2020-12 semantics, in the words of jsonschema 4.26."""
-    for key, value in schema.items():
-        if key == "type":
-            if not _TYPES[value](x):
-                yield path, f"{x!r} is not of type {value!r}"
-        elif key == "const":
-            if not _equal(x, value):
-                yield path, f"{value!r} was expected"
-        elif key == "enum":
-            if not any(_equal(x, v) for v in value):
-                yield path, f"{x!r} is not one of {value!r}"
-        elif key == "pattern":
-            if isinstance(x, str) and not re.search(value, x):
-                yield path, f"{x!r} does not match {value!r}"
-        elif key in ("minLength", "minItems"):
-            if isinstance(x, str if key == "minLength" else list) and len(x) < value:
-                yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
-        elif key == "minimum":
-            if isinstance(x, Number) and not isinstance(x, bool) and x < value:
-                yield path, f"{x!r} is less than the minimum of {value!r}"
-        elif key == "oneOf":
-            # `_known` checked that the branches have pairwise different
-            # types, so at most one holds and "is valid under each of"
-            # cannot arise: stop at the first that holds, at the first
-            # error of each that fails
-            if all(next(_errors(b, x, path), None) for b in value):
-                yield path, f"{x!r} is not valid under any of the given schemas"
-        elif key == "items" and isinstance(x, list):
+Violations = Sequence[tuple[tuple[str, ...], str]]
+Check = Callable[[object], Violations]
+
+
+def _prefixed(key: str, found: Violations) -> Violations:
+    return [((key, *path), message) for path, message in found]
+
+
+def _keyword(schema: dict, key: str, value: object) -> Check | None:
+    """The check of one keyword of schema, None for an annotation: it
+    gives the violations of x as (path below x, message) pairs, in the
+    words of jsonschema 4.26.  A child's path is prefixed only when the
+    child has violations, so a valid document builds no path and no
+    message."""
+    if key == "type":
+        holds = _TYPES[value]
+        return lambda x: () if holds(x) else [((), f"{x!r} is not of type {value!r}")]
+    if key == "const":
+        return lambda x: () if _equal(x, value) else [((), f"{value!r} was expected")]
+    if key == "enum":
+        return lambda x: (
+            () if any(_equal(x, v) for v in value) else [((), f"{x!r} is not one of {value!r}")]
+        )
+    if key == "pattern":
+        search = re.compile(value).search
+        return lambda x: (
+            [((), f"{x!r} does not match {value!r}")]
+            if isinstance(x, str) and not search(x) else ()
+        )
+    if key in ("minLength", "minItems"):
+        kind = str if key == "minLength" else list
+        says = "should be non-empty" if value == 1 else "is too short"
+        return lambda x: [((), f"{x!r} {says}")] if isinstance(x, kind) and len(x) < value else ()
+    if key == "minimum":
+        return lambda x: (
+            [((), f"{x!r} is less than the minimum of {value!r}")]
+            if isinstance(x, Number) and not isinstance(x, bool) and x < value else ()
+        )
+    if key == "oneOf":
+        # `_known` checked that every branch has a type and that the types
+        # are pairwise different, so only the branch of x's type can hold
+        # and "is valid under each of" cannot arise
+        branches = [(_TYPES[b["type"]], _compile(b)) for b in value]
+
+        def one_of(x: object) -> Violations:
+            for holds, branch in branches:
+                if holds(x):
+                    if not branch(x):
+                        return ()
+                    break
+            return [((), f"{x!r} is not valid under any of the given schemas")]
+
+        return one_of
+    if key == "items":
+        item_check = _compile(value)
+
+        def items(x: object) -> Violations:
+            if not isinstance(x, list):
+                return ()
+            out: list = []
             for i, item in enumerate(x):
-                yield from _errors(value, item, (*path, str(i)))
-        elif not isinstance(x, dict):
-            continue
-        elif key == "required":
-            for name in value:
-                if name not in x:
-                    yield path, f"{name!r} is a required property"
-        elif key == "properties":
-            for name, sub in value.items():
+                found = item_check(item)
+                if found:
+                    out += _prefixed(str(i), found)
+            return out
+
+        return items
+    if key == "required":
+        return lambda x: (
+            [((), f"{name!r} is a required property") for name in value if name not in x]
+            if isinstance(x, dict) else ()
+        )
+    if key == "properties":
+        subs = [(name, _compile(sub)) for name, sub in value.items()]
+
+        def properties(x: object) -> Violations:
+            if not isinstance(x, dict):
+                return ()
+            out: list = []
+            for name, sub in subs:
                 if name in x:
-                    yield from _errors(sub, x[name], (*path, name))
-        elif key == "additionalProperties":
-            extras = [k for k in x if k not in schema.get("properties", {})]
-            if isinstance(value, dict):
-                for k in extras:
-                    yield from _errors(value, x[k], (*path, str(k)))
-            elif not value and extras:
-                names = ", ".join(repr(k) for k in sorted(extras, key=str))
-                verb = "was" if len(extras) == 1 else "were"
-                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+                    found = sub(x[name])
+                    if found:
+                        out += _prefixed(name, found)
+            return out
+
+        return properties
+    if key == "additionalProperties":
+        known = frozenset(schema.get("properties", {}))
+        if isinstance(value, dict):
+            extra_check = _compile(value)
+
+            def extras(x: object) -> Violations:
+                if not isinstance(x, dict):
+                    return ()
+                out: list = []
+                for k, v in x.items():
+                    if k not in known:
+                        found = extra_check(v)
+                        if found:
+                            out += _prefixed(str(k), found)
+                return out
+
+            return extras
+        if value:
+            return None
+
+        def no_extras(x: object) -> Violations:
+            names = [k for k in x if k not in known] if isinstance(x, dict) else ()
+            if not names:
+                return ()
+            listed = ", ".join(repr(k) for k in sorted(names, key=str))
+            verb = "was" if len(names) == 1 else "were"
+            return [((), f"Additional properties are not allowed ({listed} {verb} unexpected)")]
+
+        return no_extras
+    return None  # "$schema", "title", "$defs": annotations
+
+
+def _compile(schema: dict) -> Check:
+    """The check of a schema `_known` accepted, with Draft 2020-12
+    semantics: one closure per keyword, run in schema key order."""
+    checks = [
+        check for key, value in schema.items()
+        if (check := _keyword(schema, key, value)) is not None
+    ]
+    if len(checks) == 1:
+        return checks[0]
+
+    def node(x: object) -> Violations:
+        out: list = []
+        for check in checks:
+            found = check(x)
+            if found:
+                out += found
+        return out
+
+    return node
+
+
+@functools.cache
+def _validator() -> Check:
+    """The shipped schema compiled once, when the first document comes."""
+    return _compile(_validation_schema())
 
 
 def schema_errors(doc: object) -> list[tuple[str, str]]:
     """(pointer, message) schema violations, sorted by document position."""
-    found = sorted(_errors(_validation_schema(), doc, ()), key=lambda e: e[0])
+    found = sorted(_validator()(doc), key=lambda e: e[0])
     return [("/" + "/".join(path), message) for path, message in found]
 
 
@@ -274,6 +367,18 @@ def _require_keys(block: Mapping[str, object], want: set[str], pointer: str) -> 
         raise DocumentError(pointer, f"unknown keys {extra}")
 
 
+def _rational(text: str, *where: object) -> Fraction:
+    """A "p/q" string the schema pattern admitted, as a Fraction.  A
+    numerator or denominator longer than Python's int-string limit is
+    refused with the pointer made of where (the field's pointer and the
+    indices or key below it)."""
+    p, slash, q = text.partition("/")
+    try:
+        return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+    except ValueError as err:
+        raise DocumentError("/".join(map(str, where)), str(err)) from None
+
+
 def _parse_scalar_matrix(raw: list, rows: int, cols: int, pointer: str) -> Matrix:
     if len(raw) != rows or any(len(r) != cols for r in raw):
         raise DocumentError(pointer, f"expected a {rows}x{cols} matrix")
@@ -281,7 +386,10 @@ def _parse_scalar_matrix(raw: list, rows: int, cols: int, pointer: str) -> Matri
         for j, entry in enumerate(row):
             if not isinstance(entry, str):
                 raise DocumentError(f"{pointer}/{i}/{j}", "expected a \"p/q\" scalar")
-    return tuple(tuple(Fraction(x) for x in row) for row in raw)
+    return tuple(
+        tuple([_rational(x, pointer, i, j) for j, x in enumerate(row)])
+        for i, row in enumerate(raw)
+    )
 
 
 def _parse_form_matrix(raw: list, rows: int, cols: int, pointer: str) -> PolyMatrix:
@@ -294,7 +402,8 @@ def _parse_form_matrix(raw: list, rows: int, cols: int, pointer: str) -> PolyMat
             if entry is None:
                 entries.append(HomogPoly.zero())
             elif isinstance(entry, list):
-                entries.append(HomogPoly.of(len(entry) - 1, [Fraction(c) for c in entry]))
+                cs = tuple([_rational(c, pointer, i, j, k) for k, c in enumerate(entry)])
+                entries.append(HomogPoly(len(cs) - 1, cs) if any(cs) else HomogPoly.zero())
             else:
                 raise DocumentError(
                     f"{pointer}/{i}/{j}", "expected null or a coefficient list"
@@ -323,7 +432,7 @@ def _parse_rep(doc: dict, dq: DoubleQuiver) -> tuple[FramedRep, dict[str, Fracti
     for v, c in doc.get("lambda", {}).items():
         if v not in ordinary:
             raise DocumentError(f"/lambda/{v}", "not an ordinary vertex")
-        level[v] = Fraction(c)
+        level[v] = _rational(c, "/lambda", v)
     return FramedRep(dq, dims, x), level
 
 

@@ -339,6 +339,31 @@ def test_invalid_bundle_documents_exit_2_without_traceback(tmp_path):
             assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_a_rational_past_the_int_string_limit_exits_2_with_its_pointer(tmp_path):
+    # the schema pattern admits any length; int() refuses more than
+    # sys.get_int_max_str_digits() digits
+    digits = sys.get_int_max_str_digits() + 700
+    bundle = json.loads(Path(BUNDLE_STABLE).read_text())
+    bundle["data"]["frame+"][0][0][1] = "1" * digits
+    rep = json.loads(Path(REP_STABLE).read_text())
+    rep["data"]["loop+"][1][0] = "1/" + "3" * digits
+    level = json.loads(Path(REP_STABLE).read_text())
+    level["lambda"] = {"1": "-" + "7" * digits}
+    for name, doc, pointer in (
+        ("coefficient", bundle, "/data/frame+/0/0/1"),
+        ("scalar", rep, "/data/loop+/1/0"),
+        ("level", level, "/lambda/1"),
+    ):
+        assert schema_errors(doc) == [], name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "stability"):
+            code, out, err = run([command, "--input", str(path)])
+            assert (code, out) == (2, ""), (name, command)
+            assert err.startswith(f"error: {pointer}: "), (name, command, err[:80])
+            assert "Traceback" not in err
+
+
 def test_output_is_byte_deterministic_across_runs():
     calls = [
         ["validate", "--input", CHAIN_STABLE],

@@ -399,3 +399,19 @@ def test_root_search_within_budget(p, want):
     elapsed = time.perf_counter() - start
     assert text == want
     assert elapsed < 5.0, f"{elapsed:.1f} s"
+
+
+def test_at_without_s_matches_at_s_one_and_evaluate():
+    # `at` has a loop of its own for s = 1, the case of every fiber
+    rng = random.Random(25)
+    for _ in range(2000):
+        p = tuple(rng.randint(-10**rng.randint(1, 25), 10**rng.randint(1, 25))
+                  for _ in range(rng.randint(0, 7)))
+        t = rng.randint(-40, 40)
+        value = polynomials.at(p, t)
+        assert value == polynomials.at(p, t, 1)
+        form = polynomials.form(p)
+        assert value == form.evaluate(1, t)
+        s = rng.choice((-3, -1, 0, 2, 5))
+        assert polynomials.at(p, t, s) == form.evaluate(s, t)
+    assert polynomials.at((), 7) == polynomials.at((), 7, 1) == 0

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from quiverbundles import serialization
 from quiverbundles.bundles import validate
 from quiverbundles.generators import bundle_spec, gen_bundle, gen_rep, rep_spec
 from quiverbundles.polynomials import poly_mat_is_zero
@@ -17,7 +19,9 @@ from quiverbundles.serialization import (
     InstanceDocument,
     _inline_refs,
     _known,
+    _rational,
     _schema,
+    _validation_schema,
     bundle_to_doc,
     dumps,
     instance_to_doc,
@@ -279,3 +283,66 @@ def test_entry_branches_have_pairwise_different_types():
     branches = _inline_refs(schema["$defs"]["entry"], schema["$defs"])["oneOf"]
     types = [branch["type"] for branch in branches]
     assert sorted(types) == ["array", "null", "string"]
+
+
+def _rational_text(rng: random.Random) -> str:
+    """A seeded string the shipped rational pattern admits: leading zeros,
+    "-0", a zero numerator over a denominator, numerators past 64 bits and
+    the trailing newline that "$" lets through."""
+    numerator = rng.choice((
+        str(rng.randint(0, 9)),
+        "0" * rng.randint(1, 3) + str(rng.randint(0, 999)),
+        str(rng.randint(0, 10**rng.randint(19, 60))),
+        "0",
+    ))
+    text = rng.choice(("", "-")) + numerator
+    if rng.random() < 0.6:
+        text += "/" + str(rng.randint(1, 10**rng.randint(1, 40)))
+    return text + ("\n" if rng.random() < 0.1 else "")
+
+
+def test_rational_reads_what_fraction_reads():
+    rational = _validation_schema()["properties"]["lambda"]["additionalProperties"]
+    pattern = re.compile(rational["pattern"])
+    rng = random.Random(25)
+    texts = [_rational_text(rng) for _ in range(2000)]
+    texts += ["-0", "0/7", "-0/7", "007", "-007/3", "3\n", "1/2\n", str(2**64), str(-(2**64) - 1)]
+    for text in texts:
+        assert pattern.search(text), repr(text)
+        value = _rational(text)
+        assert type(value) is Fraction and value == Fraction(text), repr(text)
+    assert any(text.endswith("\n") and "/" in text for text in texts)
+    assert any(abs(Fraction(text).numerator) >= 2**64 for text in texts)
+
+
+def test_generated_documents_and_fixtures_are_valid_under_both():
+    docs = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    for seed in range(20):
+        docs.append(json.loads(dumps(bundle_to_doc(gen_bundle(bundle_spec(seed, seed=seed))))))
+        spec = rep_spec(seed, seed=seed)
+        level = {v: spec.level for v in spec.double.ordinary_vertices}
+        docs.append(json.loads(dumps(rep_to_doc(gen_rep(spec), level=level))))
+    assert sum("lambda" in doc for doc in docs) > 10
+    for doc in docs:
+        assert schema_errors(doc) == _oracle_errors(doc) == []
+
+
+def test_the_schema_is_compiled_once(monkeypatch):
+    calls = []
+    compile_ = serialization._compile
+
+    def counted(schema):
+        calls.append(schema)
+        return compile_(schema)
+
+    monkeypatch.setattr(serialization, "_compile", counted)
+    serialization._validator.cache_clear()
+    _, doc = _bundle_doc()
+    _, _, rdoc = _rep_doc()
+    parse_document(doc)
+    compiled = len(calls)
+    for k in range(49):
+        parse_document(rdoc if k % 2 else doc)
+    assert [schema for schema in calls if schema is _validation_schema()] == [_validation_schema()]
+    assert len(calls) == compiled > 1  # every subschema, during the first call only
+    serialization._validator.cache_clear()
