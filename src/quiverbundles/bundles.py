@@ -241,24 +241,6 @@ def _vanishes(residuals: Mapping[str, tuple[list[list[tuple[int, ...]]], int]]) 
     return not any(any(row) for residual, _ in residuals.values() for row in residual)
 
 
-@dataclass(frozen=True)
-class DegreeClass:
-    beta: tuple[tuple[str, int], ...]
-
-    def __getitem__(self, vertex: str) -> int:
-        for v, d in self.beta:
-            if v == vertex:
-                return d
-        raise KeyError(vertex)
-
-
-def degree_vector(e: TwistedQuiverBundle) -> DegreeClass:
-    """Degree of the determinant line per ordinary vertex."""
-    return DegreeClass(
-        tuple((i, e.bundles[i].degree) for i in e.double.ordinary_vertices)
-    )
-
-
 def fiber_at(e: TwistedQuiverBundle, z: tuple[object, object]) -> FramedRep:
     """Evaluate all arrow matrices at a rational point [s0 : t0].
 
@@ -379,25 +361,6 @@ def _flatten(column: IntColumn, twist: int, row_degrees: tuple[int, ...]) -> dic
                 flat[j] = x
         base += width
     return flat
-
-
-def _generation_matrices(
-    e: TwistedQuiverBundle,
-) -> dict[str, tuple[PolyMatrix, tuple[int, ...]]]:
-    """Per ordinary vertex the generation matrix, the `generation_columns`
-    side by side, and their twists."""
-    out = {}
-    for i, columns in generation_columns(e).items():
-        matrix = tuple(tuple(col[r] for _, col in columns) for r in range(e.bundles[i].rank))
-        out[i] = (matrix, tuple(tw for tw, _ in columns))
-    return out
-
-
-def generation_matrix(
-    e: TwistedQuiverBundle, vertex: str
-) -> tuple[PolyMatrix, tuple[int, ...]]:
-    """Stacked word-image columns at one vertex plus their twist degrees."""
-    return _generation_matrices(e)[vertex]
 
 
 @dataclass(frozen=True)

@@ -458,15 +458,6 @@ def gen_bundle(spec: InstanceSpec) -> TwistedQuiverBundle:
     raise RuntimeError(f"no zero-residual bundle for {spec} after {MAX_ATTEMPTS} attempts")
 
 
-def zero_arrow_bundle(e: TwistedQuiverBundle, arrow: str) -> TwistedQuiverBundle:
-    """Copy with one arrow matrix zeroed; residual preservation is on the caller."""
-    a = e.double.arrow(arrow)
-    rows, cols = e.bundles[a.head].rank, e.bundles[a.tail].rank
-    phi = dict(e.phi)
-    phi[arrow] = poly_zeros(rows, cols)
-    return TwistedQuiverBundle(e.double, e.bundles, e.twist, phi)
-
-
 def zero_arrow_rep(x: FramedRep, arrow: str) -> FramedRep:
     """Copy with one arrow block zeroed; residual preservation is on the caller."""
     a = x.double.arrow(arrow)
@@ -497,8 +488,11 @@ def oracle_fiber_consistency(e: TwistedQuiverBundle, samples: int = 5) -> bool:
     Checks is_stable_framed on the fiber at each sampled point against
     is_stable_quasimap, then rescales the trivialization at the first point
     and requires the verdict to be unchanged.  Any disagreement raises
-    ArithmeticError naming the witness point.
+    ArithmeticError naming the witness point.  At least one sample is
+    needed: the rescaling check takes the first.
     """
+    if samples < 1:
+        raise ValueError(f"fiber consistency needs at least one sample, got {samples}")
     symbolic = is_stable_quasimap(e)
     points = sample_points(e, samples)
     for z in points:
@@ -697,16 +691,20 @@ def bundle_spec(k: int, seed: int = 0, degree_bound: int = 2, height: int = 3) -
 def stable_bundles(
     count: int, seed: int = 0, degree_bound: int = 2, height: int = 3
 ) -> Iterator[TwistedQuiverBundle]:
-    """First count quasimap-stable instances from the bundle rotation."""
+    """First count quasimap-stable instances from the bundle rotation; none
+    for count 0, and a negative count is refused."""
+    if count < 0:
+        raise ValueError(f"stable bundle count must be nonnegative, got {count}")
     found = 0
-    for k in range(200 * max(count, 1)):
+    for k in range(200 * count):
         e = gen_bundle(bundle_spec(k, seed, degree_bound, height))
         if is_stable_quasimap(e):
             yield e
             found += 1
             if found == count:
                 return
-    raise RuntimeError(f"only {found} stable instances within the attempt budget")
+    if found < count:
+        raise RuntimeError(f"only {found} stable instances within the attempt budget")
 
 
 def run_suite(name: str, count: int = 50, seed: int = 0) -> SuiteReport:

@@ -31,18 +31,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def mat(rows: Iterable[Iterable[object]]) -> Matrix:
-    """Coerce nested ints / strings / Fractions into a Matrix."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged rows in matrix literal")
-    return out
-
-
-def vec(entries: Iterable[object]) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
 def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -93,22 +81,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def matvec(a: Matrix, v: Vector) -> Vector:
-    # a zero-row matrix carries no column count; its image is the empty vector
-    if a and shape(a)[1] != len(v):
-        raise ValueError("matvec shape mismatch")
-    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
-
-
-def trace(a: Matrix) -> Fraction:
-    m, n = shape(a)
-    if m != n:
-        raise ValueError(f"trace of non-square {m}x{n} matrix")
-    return sum((a[i][i] for i in range(m)), ZERO)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

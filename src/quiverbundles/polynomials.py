@@ -23,27 +23,25 @@ coefficient product), `at` (the value at [s : t], the one Horner loop),
 coefficients over a denominator as a `HomogPoly`) and `scaled_rows`
 (rows times an integer).
 
-The gcd of the maximal minors of a matrix of full column rank has an
-integer core, `_int_full_rank_minor_gcd`, which takes the rows as integer
-coefficient tuples and runs the echelon on the columns sorted by
+The gcd of the maximal minors of a matrix of full column rank is
+`_int_full_rank_minor_gcd`, which takes the rows as integer coefficient
+tuples and runs the echelon (`_int_echelon`) on the columns sorted by
 ascending largest entry degree.  Reordering the columns changes each
 maximal minor by a sign and the gcd not at all; eliminating the
 low-degree columns first keeps the pseudo-remainders small, where the
 matrix's own column order let their coefficients swell far past those of
-the gcd.  `_full_rank_minor_gcd` and `_echelon` clear each row of forms
-by the common denominator of its coefficients (`linalg.cleared`) and
-call the cores, and `_minor_gcd` first reads its pivot columns J, the
-columns independent of those before them, off the rows of the certified
-fiber.
+the gcd.  `bundles` hands it the integer columns of its generation walk,
+so no form matrix is ever cleared for it; the tests keep the echelon and
+the minor gcds on rows of rational forms as oracles.
 
 Every rank-only question about a form matrix is asked of integer data.
 `generic_pivot_columns` and `fiber_rank` take a matrix as integer
 columns on the chart s = 1, each a positive multiple of the rational one,
 which changes no rank: `integer_columns` clears a form matrix's columns
-(`linalg.cleared`, one call per column) for `generic_rank` and
-`_pivot_columns`, and `bundles` passes the integer columns of its
-generation walk directly.  `integer_rows` clears a whole matrix by one
-denominator (one `linalg.cleared` call): each arrow of `bundles`, once,
+(`linalg.cleared`, one call per column) for `generic_rank`, and
+`bundles` passes the integer columns of its generation walk directly.
+`integer_rows` clears a whole matrix by one denominator (one
+`linalg.cleared` call): each arrow of `bundles`, once,
 for the residual, the generation walk and the deformation complex of
 `complexes`, which is assembled and ranked on those rows.  The generic
 rank is one fiber at a point beyond every root of every minor, by
@@ -62,8 +60,6 @@ from . import linalg
 from .quivers import InvariantError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
 # ascending coefficients of a polynomial in one variable, () for zero
 _Univ = tuple[Fraction, ...]
 
@@ -296,13 +292,6 @@ def _normalized(p: HomogPoly) -> HomogPoly:
 PolyMatrix = tuple[tuple[HomogPoly, ...], ...]
 
 
-def poly_mat(rows: Iterable[Iterable[HomogPoly]]) -> PolyMatrix:
-    out = tuple(tuple(row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged rows in form matrix")
-    return out
-
-
 def poly_zeros(m: int, n: int) -> PolyMatrix:
     return tuple((_ZERO_POLY,) * n for _ in range(m))
 
@@ -440,8 +429,7 @@ def integer_columns(a: PolyMatrix) -> list[IntColumn]:
     """The columns of a on the chart s = 1, each times the common
     denominator of its coefficients: per column, per row, the ascending
     t-coefficients of an integer polynomial, () for zero.  The rank
-    questions of `generic_rank` and `_pivot_columns` on a form matrix are
-    asked of these."""
+    question of `generic_rank` on a form matrix is asked of these."""
     return [linalg.cleared([e.coeffs for e in col])[0] for col in zip(*a)]
 
 
@@ -515,28 +503,6 @@ def generic_pivot_columns(columns: Sequence[IntColumn], rows: int) -> list[int]:
     return linalg.pivot_columns({c: x for c, x in enumerate(row) if x} for row in zip(*fiber))
 
 
-def _pivot_columns(a: PolyMatrix) -> list[int]:
-    """The pivot columns of `_echelon(_chart(a))`: `generic_pivot_columns`
-    of `integer_columns(a)`."""
-    return generic_pivot_columns(integer_columns(a), len(a))
-
-
-def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
-    """Entries of a dehomogenized at s = 1, as ascending t-coefficients,
-    or at t = 1 when at_t, as ascending s-coefficients; () is zero."""
-    return [[_trimmed(e.coeffs[::-1] if at_t else e.coeffs) for e in row] for row in a]
-
-
-def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
-    """Pivot columns and pivot polynomials of a row echelon over Q[x]:
-    `_int_echelon` of the rows, each first multiplied by the common
-    denominator of its coefficients, with the pivots returned with
-    `Fraction` coefficients.  Scaling a row by a nonzero rational is a
-    unit over Q[x]."""
-    cols, pivots = _int_echelon([linalg.cleared(r)[0] for r in rows])
-    return cols, [tuple(Fraction(x) for x in p) for p in pivots]
-
-
 def _int_echelon(rows: list[_IntRow]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Pivot columns and pivot polynomials of a row echelon over Q[x] of
     integer rows; the list's rows are replaced as they are reduced.
@@ -605,24 +571,6 @@ def _combine(f: int, x: tuple[int, ...], h: int, off: int, y: tuple[int, ...]) -
     for j, w in enumerate(y):
         out[off + j] -= h * w
     return _trimmed(out)
-
-
-def _minor_gcd(a: PolyMatrix) -> tuple[list[int], HomogPoly]:
-    """Pivot columns J of a, independent over Q(t) from left to right
-    (`_pivot_columns`), and the normalized gcd of the maximal minors of the
-    columns J (`_full_rank_minor_gcd`)."""
-    cols = _pivot_columns(a)
-    return cols, _full_rank_minor_gcd(tuple(tuple(row[j] for j in cols) for row in a))
-
-
-def _full_rank_minor_gcd(a: PolyMatrix) -> HomogPoly:
-    """The normalized gcd of the maximal minors of a, which must have full
-    column rank over Q(t): `_int_full_rank_minor_gcd` of a's rows, each
-    times the common denominator of its coefficients.  Scaling a row or a
-    column by a positive constant multiplies each maximal minor by a
-    constant, the same for all of them, so their gcd changes by that
-    constant only, and `_normalized` fixes it."""
-    return _int_full_rank_minor_gcd([linalg.cleared([e.coeffs for e in row])[0] for row in a])
 
 
 def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> HomogPoly:

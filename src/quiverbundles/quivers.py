@@ -1,4 +1,4 @@
-"""Quivers, double quivers, dimension vectors, stability weights, torus data.
+"""Quivers, double quivers, dimension vectors, and the library's error types.
 
 Vertices and arrows carry stable string identifiers.  A quiver may declare
 a single framing vertex; the remaining vertices are the ordinary ones that
@@ -9,13 +9,8 @@ and "a-" (reversed, sign 1) with an explicit fixed-point-free involution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
-
-
-class NoFramingDimensionError(ValueError):
-    """Raised when an operation needs v at the framing vertex to be nonzero."""
+from typing import Mapping
 
 
 class HypothesisError(ValueError):
@@ -142,117 +137,3 @@ class DimensionVector:
 
     def total(self) -> int:
         return sum(self.values)
-
-
-@dataclass(frozen=True)
-class StabilityWeights:
-    """Rational weights on the ordinary vertices; the framing weight is derived."""
-
-    theta: tuple[tuple[str, Fraction], ...]
-
-    @staticmethod
-    def of(weights: Mapping[str, object]) -> StabilityWeights:
-        return StabilityWeights(tuple((v, Fraction(w)) for v, w in weights.items()))
-
-    @staticmethod
-    def ones(q: Quiver | DoubleQuiver) -> StabilityWeights:
-        return StabilityWeights.of({v: 1 for v in q.ordinary_vertices})
-
-    def weight(self, vertex: str) -> Fraction:
-        for v, w in self.theta:
-            if v == vertex:
-                return w
-        raise KeyError(vertex)
-
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.theta)
-
-
-def theta_zero(weights: StabilityWeights, q: Quiver | DoubleQuiver, v: DimensionVector) -> Fraction:
-    """Framing weight making the full dimension vector land on weight zero."""
-    framing = q.framing
-    if framing is None:
-        raise NoFramingDimensionError("quiver has no framing vertex")
-    v0 = v[framing]
-    if v0 == 0:
-        raise NoFramingDimensionError("no framing dimension: v is zero at the framing vertex")
-    total = sum((weights.weight(i) * v[i] for i in q.ordinary_vertices), Fraction(0))
-    return -total / v0
-
-
-def theta_value(
-    weights: StabilityWeights, q: Quiver | DoubleQuiver, v: DimensionVector, w: DimensionVector
-) -> Fraction:
-    """Weight of a subspace dimension vector w, with the framing weight bound by v."""
-    if w.quiver_vertices != v.quiver_vertices:
-        raise ValueError("dimension vector on wrong quiver")
-    t0 = theta_zero(weights, q, v)
-    framing = q.framing
-    total = t0 * w[framing]
-    for i in q.ordinary_vertices:
-        total += weights.weight(i) * w[i]
-    return total
-
-
-@dataclass(frozen=True)
-class TorusElement:
-    """Nonzero rational weight per doubled arrow.
-
-    Symplectic mode carries weight t on each sign-0 arrow and 1/t on its
-    opposite, so every opposite pair multiplies to 1.
-    """
-
-    weights: tuple[tuple[str, Fraction], ...]
-    mode: str = "full"  # "full" or "symplectic"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("full", "symplectic"):
-            raise ValueError(f"unknown torus mode {self.mode!r}")
-        for name, w in self.weights:
-            if w == 0:
-                raise ValueError(f"zero torus scalar on arrow {name!r}")
-
-    @staticmethod
-    def full(dq: DoubleQuiver, weights: Mapping[str, object]) -> TorusElement:
-        named = {a.name for a in dq.arrows}
-        if set(weights) != named:
-            raise ValueError("full torus element needs one scalar per doubled arrow")
-        return TorusElement(
-            tuple((a.name, Fraction(weights[a.name])) for a in dq.arrows), "full"
-        )
-
-    @staticmethod
-    def symplectic(dq: DoubleQuiver, base_weights: Mapping[str, object]) -> TorusElement:
-        base_names = {a.name for a in dq.base.arrows}
-        if set(base_weights) != base_names:
-            raise ValueError("symplectic torus element needs one scalar per base arrow")
-        pairs = []
-        for a in dq.arrows:
-            t = Fraction(base_weights[a.base])
-            if t == 0:
-                raise ValueError(f"zero torus scalar on arrow {a.base!r}")
-            pairs.append((a.name, t if a.sign == 0 else 1 / t))
-        return TorusElement(tuple(pairs), "symplectic")
-
-    def weight(self, arrow: str) -> Fraction:
-        for name, w in self.weights:
-            if name == arrow:
-                return w
-        raise KeyError(arrow)
-
-
-def refute_semistability(
-    weights: StabilityWeights,
-    q: Quiver | DoubleQuiver,
-    v: DimensionVector,
-    family: Iterable[DimensionVector],
-) -> DimensionVector | None:
-    """Refutation-only semistability check against a supplied subobject family.
-
-    Returns the first member with strictly negative weight, or None.  A None
-    result does not certify semistability; the family is rarely exhaustive.
-    """
-    for w in family:
-        if theta_value(weights, q, v, w) < 0:
-            return w
-    return None

@@ -2,10 +2,10 @@
 
 Points of the representation space are tuples of exact rational matrices,
 one per doubled arrow.  This module carries the symplectic form, the
-moment map and its derivative, the gauge action derivative, generation
-closure, framed stability at weights (1, ..., 1), the coordinate-subspace
-brute-force oracle, torus rescaling, and the reduced tangent space at a
-moment-map level.
+moment map and its derivative, the gauge action derivative, framed
+stability at weights (1, ..., 1) by the generation closure of the framing
+fiber, the coordinate-subspace brute-force oracle, and the reduced tangent
+space at a moment-map level.
 
 `linearization` assembles the gauge action derivative kappa and the
 moment derivative dmu as matrices in unit-matrix bases, on integer rows
@@ -27,14 +27,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .linalg import Matrix, Vector
 from .polynomials import IntRows, dense_at, scaled_rows
-from .quivers import (
-    DimensionVector,
-    DoubleQuiver,
-    HypothesisError,
-    StabilityWeights,
-    TorusElement,
-    theta_value,
-)
+from .quivers import DimensionVector, DoubleQuiver, HypothesisError
 
 ZERO = Fraction(0)
 
@@ -177,9 +170,15 @@ def symplectic_form(x: FramedRep, a_vec: TangentVector, b_vec: TangentVector) ->
     for a in x.double.arrows:
         if a.sign != 0 or not (x.dims[a.head] and x.dims[a.tail]):
             continue  # a product through a zero-rank vertex is zero
-        total += linalg.trace(linalg.matmul(a_vec.values[a.name], b_vec.values[a.opposite]))
-        total -= linalg.trace(linalg.matmul(a_vec.values[a.opposite], b_vec.values[a.name]))
+        total += _trace_product(a_vec.values[a.name], b_vec.values[a.opposite])
+        total -= _trace_product(a_vec.values[a.opposite], b_vec.values[a.name])
     return total
+
+
+def _trace_product(a: Matrix, b: Matrix) -> Fraction:
+    """tr(AB) as the sum of a_ij b_ji, without forming AB; the shapes
+    are the callers' to check."""
+    return sum((x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col)), ZERO)
 
 
 def action_derivative(g: LieElement, x: FramedRep) -> TangentVector:
@@ -207,7 +206,7 @@ def hamiltonian_residual(x: FramedRep, xi: TangentVector, g: LieElement) -> Frac
     for i, block in dmu.items():
         gi = g.values.get(i)
         if gi is not None:
-            paired += linalg.trace(linalg.matmul(block, gi))
+            paired += _trace_product(block, gi)
     return paired - symplectic_form(x, action_derivative(g, x), xi)
 
 
@@ -327,34 +326,6 @@ def _place(row: dict[int, tuple[int, ...]], c: int, p: tuple[int, ...]) -> None:
 
 # ---------------------------------------------------------------------------
 # generation closure and framed stability
-
-
-def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
-    """Smallest arrow-invariant subspace family containing the seed columns.
-
-    Each vertex keeps an `add_row` pivot table.  The seed columns, and the
-    images of each accepted vector along the arrows out of its vertex, are
-    offered to the table at their vertex; a rejected vector lies in the span
-    accepted there, so its images would add nothing.  The accepted spans
-    lie in the closure, hold the seeds and are invariant (each image of an
-    accepted vector was offered at its head), so they are the closure.
-
-    The vectors are integers: each seed matrix and each arrow's matrix is
-    cleared once by the common denominator of its entries
-    (`linalg.cleared`).  A vector then stands for a nonzero multiple of
-    the one the rational maps give, and a nonzero scalar per vector or per
-    arrow changes no span, so the spans, and their canonical bases from
-    `row_space_basis`, are the same.
-    """
-    todo: list[tuple[str, tuple[int, ...]]] = []
-    for v, m in seeds.items():
-        if v not in x.double.vertices:
-            raise ValueError(f"seed at unknown vertex {v!r}")
-        if m and linalg.shape(m)[0] != x.dims[v]:
-            raise ValueError(f"seed at {v!r} lives in the wrong fiber")
-        todo.extend((v, w) for w in zip(*linalg.cleared(m)[0]))
-    arrows = {a.name: linalg.cleared(x.x[a.name])[0] for a in x.double.arrows}
-    return _subrep(x, _accepted(x.double, arrows, todo))
 
 
 def _accepted(
@@ -495,30 +466,6 @@ def brute_force_framed_check(x: FramedRep) -> bool:
         if ok:
             return False  # proper invariant framing-full family destabilizes
     return True
-
-
-def destabilizing_weight(x: FramedRep, w: SubRep) -> Fraction:
-    """Weight of a subspace family under (1, ..., 1); negative for witnesses."""
-    return theta_value(StabilityWeights.ones(x.double), x.double, x.dims, w.dims)
-
-
-# ---------------------------------------------------------------------------
-# torus action
-
-
-def torus_act(t: TorusElement, x: FramedRep) -> FramedRep:
-    """Scale each arrow block by its torus weight."""
-    scaled = {a.name: linalg.scale(t.weight(a.name), x.x[a.name]) for a in x.double.arrows}
-    return FramedRep(x.double, x.dims, scaled)
-
-
-def s_moment_invariance(
-    t: TorusElement, x: FramedRep, level: Mapping[str, object] | None = None
-) -> dict[str, Matrix]:
-    """Difference moment(t.x) - moment(x) per vertex; zero in symplectic mode."""
-    before = moment(x, level)
-    after = moment(torus_act(t, x), level)
-    return {i: linalg.sub(after[i], before[i]) for i in before}
 
 
 # ---------------------------------------------------------------------------

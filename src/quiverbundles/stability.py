@@ -53,12 +53,6 @@ class NumericalClass:
 
 
 @dataclass(frozen=True)
-class CentralCharge:
-    re: Fraction
-    im: Fraction
-
-
-@dataclass(frozen=True)
 class Slope:
     """Element of (-inf, +inf]; +inf is encoded by value None."""
 
@@ -92,27 +86,9 @@ class Slope:
 INFINITE_SLOPE = Slope(None)
 
 
-def central_charge(c: NumericalClass, delta: Rational) -> CentralCharge:
-    """Charge (v1, d + delta*v0); the two half-rank real contributions of
-    the summands are combined into the single real part v1."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return CentralCharge(Fraction(c.v1), Fraction(c.d) + delta * c.v0)
-
-
-def slope_of(z: CentralCharge) -> Slope:
-    """im/re on the closed right half plane; +inf on the positive
-    imaginary axis."""
-    if z.re > 0:
-        return Slope(z.im / z.re)
-    if z.re == 0 and z.im > 0:
-        return INFINITE_SLOPE
-    raise ValueError(f"no slope in (-inf, +inf] for charge ({z.re}, {z.im})")
-
-
 def mu_delta(c: NumericalClass, delta: Rational) -> Slope:
-    """The slope of central_charge(c, delta), taken on integers by `_mu`."""
+    """The slope of the charge (v1, d + delta*v0) of c, taken on integers
+    by `_mu`."""
     delta = Fraction(delta)
     mu = _mu(c, delta.numerator, delta.denominator)
     return INFINITE_SLOPE if mu is None else Slope(Fraction(*mu))
@@ -122,7 +98,8 @@ def _mu(c: NumericalClass, p: int, q: int) -> tuple[int, int] | None:
     """mu_delta(c) at delta = p/q, q > 0, as integers: (numerator,
     denominator > 0) of (q d + p v0) / (q v1), or None for +inf, when
     v1 = 0 < q d + p v0.  The charge is (v1, (q d + p v0) / q), so this
-    is its slope, with the errors of `central_charge` and `slope_of`."""
+    is its slope; delta <= 0, and a charge with no slope in (-inf, +inf],
+    raise ValueError."""
     if p <= 0:
         raise ValueError("delta must be positive")
     im = q * c.d + p * c.v0

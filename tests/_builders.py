@@ -1,12 +1,35 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders for the test suite: matrix and form-matrix
+literals, and ADHM- and chain-shaped bundles."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from quiverbundles.bundles import SplitBundle, TwistData, TwistedQuiverBundle
-from quiverbundles.polynomials import HomogPoly, poly_mat, poly_zeros
+from quiverbundles.linalg import Matrix, Vector
+from quiverbundles.polynomials import HomogPoly, PolyMatrix, poly_zeros
 from quiverbundles.quivers import Arrow, Quiver, double
+
+
+def mat(rows: Iterable[Iterable[object]]) -> Matrix:
+    """Coerce nested ints / strings / Fractions into a Matrix."""
+    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged rows in matrix literal")
+    return out
+
+
+def vec(entries: Iterable[object]) -> Vector:
+    return tuple(Fraction(x) for x in entries)
+
+
+def poly_mat(rows: Iterable[Iterable[HomogPoly]]) -> PolyMatrix:
+    out = tuple(tuple(row) for row in rows)
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged rows in form matrix")
+    return out
+
 
 ADHM_QUIVER = Quiver(
     ("0", "1"), (Arrow("loop", "1", "1"), Arrow("frame", "0", "1")), framing="0"
@@ -79,4 +102,13 @@ def rational_gauge(e: TwistedQuiverBundle, c=Fraction(2, 3)) -> TwistedQuiverBun
         )
         for a in e.double.arrows
     }
+    return TwistedQuiverBundle(e.double, e.bundles, e.twist, phi)
+
+
+def zero_arrow_bundle(e: TwistedQuiverBundle, arrow: str) -> TwistedQuiverBundle:
+    """Copy with one arrow matrix zeroed; residual preservation is on the caller."""
+    a = e.double.arrow(arrow)
+    rows, cols = e.bundles[a.head].rank, e.bundles[a.tail].rank
+    phi = dict(e.phi)
+    phi[arrow] = poly_zeros(rows, cols)
     return TwistedQuiverBundle(e.double, e.bundles, e.twist, phi)

@@ -1,0 +1,304 @@
+"""Reference routines and test-only tools, kept beside the tests that use them.
+
+The library keeps only what its API, the CLI, the demos and the bench
+tracer reach (`test_layering.py` walks the names).  What the tests alone
+need lives here, one section per library module it builds on: the Q[t]
+echelon on rational forms and the minor gcds over it, the generation
+matrices as forms, the rational central charge and its slope, stability
+weights and torus elements with what acts by them, the seeded closure,
+and the dense matrix-vector product and trace.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
+
+from quiverbundles import linalg
+from quiverbundles.bundles import TwistedQuiverBundle, generation_columns
+from quiverbundles.linalg import ZERO, Matrix, Vector, shape
+from quiverbundles.polynomials import (
+    HomogPoly,
+    PolyMatrix,
+    _int_echelon,
+    _int_full_rank_minor_gcd,
+    _trimmed,
+    _Univ,
+    generic_pivot_columns,
+    integer_columns,
+)
+from quiverbundles.quivers import DimensionVector, DoubleQuiver, Quiver
+from quiverbundles.representations import FramedRep, SubRep, _accepted, _subrep, moment
+from quiverbundles.stability import INFINITE_SLOPE, NumericalClass, Rational, Slope
+
+
+# ---------------------------------------------------------------------------
+# polynomials: the echelon over Q[t] on rational forms
+
+
+def _pivot_columns(a: PolyMatrix) -> list[int]:
+    """The pivot columns of `_echelon(_chart(a))`: `generic_pivot_columns`
+    of `integer_columns(a)`."""
+    return generic_pivot_columns(integer_columns(a), len(a))
+
+
+def _chart(a: PolyMatrix, at_t: bool = False) -> list[list[_Univ]]:
+    """Entries of a dehomogenized at s = 1, as ascending t-coefficients,
+    or at t = 1 when at_t, as ascending s-coefficients; () is zero."""
+    return [[_trimmed(e.coeffs[::-1] if at_t else e.coeffs) for e in row] for row in a]
+
+
+def _echelon(rows: list[list[_Univ]]) -> tuple[list[int], list[_Univ]]:
+    """Pivot columns and pivot polynomials of a row echelon over Q[x]:
+    `_int_echelon` of the rows, each first multiplied by the common
+    denominator of its coefficients, with the pivots returned with
+    `Fraction` coefficients.  Scaling a row by a nonzero rational is a
+    unit over Q[x]."""
+    cols, pivots = _int_echelon([linalg.cleared(r)[0] for r in rows])
+    return cols, [tuple(Fraction(x) for x in p) for p in pivots]
+
+
+def _minor_gcd(a: PolyMatrix) -> tuple[list[int], HomogPoly]:
+    """Pivot columns J of a, independent over Q(t) from left to right
+    (`_pivot_columns`), and the normalized gcd of the maximal minors of the
+    columns J (`_full_rank_minor_gcd`)."""
+    cols = _pivot_columns(a)
+    return cols, _full_rank_minor_gcd(tuple(tuple(row[j] for j in cols) for row in a))
+
+
+def _full_rank_minor_gcd(a: PolyMatrix) -> HomogPoly:
+    """The normalized gcd of the maximal minors of a, which must have full
+    column rank over Q(t): `_int_full_rank_minor_gcd` of a's rows, each
+    times the common denominator of its coefficients.  Scaling a row or a
+    column by a positive constant multiplies each maximal minor by a
+    constant, the same for all of them, so their gcd changes by that
+    constant only, and `_normalized` fixes it."""
+    return _int_full_rank_minor_gcd([linalg.cleared([e.coeffs for e in row])[0] for row in a])
+
+
+# ---------------------------------------------------------------------------
+# bundles: generation matrices of forms
+
+
+def _generation_matrices(
+    e: TwistedQuiverBundle,
+) -> dict[str, tuple[PolyMatrix, tuple[int, ...]]]:
+    """Per ordinary vertex the generation matrix, the `generation_columns`
+    side by side, and their twists."""
+    out = {}
+    for i, columns in generation_columns(e).items():
+        matrix = tuple(tuple(col[r] for _, col in columns) for r in range(e.bundles[i].rank))
+        out[i] = (matrix, tuple(tw for tw, _ in columns))
+    return out
+
+
+def generation_matrix(
+    e: TwistedQuiverBundle, vertex: str
+) -> tuple[PolyMatrix, tuple[int, ...]]:
+    """Stacked word-image columns at one vertex plus their twist degrees."""
+    return _generation_matrices(e)[vertex]
+
+
+# ---------------------------------------------------------------------------
+# stability: the rational central charge
+
+
+@dataclass(frozen=True)
+class CentralCharge:
+    re: Fraction
+    im: Fraction
+
+
+def central_charge(c: NumericalClass, delta: Rational) -> CentralCharge:
+    """Charge (v1, d + delta*v0); the two half-rank real contributions of
+    the summands are combined into the single real part v1."""
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return CentralCharge(Fraction(c.v1), Fraction(c.d) + delta * c.v0)
+
+
+def slope_of(z: CentralCharge) -> Slope:
+    """im/re on the closed right half plane; +inf on the positive
+    imaginary axis."""
+    if z.re > 0:
+        return Slope(z.im / z.re)
+    if z.re == 0 and z.im > 0:
+        return INFINITE_SLOPE
+    raise ValueError(f"no slope in (-inf, +inf] for charge ({z.re}, {z.im})")
+
+
+# ---------------------------------------------------------------------------
+# quivers: stability weights and torus elements
+
+
+class NoFramingDimensionError(ValueError):
+    """Raised when an operation needs v at the framing vertex to be nonzero."""
+
+
+@dataclass(frozen=True)
+class StabilityWeights:
+    """Rational weights on the ordinary vertices; the framing weight is derived."""
+
+    theta: tuple[tuple[str, Fraction], ...]
+
+    @staticmethod
+    def of(weights: Mapping[str, object]) -> StabilityWeights:
+        return StabilityWeights(tuple((v, Fraction(w)) for v, w in weights.items()))
+
+    @staticmethod
+    def ones(q: Quiver | DoubleQuiver) -> StabilityWeights:
+        return StabilityWeights.of({v: 1 for v in q.ordinary_vertices})
+
+    def weight(self, vertex: str) -> Fraction:
+        for v, w in self.theta:
+            if v == vertex:
+                return w
+        raise KeyError(vertex)
+
+    def vertices(self) -> tuple[str, ...]:
+        return tuple(v for v, _ in self.theta)
+
+
+def theta_zero(weights: StabilityWeights, q: Quiver | DoubleQuiver, v: DimensionVector) -> Fraction:
+    """Framing weight making the full dimension vector land on weight zero."""
+    framing = q.framing
+    if framing is None:
+        raise NoFramingDimensionError("quiver has no framing vertex")
+    v0 = v[framing]
+    if v0 == 0:
+        raise NoFramingDimensionError("no framing dimension: v is zero at the framing vertex")
+    total = sum((weights.weight(i) * v[i] for i in q.ordinary_vertices), Fraction(0))
+    return -total / v0
+
+
+def theta_value(
+    weights: StabilityWeights, q: Quiver | DoubleQuiver, v: DimensionVector, w: DimensionVector
+) -> Fraction:
+    """Weight of a subspace dimension vector w, with the framing weight bound by v."""
+    if w.quiver_vertices != v.quiver_vertices:
+        raise ValueError("dimension vector on wrong quiver")
+    t0 = theta_zero(weights, q, v)
+    framing = q.framing
+    total = t0 * w[framing]
+    for i in q.ordinary_vertices:
+        total += weights.weight(i) * w[i]
+    return total
+
+
+@dataclass(frozen=True)
+class TorusElement:
+    """Nonzero rational weight per doubled arrow.
+
+    Symplectic mode carries weight t on each sign-0 arrow and 1/t on its
+    opposite, so every opposite pair multiplies to 1.
+    """
+
+    weights: tuple[tuple[str, Fraction], ...]
+    mode: str = "full"  # "full" or "symplectic"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("full", "symplectic"):
+            raise ValueError(f"unknown torus mode {self.mode!r}")
+        for name, w in self.weights:
+            if w == 0:
+                raise ValueError(f"zero torus scalar on arrow {name!r}")
+
+    @staticmethod
+    def full(dq: DoubleQuiver, weights: Mapping[str, object]) -> TorusElement:
+        named = {a.name for a in dq.arrows}
+        if set(weights) != named:
+            raise ValueError("full torus element needs one scalar per doubled arrow")
+        return TorusElement(
+            tuple((a.name, Fraction(weights[a.name])) for a in dq.arrows), "full"
+        )
+
+    @staticmethod
+    def symplectic(dq: DoubleQuiver, base_weights: Mapping[str, object]) -> TorusElement:
+        base_names = {a.name for a in dq.base.arrows}
+        if set(base_weights) != base_names:
+            raise ValueError("symplectic torus element needs one scalar per base arrow")
+        pairs = []
+        for a in dq.arrows:
+            t = Fraction(base_weights[a.base])
+            if t == 0:
+                raise ValueError(f"zero torus scalar on arrow {a.base!r}")
+            pairs.append((a.name, t if a.sign == 0 else 1 / t))
+        return TorusElement(tuple(pairs), "symplectic")
+
+    def weight(self, arrow: str) -> Fraction:
+        for name, w in self.weights:
+            if name == arrow:
+                return w
+        raise KeyError(arrow)
+
+
+# ---------------------------------------------------------------------------
+# representations: seeded closure, weights and the torus action
+
+
+def closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
+    """Smallest arrow-invariant subspace family containing the seed columns.
+
+    Each vertex keeps an `add_row` pivot table.  The seed columns, and the
+    images of each accepted vector along the arrows out of its vertex, are
+    offered to the table at their vertex; a rejected vector lies in the span
+    accepted there, so its images would add nothing.  The accepted spans
+    lie in the closure, hold the seeds and are invariant (each image of an
+    accepted vector was offered at its head), so they are the closure.
+
+    The vectors are integers: each seed matrix and each arrow's matrix is
+    cleared once by the common denominator of its entries
+    (`linalg.cleared`).  A vector then stands for a nonzero multiple of
+    the one the rational maps give, and a nonzero scalar per vector or per
+    arrow changes no span, so the spans, and their canonical bases from
+    `row_space_basis`, are the same.
+    """
+    todo: list[tuple[str, tuple[int, ...]]] = []
+    for v, m in seeds.items():
+        if v not in x.double.vertices:
+            raise ValueError(f"seed at unknown vertex {v!r}")
+        if m and linalg.shape(m)[0] != x.dims[v]:
+            raise ValueError(f"seed at {v!r} lives in the wrong fiber")
+        todo.extend((v, w) for w in zip(*linalg.cleared(m)[0]))
+    arrows = {a.name: linalg.cleared(x.x[a.name])[0] for a in x.double.arrows}
+    return _subrep(x, _accepted(x.double, arrows, todo))
+
+
+def destabilizing_weight(x: FramedRep, w: SubRep) -> Fraction:
+    """Weight of a subspace family under (1, ..., 1); negative for witnesses."""
+    return theta_value(StabilityWeights.ones(x.double), x.double, x.dims, w.dims)
+
+
+def torus_act(t: TorusElement, x: FramedRep) -> FramedRep:
+    """Scale each arrow block by its torus weight."""
+    scaled = {a.name: linalg.scale(t.weight(a.name), x.x[a.name]) for a in x.double.arrows}
+    return FramedRep(x.double, x.dims, scaled)
+
+
+def s_moment_invariance(
+    t: TorusElement, x: FramedRep, level: Mapping[str, object] | None = None
+) -> dict[str, Matrix]:
+    """Difference moment(t.x) - moment(x) per vertex; zero in symplectic mode."""
+    before = moment(x, level)
+    after = moment(torus_act(t, x), level)
+    return {i: linalg.sub(after[i], before[i]) for i in before}
+
+
+# ---------------------------------------------------------------------------
+# linalg: dense products
+
+
+def matvec(a: Matrix, v: Vector) -> Vector:
+    # a zero-row matrix carries no column count; its image is the empty vector
+    if a and shape(a)[1] != len(v):
+        raise ValueError("matvec shape mismatch")
+    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+
+
+def trace(a: Matrix) -> Fraction:
+    m, n = shape(a)
+    if m != n:
+        raise ValueError(f"trace of non-square {m}x{n} matrix")
+    return sum((a[i][i] for i in range(m)), ZERO)

@@ -26,9 +26,10 @@ from quiverbundles.generators import (
 )
 from quiverbundles.linalg import Matrix, Vector
 from quiverbundles.quivers import DimensionVector
-from quiverbundles.representations import FramedRep, SubRep, closure
+from quiverbundles.representations import FramedRep, SubRep
 
 from _builders import rational_gauge
+from _oracles import closure, matvec
 
 
 def _row_bases_from_seeds(x: FramedRep, seeds: Mapping[str, Matrix]) -> dict[str, tuple[Vector, ...]]:
@@ -50,7 +51,7 @@ def reference_closure(x: FramedRep, seeds: Mapping[str, Matrix]) -> SubRep:
         for a in x.double.arrows:
             if not bases[a.tail]:
                 continue
-            images = [linalg.matvec(x.x[a.name], w) for w in bases[a.tail]]
+            images = [matvec(x.x[a.name], w) for w in bases[a.tail]]
             merged = linalg.row_space_basis(tuple(bases[a.head]) + tuple(images))
             if len(merged) != len(bases[a.head]):
                 bases[a.head] = merged

@@ -36,7 +36,7 @@ from quiverbundles.complexes import (
 )
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, gen_rep, rep_spec
 from quiverbundles.linalg import sparse_rank
-from quiverbundles.polynomials import HomogPoly, IntRows, PolyMatrix, integer_rows, poly_mat, poly_zeros
+from quiverbundles.polynomials import HomogPoly, IntRows, PolyMatrix, integer_rows, poly_zeros
 from quiverbundles.quivers import DoubleQuiver, HypothesisError, InvariantError
 from quiverbundles.representations import (
     ZERO,
@@ -49,7 +49,7 @@ from quiverbundles.representations import (
     reduced_tangent,
 )
 
-from _builders import ADHM_DOUBLE, chain_bundle, form, rational_gauge
+from _builders import ADHM_DOUBLE, chain_bundle, form, poly_mat, rational_gauge
 from test_residual_oracle import perturbed
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

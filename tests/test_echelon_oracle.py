@@ -1,6 +1,6 @@
 """The integer echelon over Z[t] against the `Fraction` echelon it replaced.
 
-`polynomials._echelon` clears the denominators of each row once and then
+`_echelon` clears the denominators of each row once and then
 pseudo-divides integer rows.  The reference below is the Euclidean echelon
 over Q[t] that did every step in `Fraction`, kept verbatim.  Every row of
 the new echelon is a nonzero rational multiple of the reference row, so
@@ -19,14 +19,11 @@ from pathlib import Path
 import pytest
 
 from quiverbundles import linalg
-from quiverbundles.bundles import _generation_matrices, residual_is_zero
+from quiverbundles.bundles import residual_is_zero
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.polynomials import (
     ZERO,
     HomogPoly,
-    _chart,
-    _echelon,
-    _minor_gcd,
     _normalized,
     _primitive,
     _trimmed,
@@ -35,6 +32,8 @@ from quiverbundles.polynomials import (
     poly_mat_eval,
 )
 from quiverbundles.serialization import parse_document
+
+from _oracles import _chart, _echelon, _generation_matrices, _minor_gcd
 
 FIXTURES = Path(__file__).parent / "fixtures"
 S = HomogPoly.monomial(1, 0)

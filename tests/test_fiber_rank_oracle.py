@@ -20,7 +20,6 @@ import pytest
 
 from quiverbundles import asymptotic_equivalence_check, linalg
 from quiverbundles.bundles import (
-    _generation_matrices,
     base_locus,
     generated_subsheaf_summary,
     is_stable_quasimap,
@@ -29,11 +28,7 @@ from quiverbundles.bundles import (
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, sample_points
 from quiverbundles.polynomials import (
     HomogPoly,
-    _chart,
-    _echelon,
-    _minor_gcd,
     _normalized,
-    _pivot_columns,
     format_factored,
     generic_rank,
     poly_mat_eval,
@@ -43,6 +38,7 @@ from quiverbundles.serialization import parse_document
 from quiverbundles.stability import hn_quotient_bound_check, instance_threshold
 
 from _builders import rational_gauge
+from _oracles import _chart, _echelon, _generation_matrices, _minor_gcd, _pivot_columns
 
 FIXTURES = Path(__file__).parent / "fixtures"
 S = HomogPoly.monomial(1, 0)

@@ -36,7 +36,6 @@ from quiverbundles.bundles import (
     TwistedQuiverBundle,
     _Generation,
     _generation,
-    _generation_matrices,
     base_locus,
     generated_subsheaf_summary,
     is_stable_quasimap,
@@ -45,8 +44,6 @@ from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, samp
 from quiverbundles.polynomials import (
     HomogPoly,
     PolyMatrix,
-    _full_rank_minor_gcd,
-    _minor_gcd,
     fiber_rank,
     generic_rank,
     integer_columns,
@@ -55,6 +52,7 @@ from quiverbundles.quivers import HypothesisError
 from quiverbundles.serialization import parse_document
 
 from _builders import adhm_bundle, chain_bundle, form, rational_gauge
+from _oracles import _full_rank_minor_gcd, _generation_matrices, _minor_gcd
 from test_residual_oracle import reference_residual_is_zero
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -232,9 +230,9 @@ def test_verdicts_build_no_forms(monkeypatch):
         for r in (4, 6)
         for s in range(4)
     ] + [gen_bundle(bundle_spec(k, 3)) for k in range(64)] + _zero_rank_cases()
-    for name in ("form", "generation_columns", "_generation_matrices"):
+    for name in ("form", "generation_columns"):
         monkeypatch.setattr(bundles, name, _raise)
-    for name in ("integer_columns", "_chart", "generic_rank"):
+    for name in ("integer_columns", "generic_rank"):
         monkeypatch.setattr(polynomials, name, _raise)
     verdicts = below = 0
     for e in instances:

@@ -19,7 +19,6 @@ from quiverbundles.generators import (
     run_suite,
     sample_points,
     stable_bundles,
-    zero_arrow_bundle,
     zero_arrow_rep,
 )
 from quiverbundles.polynomials import poly_mat_is_zero
@@ -31,7 +30,7 @@ from quiverbundles.representations import (
     moment,
 )
 
-from _builders import adhm_bundle, form
+from _builders import adhm_bundle, form, zero_arrow_bundle
 
 
 def test_spec_validation():
@@ -196,6 +195,22 @@ def test_stable_bundles_stream():
     assert all(is_stable_quasimap(e) for e in got)
     again = list(stable_bundles(6, seed=4))
     assert got == again
+
+
+def test_stable_bundles_count_zero_yields_nothing_and_negative_is_refused():
+    # count 0 once ran the rotation out and raised RuntimeError
+    assert list(stable_bundles(0, seed=4)) == []
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        list(stable_bundles(-1, seed=4))
+
+
+def test_fiber_consistency_refuses_no_samples():
+    # samples=0 once failed with IndexError at the rescaling check
+    e = gen_bundle(bundle_spec(0, seed=2))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"at least one sample, got {samples}"):
+            oracle_fiber_consistency(e, samples=samples)
+    assert oracle_fiber_consistency(e, samples=1)
 
 
 def test_run_suite_names_and_verdicts():

@@ -13,16 +13,26 @@ Rationals become integers over a common denominator in one place,
 `.denominator` splits a single rational into numerator and denominator,
 and is listed in DENOMINATOR_READERS, so a second clearing step shows up
 here.
+
+Every top-level definition in `src/` is reached, by the names that
+definitions read, from an entry point: `__all__`, a definition in `cli`, a
+name that a demo imports, or a function that the bench tracer wraps.  What
+only the tests need lives beside them in the helper modules HELPERS, whose
+imports are checked as the package's are.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import quiverbundles
 
 PACKAGE = Path(quiverbundles.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+HELPERS = sorted(Path(__file__).resolve().parent.glob("_*.py"))
 
 # (importing module, defining module, private name)
 ALLOWED = {
@@ -95,9 +105,9 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_modules_import_no_unused_names():
-    found = {
-        p.stem: unused_imports(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
-    }
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"] + HELPERS
+    assert {"_builders", "_oracles"} <= {p.stem for p in HELPERS}
+    found = {p.stem: unused_imports(p) for p in modules}
     assert {m: names for m, names in found.items() if names} == {}
 
 
@@ -228,3 +238,135 @@ def test_denominator_reader_detection(tmp_path):
         ("probe", "split"),
         ("probe", "lcm_of"),
     }
+
+
+def _bound(statement: ast.stmt) -> list[str]:
+    """The names a top-level statement binds: a def or class, or the
+    targets of an assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+        targets = [statement.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def name_graph(paths: list[Path]) -> tuple[set[tuple[str, str]], dict[tuple[str, str], set]]:
+    """The top-level definitions of a package's modules as (module, name),
+    and the (module, name) pairs that each one reads: its own module's
+    names, names imported from a sibling, and attributes of an imported
+    sibling module.  An imported name reads its source; code that binds no
+    name reads under (module, "<module>")."""
+    definitions: set[tuple[str, str]] = set()
+    reads: dict[tuple[str, str], set] = {}
+    for path in paths:
+        module, tree = path.stem, ast.parse(path.read_text())
+        own = {name for statement in tree.body for name in _bound(statement)}
+        imported: dict[str, tuple[str, str]] = {}
+        modules: dict[str, str] = {}  # local alias -> imported sibling module
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and (source := _relative(node)) is not None:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if source == "":
+                        modules[local] = alias.name
+                    else:
+                        imported[local] = (source, alias.name)
+                        reads[(module, local)] = {(source, alias.name)}
+        for statement in tree.body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            names = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    if node.id in own:
+                        names.add((module, node.id))
+                    elif node.id in imported:
+                        names.add(imported[node.id])
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                ):
+                    names.add((modules[node.value.id], node.attr))
+            bound = _bound(statement)
+            definitions.update((module, name) for name in bound)
+            for name in bound or ["<module>"]:
+                reads.setdefault((module, name), set()).update(names)
+    return definitions, reads
+
+
+def unreached(paths: list[Path], roots: set[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The top-level definitions that no chain of reads reaches from the
+    roots, from code that runs on import, or from a dunder name."""
+    definitions, reads = name_graph(paths)
+    todo = [*roots, *(key for key in reads if key[1] == "<module>" or key[1].startswith("__"))]
+    seen: set[tuple[str, str]] = set()
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            todo.extend(reads.get(key, ()))
+    return sorted(definitions - seen)
+
+
+def entry_points() -> set[tuple[str, str]]:
+    """`__all__`, every definition in `cli`, the names that the demos
+    import and the (module, function) pairs of the bench tracer's LAYERS,
+    the tracer loaded read-only."""
+    roots = {("__init__", name) for name in quiverbundles.__all__}
+    roots |= name_graph([PACKAGE / "cli.py"])[0]
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and (source := _relative(node)) is not None:
+                roots |= {(source or "__init__", alias.name) for alias in node.names}
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return roots | {(module, func) for _, module, func in tracer.LAYERS}
+
+
+def test_src_holds_only_what_an_entry_point_reaches():
+    # poly_det, poly_gcd (with _univ_gcd and _univ_divmod) and
+    # generation_columns are reached only as tracer layers: once the tracer
+    # drops them, this test names them
+    assert unreached(sorted(PACKAGE.glob("*.py")), entry_points()) == []
+
+
+def test_unreached_definition_detection(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import b\n"
+        "from .b import shared, _helper as helper\n"
+        "__version__ = '1'\n"
+        "LIMIT = 3\n"
+        "def api():\n"
+        "    return shared() + b.by_attribute() + helper()\n"
+        "def dead():\n"
+        "    return LIMIT\n"
+        "class Orphan:\n"
+        "    def method(self):\n"
+        "        return api()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "REGISTRY: dict = {}\n"
+        "def shared():\n"
+        "    return 1\n"
+        "def by_attribute():\n"
+        "    return 2\n"
+        "def _helper():\n"
+        "    return 3\n"
+        "def only_tests():\n"
+        "    return shared()\n"
+        "print(len(REGISTRY))\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unreached(paths, {("a", "api")}) == [
+        ("a", "LIMIT"),
+        ("a", "Orphan"),
+        ("a", "dead"),
+        ("b", "only_tests"),
+    ]
+    assert unreached(paths, {("a", "api"), ("a", "Orphan"), ("a", "dead"), ("b", "only_tests")}) == []

@@ -2,7 +2,7 @@
 
 `base_locus`, `generated_subsheaf_summary` and `generic_rank` read their
 answers from one echelon of a form matrix over Q[t]
-(`polynomials._minor_gcd`).  The references here enumerate minors through
+(`_minor_gcd`).  The references here enumerate minors through
 the cofactor `poly_det`, take pairwise gcds with `poly_gcd`, and sample
 ranks at rational points.  The two must agree exactly.
 """
@@ -20,7 +20,6 @@ import pytest
 from quiverbundles import asymptotic_equivalence_check, linalg
 from quiverbundles.bundles import (
     BaseLocusReport,
-    _generation_matrices,
     base_locus,
     generated_subsheaf_summary,
     is_stable_quasimap,
@@ -29,7 +28,6 @@ from quiverbundles.bundles import (
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.polynomials import (
     HomogPoly,
-    _minor_gcd,
     _normalized,
     generic_rank,
     poly_det,
@@ -37,6 +35,8 @@ from quiverbundles.polynomials import (
     poly_mat_eval,
 )
 from quiverbundles.serialization import parse_document
+
+from _oracles import _generation_matrices, _minor_gcd
 
 FIXTURES = Path(__file__).parent / "fixtures"
 S = HomogPoly.monomial(1, 0)

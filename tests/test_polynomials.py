@@ -17,9 +17,10 @@ from quiverbundles.polynomials import (
     generic_rank,
     poly_det,
     poly_gcd,
-    poly_mat,
     poly_matmul,
 )
+
+from _builders import poly_mat
 
 S = HomogPoly.monomial(1, 0)
 T = HomogPoly.monomial(1, 1)

@@ -2,15 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from quiverbundles.quivers import (
-    Arrow,
-    DimensionVector,
+from quiverbundles.quivers import Arrow, DimensionVector, Quiver, double
+
+from _oracles import (
     NoFramingDimensionError,
-    Quiver,
     StabilityWeights,
     TorusElement,
-    double,
-    refute_semistability,
     theta_value,
     theta_zero,
 )
@@ -103,16 +100,3 @@ def test_torus_element_modes():
     assert full.weight("loop+") == 2
     with pytest.raises(ValueError):
         TorusElement.symplectic(dq, {"loop": 0, "frame": 1})
-
-
-def test_refute_semistability_finds_negative_member():
-    q = adhm_base()
-    v = DimensionVector.of(q, {"0": 1, "1": 2})
-    th = StabilityWeights.ones(q)
-    family = [
-        DimensionVector.of(q, {"0": 0, "1": 1}),
-        DimensionVector.of(q, {"0": 1, "1": 1}),
-    ]
-    w = refute_semistability(th, q, v, family)
-    assert w is not None and w["1"] == 1 and w["0"] == 1
-    assert refute_semistability(th, q, v, family[:1]) is None

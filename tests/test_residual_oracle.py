@@ -26,14 +26,13 @@ from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.polynomials import (
     HomogPoly,
     PolyMatrix,
-    poly_mat,
     poly_mat_is_zero,
     poly_matmul,
     poly_zeros,
 )
 from quiverbundles.serialization import parse_document
 
-from _builders import chain_bundle, form, rational_gauge
+from _builders import chain_bundle, form, poly_mat, rational_gauge
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -22,7 +22,6 @@ from quiverbundles.quivers import HypothesisError
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.stability import (
     INFINITE_SLOPE,
-    CentralCharge,
     DeltaVerdict,
     NumericalClass,
     Slope,
@@ -35,6 +34,8 @@ from quiverbundles.stability import (
     subobject_family,
     subsheaf_degree_bound,
 )
+
+from _oracles import CentralCharge
 
 ZERO = Fraction(0)
 

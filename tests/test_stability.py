@@ -8,12 +8,10 @@ from quiverbundles.polynomials import HomogPoly
 from quiverbundles.quivers import HypothesisError
 from quiverbundles.stability import (
     INFINITE_SLOPE,
-    CentralCharge,
     NumericalClass,
     Slope,
     _proper_rank_pairs,
     asymptotic_equivalence_check,
-    central_charge,
     check_delta_stability,
     delta_threshold,
     hn_quotient_bound_check,
@@ -21,7 +19,6 @@ from quiverbundles.stability import (
     mu_delta,
     n_bound,
     numerical_class,
-    slope_of,
     slopes,
     subobject_family,
     subsheaf_degree_bound,
@@ -29,6 +26,7 @@ from quiverbundles.stability import (
 )
 
 from _builders import adhm_bundle, form
+from _oracles import CentralCharge, central_charge, slope_of
 
 ZERO = HomogPoly.zero()
 ONE = HomogPoly.constant(1)
