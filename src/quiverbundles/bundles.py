@@ -6,7 +6,9 @@ the multidegrees and the twist.  Everything sheaf-theoretic here reduces
 to exact polynomial linear algebra: relation checking, fiber evaluation,
 the base locus of framing generation, quasimap stability, the split
 Harder-Narasimhan filtration, and the numerical class of the subsheaf
-generated by the framing.
+generated by the framing.  The relation is summed by
+`representations._residual`, the moment map's one sum, on the arrows'
+integer rows; `bundles` imports `representations`, never the reverse.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -34,7 +35,7 @@ from .polynomials import (
     poly_mat_eval,
 )
 from .quivers import DimensionVector, DoubleQuiver, HypothesisError, InvariantError
-from .representations import FramedRep, _framing_closure
+from .representations import FramedRep, _framing_closure, _residual
 
 
 @dataclass(frozen=True)
@@ -172,10 +173,11 @@ def moment_residual_sheaf(e: TwistedQuiverBundle) -> dict[str, PolyMatrix]:
     """Relation residual per ordinary vertex, valued in forms of degree
     a_{i,k} - a_{i,l} - 2; the zero matrix everywhere iff the data is a
     quiver-bundle point of the relation's zero locus.  The residual at a
-    vertex is D^-1 times its integer residual (`_residual`)."""
+    vertex is D^-1 times its integer residual
+    (`representations._residual`)."""
     return {
         i: tuple(tuple(form(p, den) for p in row) for row in residual)
-        for i, (residual, den) in _residual(e, _arrow_rows(e)).items()
+        for i, (residual, den) in _residual(e.double, e.rank_vector(), _arrow_rows(e)).items()
     }
 
 
@@ -189,52 +191,12 @@ def relation_rows(e: TwistedQuiverBundle) -> dict[str, tuple[IntRows, int]] | No
     vanishes; None if it does not.  The callers that need the data on the
     relation take their rows from here, so each arrow is cleared once."""
     rows = _arrow_rows(e)
-    return rows if _vanishes(_residual(e, rows)) else None
+    return rows if _vanishes(_residual(e.double, e.rank_vector(), rows)) else None
 
 
 def _arrow_rows(e: TwistedQuiverBundle) -> dict[str, tuple[IntRows, int]]:
     """`integer_rows` of every arrow matrix: its rows over Z and L_a."""
     return {a.name: integer_rows(e.phi[a.name]) for a in e.double.arrows}
-
-
-def _residual(
-    e: TwistedQuiverBundle, rows: Mapping[str, tuple[IntRows, int]]
-) -> dict[str, tuple[list[list[tuple[int, ...]]], int]]:
-    """The moment residual per ordinary vertex i as an integer matrix of
-    forms (ascending t-coefficients, () for zero) and a denominator D.
-
-    With Phi_a = R_a / L_a, R_a the integer rows of `_arrow_rows`, each
-    term Phi_a Phi_abar of the relation at i is R_a R_abar / (L_a L_abar).
-    Over the common denominator D, the lcm of the L_a L_abar of the arrows
-    a into i, the residual is the sum of the signed integer products
-    (D / (L_a L_abar)) R_a R_abar, divided by D: exact, and zero exactly
-    when that sum is.  Each entry accumulates its products by
-    `polynomials.add_product`.  A product through a zero-rank vertex is
-    zero and is skipped.
-    """
-    out = {}
-    for i in e.double.ordinary_vertices:
-        terms = []
-        for a in e.double.arrows:
-            if a.head == i and e.bundles[a.tail].rank:
-                (r_a, l_a), (r_bar, l_bar) = rows[a.name], rows[a.opposite]
-                terms.append((-1 if a.sign else 1, l_a * l_bar, r_a, r_bar))
-        den = lcm(*(l for _, l, _, _ in terms))
-        n = e.bundles[i].rank
-        acc: list[list[list[int] | None]] = [[None] * n for _ in range(n)]
-        for sign, l, r_a, r_bar in terms:
-            f = sign * (den // l)
-            for k, row in enumerate(r_a):
-                out_row = acc[k]
-                for m, p in row:
-                    p = [f * x for x in p]
-                    for c, q in r_bar[m]:
-                        out_row[c] = add_product(out_row[c], p, q)
-        out[i] = (
-            [[tuple(p) if p and any(p) else () for p in row] for row in acc],
-            den,
-        )
-    return out
 
 
 def _vanishes(residuals: Mapping[str, tuple[list[list[tuple[int, ...]]], int]]) -> bool:

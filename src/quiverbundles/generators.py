@@ -35,7 +35,14 @@ from .bundles import (
 )
 from .complexes import build_complex
 from .linalg import Matrix
-from .polynomials import HomogPoly, PolyMatrix, poly_mat_is_zero, poly_matmul, poly_zeros
+from .polynomials import (
+    HomogPoly,
+    PolyMatrix,
+    integer_rows,
+    poly_mat_is_zero,
+    poly_matmul,
+    poly_zeros,
+)
 from .quivers import Arrow, DimensionVector, DoubleQuiver, HypothesisError, Quiver, double
 from .representations import (
     FramedRep,
@@ -359,7 +366,12 @@ def _form_matrix_from_vector(
 def _vanishing_product_solutions(
     e_plus: PolyMatrix, degrees: Sequence[Sequence[int]]
 ) -> tuple[Sequence[tuple[int, int, int]], tuple[linalg.Vector, ...]]:
-    """Coefficient nullspace of e+ X = 0 and X e+ = 0 over the degree grid."""
+    """Coefficient nullspace of e+ X = 0 and X e+ = 0 over the degree grid.
+
+    The unknown (k, l, c), coefficient c of X[k][l], adds e+[i][k] shifted
+    by c to the equations for (e+ X)[i][l], and e+[l][m] shifted by c to
+    those for (X e+)[k][m], read off e+'s `integer_rows`.
+    """
     slots = [
         (k, l, c)
         for k, row in enumerate(degrees)
@@ -367,37 +379,23 @@ def _vanishing_product_solutions(
         if d >= 0
         for c in range(d + 1)
     ]
-    rows: list[list[Fraction]] = []
-    columns = []
-    for i in range(len(slots)):
-        unit = [ZERO] * len(slots)
-        unit[i] = Fraction(1)
-        x = _form_matrix_from_vector(degrees, slots, unit)
-        products = []
-        for p in (poly_matmul(e_plus, x), poly_matmul(x, e_plus)):
-            for prow in p:
-                for entry in prow:
-                    products.append(entry)
-        columns.append(products)
     if not slots:
         return slots, ()
-    # align the coefficient lists entrywise: forms of equal shape per column
-    height = 0
-    for col in columns:
-        for entry in col:
-            if not entry.is_zero():
-                height = max(height, entry.degree + 1)
-    for r in range(len(columns[0])):
-        for c in range(height):
-            row = []
-            for col in columns:
-                entry = col[r]
-                row.append(entry.coeffs[c] if not entry.is_zero() and c < len(entry.coeffs) else ZERO)
-            rows.append(row)
-    if not rows:
-        # identically vanishing products: no constraint at all
-        rows = [[ZERO] * len(slots)]
-    return slots, linalg.nullspace(tuple(tuple(r) for r in rows))
+    rows, _ = integer_rows(e_plus)
+    columns: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for i, row in enumerate(rows):
+        for k, p in row:
+            columns.setdefault(k, []).append((i, p))
+    equations: dict[tuple[int, int, int, int], dict[int, int]] = {}
+    for s, (k, l, c) in enumerate(slots):
+        placed = [((0, i, l), p) for i, p in columns.get(k, ())]
+        placed += [((1, k, m), p) for m, p in rows[l]]
+        for key, p in placed:
+            for j, y in enumerate(p):
+                equations.setdefault((*key, c + j), {})[s] = y
+    # identically vanishing products: no constraint at all
+    matrix = [tuple(eq.get(s, 0) for s in range(len(slots))) for eq in equations.values()]
+    return slots, linalg.nullspace(tuple(matrix) or ((0,) * len(slots),))
 
 
 def _try_bundle_chain(spec: InstanceSpec, rng: random.Random, mode: int) -> TwistedQuiverBundle:

@@ -59,10 +59,6 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def scale(c: Fraction, a: Matrix) -> Matrix:
     c = Fraction(c)
     return tuple(tuple(c * x for x in row) for row in a)

@@ -1,19 +1,23 @@
 """Framed double-quiver representations over the rationals.
 
 Points of the representation space are tuples of exact rational matrices,
-one per doubled arrow.  This module carries the symplectic form, the
-moment map and its derivative, the gauge action derivative, framed
-stability at weights (1, ..., 1) by the generation closure of the framing
-fiber, the coordinate-subspace brute-force oracle, and the reduced tangent
-space at a moment-map level.
+one per doubled arrow.  This module owns the moment map: its value, its
+linearization and the pairing identity between them.  It also carries
+framed stability at weights (1, ..., 1) by the generation closure of the
+framing fiber, the coordinate-subspace brute-force oracle, and the
+reduced tangent space at a moment-map level.
 
-`linearization` assembles the gauge action derivative kappa and the
-moment derivative dmu as matrices in unit-matrix bases, on integer rows
-of constants or of form coefficients over one common denominator; the
-reduced tangent space here and the deformation complex in `complexes`
-both take them from it, and its docstring holds the one proof that dmu
-kappa vanishes on a level set.  Rational matrices become those integer
-rows, and the closures' integer vectors, only through `linalg.cleared`.
+`_residual` is the one sum of the relation, on integer rows of constants
+or of form coefficients: `moment` reads it at a rational point and
+`bundles` on the form matrices of a bundle.  `linearization` assembles
+the gauge action derivative kappa and the moment derivative dmu as
+matrices in unit-matrix bases, on the same kind of rows; the reduced
+tangent space and the pairing identity (`hamiltonian_residual`, with the
+symplectic form as the signed permutation of `_partners`) here and the
+deformation complex in `complexes` all take them from it, and its
+docstring holds the one proof that dmu kappa vanishes on a level set.
+Rational matrices become those integer rows, and the closures' integer
+vectors, only through `linalg.cleared`.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .polynomials import IntRows, dense_at, scaled_rows
+from .polynomials import IntRows, add_product, dense_at, scaled_rows
 from .quivers import DimensionVector, DoubleQuiver, HypothesisError
 
 ZERO = Fraction(0)
@@ -128,86 +133,112 @@ def moment(x: FramedRep, level: Mapping[str, object] | None = None) -> dict[str,
 
     Component at i is sum over arrows with head i of (-1)^sign x_a x_abar,
     minus level_i times the identity; all components vanish exactly when x
-    lies on the prescribed level set.
+    lies on the prescribed level set.  The sum is `_residual` on the arrow
+    matrices cleared to constant integer rows (`_constant_rows`).
     """
+    return _moment(x, level, *_constant_rows(x))
+
+
+def _constant_rows(x: FramedRep) -> tuple[dict[str, IntRows], int]:
+    """The arrow matrices of x as constant integer rows, L x_a with L the
+    common denominator of all their entries (one `linalg.cleared` call),
+    and L."""
+    ints, den = linalg.cleared([row for m in x.x.values() for row in m])
+    it = iter(ints)
+    rows = {
+        a: [[(c, (y,)) for c, y in enumerate(next(it)) if y] for _ in m] for a, m in x.x.items()
+    }
+    return rows, den
+
+
+def _moment(
+    x: FramedRep, level: Mapping[str, object] | None, rows: Mapping[str, IntRows], den: int
+) -> dict[str, Matrix]:
+    """`moment` of x from its `_constant_rows`: the integer residual over
+    its denominator, minus level_i on the diagonal."""
     lam = _level_map(x, level)
-    out: dict[str, Matrix] = {}
-    for i in x.double.ordinary_vertices:
-        n = x.dims[i]
-        acc = linalg.scale(-lam[i], linalg.identity(n))
-        for a in x.double.arrows:
-            if a.head != i or not x.dims[a.tail]:
-                continue  # a product through a zero-rank vertex is zero
-            term = linalg.matmul(x.x[a.name], x.x[a.opposite])
-            acc = linalg.add(acc, term if a.sign == 0 else linalg.neg(term))
-        out[i] = acc
-    return out
-
-
-def moment_derivative(x: FramedRep, xi: TangentVector) -> dict[str, Matrix]:
-    """Exact derivative of the quadratic moment map at x in direction xi."""
-    _check_tangent(x, xi)
-    out: dict[str, Matrix] = {}
-    for i in x.double.ordinary_vertices:
-        acc = linalg.zeros(x.dims[i], x.dims[i])
-        for a in x.double.arrows:
-            if a.head != i or not x.dims[a.tail]:
-                continue  # a product through a zero-rank vertex is zero
-            term = linalg.add(
-                linalg.matmul(xi.values[a.name], x.x[a.opposite]),
-                linalg.matmul(x.x[a.name], xi.values[a.opposite]),
+    residual = _residual(x.double, x.dims, {a: (r, den) for a, r in rows.items()})
+    return {
+        i: tuple(
+            tuple(
+                Fraction(p[0] if p else 0, d) - (lam[i] if k == l else ZERO)
+                for l, p in enumerate(row)
             )
-            acc = linalg.add(acc, term if a.sign == 0 else linalg.neg(term))
-        out[i] = acc
+            for k, row in enumerate(m)
+        )
+        for i, (m, d) in residual.items()
+    }
+
+
+def _residual(
+    dq: DoubleQuiver, ranks: Mapping[str, int], rows: Mapping[str, tuple[IntRows, int]]
+) -> dict[str, tuple[list[list[tuple[int, ...]]], int]]:
+    """The moment residual per ordinary vertex i as an integer matrix of
+    forms (ascending t-coefficients, () for zero) and a denominator D.
+
+    With Phi_a = R_a / L_a, R_a the integer rows of arrow a and L_a their
+    denominator, each term Phi_a Phi_abar of the relation at i is
+    R_a R_abar / (L_a L_abar).  Over the common denominator D, the lcm of
+    the L_a L_abar of the arrows a into i, the residual is the sum of the
+    signed integer products (D / (L_a L_abar)) R_a R_abar, divided by D:
+    exact, and zero exactly when that sum is.  Each entry accumulates its
+    products by `polynomials.add_product`.  A product through a zero-rank
+    vertex is zero and is skipped.  This is the one place where the
+    relation is summed: `moment` reads it at a rational point, and
+    `bundles` on the form matrices of a bundle.
+    """
+    out = {}
+    for i in dq.ordinary_vertices:
+        terms = []
+        for a in dq.arrows:
+            if a.head == i and ranks[a.tail]:
+                (r_a, l_a), (r_bar, l_bar) = rows[a.name], rows[a.opposite]
+                terms.append((-1 if a.sign else 1, l_a * l_bar, r_a, r_bar))
+        den = lcm(*(l for _, l, _, _ in terms))
+        n = ranks[i]
+        acc: list[list[list[int] | None]] = [[None] * n for _ in range(n)]
+        for sign, l, r_a, r_bar in terms:
+            f = sign * (den // l)
+            for k, row in enumerate(r_a):
+                out_row = acc[k]
+                for m, p in row:
+                    p = [f * x for x in p]
+                    for c, q in r_bar[m]:
+                        out_row[c] = add_product(out_row[c], p, q)
+        out[i] = (
+            [[tuple(p) if p and any(p) else () for p in row] for row in acc],
+            den,
+        )
     return out
-
-
-def symplectic_form(x: FramedRep, a_vec: TangentVector, b_vec: TangentVector) -> Fraction:
-    """Canonical pairing: sum over base arrows of tr(A+ B-) - tr(A- B+)."""
-    _check_tangent(x, a_vec)
-    _check_tangent(x, b_vec)
-    total = ZERO
-    for a in x.double.arrows:
-        if a.sign != 0 or not (x.dims[a.head] and x.dims[a.tail]):
-            continue  # a product through a zero-rank vertex is zero
-        total += _trace_product(a_vec.values[a.name], b_vec.values[a.opposite])
-        total -= _trace_product(a_vec.values[a.opposite], b_vec.values[a.name])
-    return total
-
-
-def _trace_product(a: Matrix, b: Matrix) -> Fraction:
-    """tr(AB) as the sum of a_ij b_ji, without forming AB; the shapes
-    are the callers' to check."""
-    return sum((x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col)), ZERO)
-
-
-def action_derivative(g: LieElement, x: FramedRep) -> TangentVector:
-    """Infinitesimal gauge action: block at a is g_head x_a - x_a g_tail, zero at the framing."""
-    _check_lie(x, g)
-    out: dict[str, Matrix] = {}
-    for a in x.double.arrows:
-        block = linalg.zeros(x.dims[a.head], x.dims[a.tail])
-        gh = g.values.get(a.head)
-        gt = g.values.get(a.tail)
-        if gh is not None:
-            block = linalg.add(block, linalg.matmul(gh, x.x[a.name]))
-        if gt is not None:
-            block = linalg.sub(block, linalg.matmul(x.x[a.name], gt))
-        out[a.name] = block
-    return TangentVector(out)
 
 
 def hamiltonian_residual(x: FramedRep, xi: TangentVector, g: LieElement) -> Fraction:
     """Trace pairing of the moment derivative against g, minus the symplectic
-    pairing of the action derivative with xi.  Identically zero."""
+    pairing of the action derivative with xi.  Identically zero, since mu
+    is a moment map: <dmu(xi), g> = omega(kappa(g), xi).
+
+    Both maps are `linearization`'s, at the arrows' `_constant_rows`, so
+    they come as L dmu and L kappa; the residual is
+    (<L dmu(xi), g> - omega(L kappa(g), xi)) / L.  The trace pairing
+    tr(dmu_i g_i) meets the entry (i, k, l) of dmu with (i, l, k) of g, and
+    omega is the signed permutation of `_partners`.
+    """
     _check_lie(x, g)
-    dmu = moment_derivative(x, xi)
-    paired = ZERO
-    for i, block in dmu.items():
-        gi = g.values.get(i)
-        if gi is not None:
-            paired += _trace_product(block, gi)
-    return paired - symplectic_form(x, action_derivative(g, x), xi)
+    _check_tangent(x, xi)
+    rows, den = _constant_rows(x)
+    gauge, tangent, kappa, mu = linearization(x.double, x.dims, rows)
+    xi_at = [xi.values[a][k][l] for a, k, l in tangent]
+    g_at = [g.values[i][k][l] if i in g.values else ZERO for i, k, l in gauge]
+    g_bar = [g.values[i][l][k] if i in g.values else ZERO for i, k, l in gauge]
+    paired = sum(map(mul, _apply(mu, xi_at), g_bar))
+    partner = _partners(x.double, tangent)
+    omega = sum(sign * u * xi_at[j] for u, (j, sign) in zip(_apply(kappa, g_at), partner))
+    return Fraction(paired - omega, den)
+
+
+def _apply(m: IntRows, v: Sequence[Fraction]) -> list[Fraction]:
+    """The constant integer rows m applied to the vector v."""
+    return [sum(y * v[c] for c, (y,) in row) for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +510,30 @@ class ReducedTangentReport:
     stabilizer_trivial: bool  # infinitesimally: the action derivative is injective
 
 
-def _gram(
-    dq: DoubleQuiver, tangent: tuple[Label, ...], vectors: tuple[Vector, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix K^T Omega K of the symplectic form on tangent vectors in
-    the basis `tangent`, each first scaled to coprime integers (a rescaling
-    of rows and columns by nonzero constants, so the rank is that of the
-    Gram matrix of the vectors themselves).
-
-    Omega is a signed permutation: tr(A_a B_abar) - tr(A_abar B_a) pairs
-    the coordinate (a, p, q) with (abar, q, p), with sign + for a base
-    arrow a and - for its opposite.
-    """
+def _partners(dq: DoubleQuiver, tangent: tuple[Label, ...]) -> list[tuple[int, int]]:
+    """The symplectic form as a signed permutation of the basis `tangent`:
+    tr(A_a B_abar) - tr(A_abar B_a) pairs the coordinate (a, p, q) with
+    (abar, q, p), with sign + for a base arrow a and - for its opposite.
+    Per coordinate, its partner's index and the sign."""
     at = {label: c for c, label in enumerate(tangent)}
     opposite = {a.name: (a.opposite, 1 if a.sign == 0 else -1) for a in dq.arrows}
     partner: list[tuple[int, int]] = []
     for a, p, q in tangent:
         bar, sign = opposite[a]
         partner.append((at[bar, q, p], sign))
+    return partner
+
+
+def _gram(
+    dq: DoubleQuiver, tangent: tuple[Label, ...], vectors: tuple[Vector, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix K^T Omega K of the symplectic form on tangent vectors in
+    the basis `tangent`, each first scaled to coprime integers (a rescaling
+    of rows and columns by nonzero constants, so the rank is that of the
+    Gram matrix of the vectors themselves).  Omega is the signed
+    permutation of `_partners`.
+    """
+    partner = _partners(dq, tangent)
     rows = [linalg.integer_row(dict(enumerate(v))) for v in vectors]
     paired = [
         {c: sign * row[j] for c, (j, sign) in enumerate(partner) if j in row} for row in rows
@@ -511,24 +548,19 @@ def reduced_tangent(x: FramedRep, level: Mapping[str, object] | None = None) -> 
 
     Requires the moment residual at the given level to vanish.  A
     non-injective action derivative (positive-dimensional stabilizer) is
-    reported through the flag, not raised.  The two maps come from
-    `linearization` at x, which proves that they compose to zero on the
-    level set, with the arrows cleared to constant integer rows by the
-    common denominator L of all their entries (one `linalg.cleared`
-    call).  So they come as L kappa and L dmu, densified by
-    `polynomials.dense_at`; one positive scale changes neither the rank of
-    kappa nor the kernel of dmu, and the Gram matrix reads only that
-    kernel.
+    reported through the flag, not raised.  The arrows are cleared once
+    (`_constant_rows`, over the common denominator L of all their
+    entries) for both the residual check and `linearization`, which proves
+    that its two maps compose to zero on the level set.  So they come as
+    L kappa and L dmu, densified by `polynomials.dense_at`; one positive
+    scale changes neither the rank of kappa nor the kernel of dmu, and the
+    Gram matrix reads only that kernel.
     """
-    residual = moment(x, level)
+    rows, den = _constant_rows(x)
+    residual = _moment(x, level, rows, den)
     if any(not linalg.is_zero_matrix(m) for m in residual.values()):
         raise HypothesisError("moment residual nonzero at the given level")
 
-    ints = iter(linalg.cleared([row for m in x.x.values() for row in m])[0])
-    rows = {
-        a: [[(c, (y,)) for c, y in enumerate(next(ints)) if y] for _ in m]
-        for a, m in x.x.items()
-    }
     gauge, tangent, kappa, mu = linearization(x.double, x.dims, rows)
     rank_kappa = linalg.rank(dense_at(kappa, len(gauge), 0))
     kernel = linalg.nullspace(dense_at(mu, len(tangent), 0)) if gauge else linalg.identity(len(tangent))

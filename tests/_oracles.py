@@ -6,17 +6,21 @@ need lives here, one section per library module it builds on: the Q[t]
 echelon on rational forms and the minor gcds over it, the generation
 matrices as forms, the rational central charge and its slope, stability
 weights and torus elements with what acts by them, the seeded closure,
-and the dense matrix-vector product and trace.
+the dense moment map (the oracle of `representations.moment`), its
+derivative, the gauge action and the symplectic form (the oracles of
+`representations.linearization`), and the dense negation,
+matrix-vector product and trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from quiverbundles import linalg
 from quiverbundles.bundles import TwistedQuiverBundle, generation_columns
+from quiverbundles.generators import _form_matrix_from_vector
 from quiverbundles.linalg import ZERO, Matrix, Vector, shape
 from quiverbundles.polynomials import (
     HomogPoly,
@@ -27,9 +31,21 @@ from quiverbundles.polynomials import (
     _Univ,
     generic_pivot_columns,
     integer_columns,
+    poly_matmul,
 )
 from quiverbundles.quivers import DimensionVector, DoubleQuiver, Quiver
-from quiverbundles.representations import FramedRep, SubRep, _accepted, _subrep, moment
+from quiverbundles.representations import (
+    FramedRep,
+    LieElement,
+    SubRep,
+    TangentVector,
+    _accepted,
+    _check_lie,
+    _check_tangent,
+    _level_map,
+    _subrep,
+    moment,
+)
 from quiverbundles.stability import INFINITE_SLOPE, NumericalClass, Rational, Slope
 
 
@@ -287,7 +303,137 @@ def s_moment_invariance(
 
 
 # ---------------------------------------------------------------------------
+# representations: the dense moment, its derivative, gauge action and pairing
+
+
+def dense_moment(x: FramedRep, level: Mapping[str, object] | None = None) -> dict[str, Matrix]:
+    """Moment-map residual per ordinary vertex, by dense `Fraction` products.
+
+    Component at i is sum over arrows with head i of (-1)^sign x_a x_abar,
+    minus level_i times the identity; all components vanish exactly when x
+    lies on the prescribed level set.
+    """
+    lam = _level_map(x, level)
+    out: dict[str, Matrix] = {}
+    for i in x.double.ordinary_vertices:
+        n = x.dims[i]
+        acc = linalg.scale(-lam[i], linalg.identity(n))
+        for a in x.double.arrows:
+            if a.head != i or not x.dims[a.tail]:
+                continue  # a product through a zero-rank vertex is zero
+            term = linalg.matmul(x.x[a.name], x.x[a.opposite])
+            acc = linalg.add(acc, term if a.sign == 0 else neg(term))
+        out[i] = acc
+    return out
+
+
+def moment_derivative(x: FramedRep, xi: TangentVector) -> dict[str, Matrix]:
+    """Exact derivative of the quadratic moment map at x in direction xi."""
+    _check_tangent(x, xi)
+    out: dict[str, Matrix] = {}
+    for i in x.double.ordinary_vertices:
+        acc = linalg.zeros(x.dims[i], x.dims[i])
+        for a in x.double.arrows:
+            if a.head != i or not x.dims[a.tail]:
+                continue  # a product through a zero-rank vertex is zero
+            term = linalg.add(
+                linalg.matmul(xi.values[a.name], x.x[a.opposite]),
+                linalg.matmul(x.x[a.name], xi.values[a.opposite]),
+            )
+            acc = linalg.add(acc, term if a.sign == 0 else neg(term))
+        out[i] = acc
+    return out
+
+
+def symplectic_form(x: FramedRep, a_vec: TangentVector, b_vec: TangentVector) -> Fraction:
+    """Canonical pairing: sum over base arrows of tr(A+ B-) - tr(A- B+)."""
+    _check_tangent(x, a_vec)
+    _check_tangent(x, b_vec)
+    total = ZERO
+    for a in x.double.arrows:
+        if a.sign != 0 or not (x.dims[a.head] and x.dims[a.tail]):
+            continue  # a product through a zero-rank vertex is zero
+        total += _trace_product(a_vec.values[a.name], b_vec.values[a.opposite])
+        total -= _trace_product(a_vec.values[a.opposite], b_vec.values[a.name])
+    return total
+
+
+def _trace_product(a: Matrix, b: Matrix) -> Fraction:
+    """tr(AB) as the sum of a_ij b_ji, without forming AB; the shapes
+    are the callers' to check."""
+    return sum((x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col)), ZERO)
+
+
+def action_derivative(g: LieElement, x: FramedRep) -> TangentVector:
+    """Infinitesimal gauge action: block at a is g_head x_a - x_a g_tail, zero at the framing."""
+    _check_lie(x, g)
+    out: dict[str, Matrix] = {}
+    for a in x.double.arrows:
+        block = linalg.zeros(x.dims[a.head], x.dims[a.tail])
+        gh = g.values.get(a.head)
+        gt = g.values.get(a.tail)
+        if gh is not None:
+            block = linalg.add(block, linalg.matmul(gh, x.x[a.name]))
+        if gt is not None:
+            block = linalg.sub(block, linalg.matmul(x.x[a.name], gt))
+        out[a.name] = block
+    return TangentVector(out)
+
+
+# ---------------------------------------------------------------------------
+# generators: the coefficient system of the chain's vanishing products
+
+
+def _vanishing_product_solutions(
+    e_plus: PolyMatrix, degrees: Sequence[Sequence[int]]
+) -> tuple[Sequence[tuple[int, int, int]], tuple[linalg.Vector, ...]]:
+    """Coefficient nullspace of e+ X = 0 and X e+ = 0 over the degree grid."""
+    slots = [
+        (k, l, c)
+        for k, row in enumerate(degrees)
+        for l, d in enumerate(row)
+        if d >= 0
+        for c in range(d + 1)
+    ]
+    rows: list[list[Fraction]] = []
+    columns = []
+    for i in range(len(slots)):
+        unit = [ZERO] * len(slots)
+        unit[i] = Fraction(1)
+        x = _form_matrix_from_vector(degrees, slots, unit)
+        products = []
+        for p in (poly_matmul(e_plus, x), poly_matmul(x, e_plus)):
+            for prow in p:
+                for entry in prow:
+                    products.append(entry)
+        columns.append(products)
+    if not slots:
+        return slots, ()
+    # align the coefficient lists entrywise: forms of equal shape per column
+    height = 0
+    for col in columns:
+        for entry in col:
+            if not entry.is_zero():
+                height = max(height, entry.degree + 1)
+    for r in range(len(columns[0])):
+        for c in range(height):
+            row = []
+            for col in columns:
+                entry = col[r]
+                row.append(entry.coeffs[c] if not entry.is_zero() and c < len(entry.coeffs) else ZERO)
+            rows.append(row)
+    if not rows:
+        # identically vanishing products: no constraint at all
+        rows = [[ZERO] * len(slots)]
+    return slots, linalg.nullspace(tuple(tuple(r) for r in rows))
+
+
+# ---------------------------------------------------------------------------
 # linalg: dense products
+
+
+def neg(a: Matrix) -> Matrix:
+    return tuple(tuple(-x for x in row) for row in a)
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:

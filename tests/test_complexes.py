@@ -22,9 +22,9 @@ from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, stab
 from quiverbundles.linalg import sparse_rank
 from quiverbundles.polynomials import HomogPoly, poly_mat_eval, poly_mat_is_zero, poly_matmul
 from quiverbundles.quivers import HypothesisError
-from quiverbundles.representations import action_derivative, moment_derivative
 
 from _builders import adhm_bundle, chain_bundle, form, rational_gauge
+from _oracles import action_derivative, moment_derivative
 from test_representations import (
     _arrow_offsets,
     _flatten_tangent,

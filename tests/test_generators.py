@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -7,6 +8,9 @@ from quiverbundles import linalg
 from quiverbundles.bundles import is_stable_quasimap, residual_is_zero, validate
 from quiverbundles.generators import (
     InstanceSpec,
+    _rand_form_matrix,
+    _sorted_degrees,
+    _vanishing_product_solutions,
     bundle_spec,
     comparison_corpus,
     gen_bundle,
@@ -31,6 +35,7 @@ from quiverbundles.representations import (
 )
 
 from _builders import adhm_bundle, form, zero_arrow_bundle
+import _oracles
 
 
 def test_spec_validation():
@@ -136,6 +141,31 @@ def test_gen_bundle_reaches_nonzero_chain_return_arrow():
     assert hits == [6, 36, 37]
     for k in hits:
         assert residual_is_zero(gen_bundle(bundle_spec(k, seed=3)))
+
+
+def test_vanishing_product_solutions_match_the_form_products():
+    # the chain's e+ and return-arrow grid as `_try_bundle_chain` draws
+    # them, also with rational, sparse and zero e+; the slots and the
+    # canonical nullspace must be equal to those of the unit-matrix products
+    rng = random.Random(11)
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)]
+    for case in range(420):
+        n1, n2 = shapes[case % len(shapes)]
+        deg1 = _sorted_degrees(rng, n1, rng.randint(0, 4))
+        deg2 = _sorted_degrees(rng, n2, rng.randint(0, 4))
+        e_plus = _rand_form_matrix(rng, [[dk - dl for dl in deg1] for dk in deg2], 3)
+        variant = case // len(shapes) % 4
+        if variant == 1:
+            e_plus = tuple(
+                tuple(p.scaled(Fraction(1, rng.randint(1, 6))) for p in row) for row in e_plus
+            )
+        elif variant == 2:
+            e_plus = tuple(tuple(p.scaled(rng.randint(0, 1)) for p in row) for row in e_plus)
+        elif variant == 3:
+            e_plus = tuple(tuple(p.scaled(0) for p in row) for row in e_plus)
+        back = [[dk - 2 - dl for dl in deg2] for dk in deg1]
+        want = _oracles._vanishing_product_solutions(e_plus, back)
+        assert _vanishing_product_solutions(e_plus, back) == want
 
 
 def test_gen_bundle_rejects_bad_specs():

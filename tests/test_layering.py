@@ -38,6 +38,7 @@ HELPERS = sorted(Path(__file__).resolve().parent.glob("_*.py"))
 ALLOWED = {
     ("bundles", "polynomials", "_int_full_rank_minor_gcd"),
     ("bundles", "representations", "_framing_closure"),
+    ("bundles", "representations", "_residual"),
     ("generators", "bundles", "_generation"),
     ("stability", "bundles", "_generation"),
 }

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverbundles import linalg
+from quiverbundles import linalg, representations
 from quiverbundles.generators import InstanceSpec, gen_rep, random_lie, random_rep, rep_spec
 from quiverbundles.linalg import ZERO, Matrix, Vector
 from quiverbundles.quivers import Arrow, DimensionVector, HypothesisError, Quiver, double
@@ -13,23 +13,24 @@ from quiverbundles.representations import (
     LieElement,
     ReducedTangentReport,
     TangentVector,
-    action_derivative,
     brute_force_framed_check,
     hamiltonian_residual,
     is_stable_framed,
     moment,
-    moment_derivative,
     reduced_tangent,
-    symplectic_form,
 )
 
 from _builders import mat
 from _oracles import (
     TorusElement,
+    action_derivative,
     closure,
+    dense_moment,
     destabilizing_weight,
     matvec,
+    moment_derivative,
     s_moment_invariance,
+    symplectic_form,
     torus_act,
     trace,
 )
@@ -193,6 +194,73 @@ def test_hamiltonian_residual_zero_on_framed_chain():
         xi = _random_tangent(rng, x)
         g = _random_lie(rng, x)
         assert hamiltonian_residual(x, xi, g) == 0
+
+
+def _rational_rep(rng, q, dims):
+    # seeded entries over a denominator of their own on each arrow
+    dq, dv = double(q), DimensionVector.of(q, dims)
+    x = {}
+    for a in dq.arrows:
+        den = rng.randint(1, 9)
+        x[a.name] = mat(
+            [[Fraction(rng.randint(-4, 4), den) for _ in range(dv[a.tail])] for _ in range(dv[a.head])]
+        )
+    return FramedRep(dq, dv, x)
+
+
+_LOOP = Quiver(("0", "1"), (Arrow("loop", "1", "1"), Arrow("frame", "0", "1")), framing="0")
+_CHAIN = Quiver(("0", "1", "2"), (Arrow("f", "0", "1"), Arrow("e", "1", "2")), framing="0")
+
+
+def test_moment_matches_the_dense_products_on_rational_reps():
+    # one denominator per arrow, zero-rank vertices at either end of an
+    # arrow, and nonzero levels at every ordinary vertex
+    rng = random.Random(43)
+    shapes = [
+        (_LOOP, {"0": 2, "1": 3}),
+        (_LOOP, {"0": 1, "1": 0}),
+        (_CHAIN, {"0": 2, "1": 2, "2": 1}),
+        (_CHAIN, {"0": 1, "1": 2, "2": 0}),
+        (_CHAIN, {"0": 2, "1": 0, "2": 2}),
+    ]
+    for k in range(150):
+        q, dims = shapes[k % len(shapes)]
+        x = _rational_rep(rng, q, dims)
+        level = {
+            i: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for i in x.double.ordinary_vertices
+        }
+        for at in (None, level):
+            got = moment(x, at)
+            assert got == dense_moment(x, at)
+            assert repr(got) == repr(dense_moment(x, at))
+
+
+def test_moment_matches_the_dense_products_on_generated_reps():
+    for k in range(40):
+        spec = rep_spec(k, seed=9)
+        for x in (gen_rep(spec), random_rep(spec)):
+            for level in (None, {"1": Fraction(-2)}, {"1": Fraction(3, 2)}):
+                assert repr(moment(x, level)) == repr(dense_moment(x, level))
+
+
+def test_hamiltonian_residual_sees_a_flipped_kappa_entry(monkeypatch):
+    # the sign of one entry of linearization's kappa flipped: the pairing
+    # identity fails, so the suites that assert it can fail
+    real = representations.linearization
+
+    def flipped(*args):
+        gauge, tangent, kappa, mu = real(*args)
+        t = next(r for r, row in enumerate(kappa) if row)
+        (c, p), *rest = kappa[t]
+        kappa[t] = [(c, tuple(-y for y in p)), *rest]
+        return gauge, tangent, kappa, mu
+
+    rng = random.Random(47)
+    x = _random_adhm(rng, 2, 1)
+    pairs = [(_random_tangent(rng, x), _random_lie(rng, x)) for _ in range(5)]
+    assert all(hamiltonian_residual(x, xi, g) == 0 for xi, g in pairs)
+    monkeypatch.setattr(representations, "linearization", flipped)
+    assert any(hamiltonian_residual(x, xi, g) != 0 for xi, g in pairs)
 
 
 def _zero_end_chain(f_plus, f_minus):

@@ -1,7 +1,8 @@
 """The integer moment residual against the form products it replaced.
 
-`bundles._residual` sums the signed integer products of the arrows'
-integer rows over one common denominator per vertex.  The reference here
+`representations._residual`, which `bundles` calls, sums the signed
+integer products of the arrows' integer rows over one common denominator
+per vertex.  The reference here
 is the former `moment_residual_sheaf`, kept verbatim: the sum of the
 products Phi_a Phi_abar of `Fraction`-valued forms (`poly_matmul`).
 `moment_residual_sheaf` and `residual_is_zero` must equal it entrywise on

@@ -3,9 +3,9 @@
 `stability` compares weighted slopes as integer pairs: mu_delta(c) at
 delta = p/q is (q d + p v0) / (q v1), compared by cross-multiplication,
 and `delta_threshold` floors by integer division.  The references here
-are the former `mu_delta` (through the charge and its slope),
-`check_delta_stability`, `hn_quotient_bound_check` and `delta_threshold`,
-kept verbatim.  Results must be equal, and so must every exception, type
+are the former `mu_delta` (through `_oracles.central_charge` and
+`slope_of`), `check_delta_stability`, `hn_quotient_bound_check` and
+`delta_threshold`, kept verbatim.  Results must be equal, and so must every exception, type
 and message, on the `verdicts` bench lists, on the 624-bundle corpus and
 on seeded classes, deltas and families.
 """
@@ -21,7 +21,6 @@ from quiverbundles.bundles import hn_filtration_split
 from quiverbundles.quivers import HypothesisError
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle
 from quiverbundles.stability import (
-    INFINITE_SLOPE,
     DeltaVerdict,
     NumericalClass,
     Slope,
@@ -35,7 +34,7 @@ from quiverbundles.stability import (
     subsheaf_degree_bound,
 )
 
-from _oracles import CentralCharge
+from _oracles import central_charge, slope_of
 
 ZERO = Fraction(0)
 
@@ -44,23 +43,8 @@ ZERO = Fraction(0)
 # the Fraction versions, verbatim
 
 
-def _central_charge(c: NumericalClass, delta) -> CentralCharge:
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return CentralCharge(Fraction(c.v1), Fraction(c.d) + delta * c.v0)
-
-
-def _slope_of(z: CentralCharge) -> Slope:
-    if z.re > 0:
-        return Slope(z.im / z.re)
-    if z.re == 0 and z.im > 0:
-        return INFINITE_SLOPE
-    raise ValueError(f"no slope in (-inf, +inf] for charge ({z.re}, {z.im})")
-
-
 def reference_mu_delta(c: NumericalClass, delta) -> Slope:
-    return _slope_of(_central_charge(c, delta))
+    return slope_of(central_charge(c, delta))
 
 
 def reference_delta_threshold(v0: int, v1: int, mu1_of_e, N: int) -> Fraction:
