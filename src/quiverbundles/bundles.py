@@ -346,22 +346,23 @@ def base_locus(e: TwistedQuiverBundle) -> BaseLocusReport:
     columns, the summands of the vertex bundle,
     are taken in ascending order of their largest entry degree, which
     changes the minors by signs only.  Below full rank every maximal minor
-    vanishes, so the form is zero.  The returned product vanishes exactly
-    where some fiber fails framed stability; the verdict is full generic
-    rank everywhere, equivalently a nonzero product.  Multiplicities are
-    not contractual, the zero set is.
+    vanishes, so the form is zero.  The gcds are integer forms and their
+    product is taken with `polynomials.add_product`; each vertex form and
+    the product become a `HomogPoly` once, for the report.  The product
+    vanishes exactly where some fiber fails framed stability; the verdict
+    is full generic rank everywhere, equivalently a nonzero product.
+    Multiplicities are not contractual, the zero set is.
     """
     gen = _generation(e)
-    total = HomogPoly.constant(1)
+    total: list[int] | None = [1]
     polys: list[tuple[str, HomogPoly]] = []
     for i in e.double.ordinary_vertices:
+        g: tuple[int, ...] = ()
         if gen.ranks[i] == e.bundles[i].rank:
             g = _int_full_rank_minor_gcd([col for _, col, _ in gen.columns[i]])
-        else:
-            g = HomogPoly.zero()
-        polys.append((i, g))
-        total = total * g
-    return BaseLocusReport(total, gen.stable, tuple(gen.ranks.items()), tuple(polys))
+        polys.append((i, form(g)))
+        total = add_product(None, total or (), g)
+    return BaseLocusReport(form(total or ()), gen.stable, tuple(gen.ranks.items()), tuple(polys))
 
 
 def is_stable_quasimap(e: TwistedQuiverBundle) -> bool:
@@ -455,7 +456,7 @@ class _Generation:
                 columns = self.columns[i]
                 rows = [[columns[j][1][r] for j in pivots] for r in range(n)]
                 g = _int_full_rank_minor_gcd(rows)
-                degree = g.degree - sum(columns[j][0] for j in pivots)
+                degree = len(g) - 1 - sum(columns[j][0] for j in pivots)
             degs.append((i, degree))
         return GeneratedSummary(tuple(self.ranks.items()), tuple(degs))
 

@@ -20,8 +20,9 @@ arithmetic is here once, and `HomogPoly`, `bundles`, `representations`
 and `complexes` all use it: `add_product` (acc + u v in place, the one
 coefficient product), `at` (the value at [s : t], the one Horner loop),
 `dense_at` (rows at [1 : k] as a dense integer matrix), `form` (integer
-coefficients over a denominator as a `HomogPoly`) and `scaled_rows`
-(rows times an integer).
+coefficients over a denominator as a `HomogPoly`), `scaled_rows`
+(rows times an integer) and `_int_primitive` (content divided out, last
+nonzero coefficient positive, the normalization of every gcd here).
 
 The gcd of the maximal minors of a matrix of full column rank is
 `_int_full_rank_minor_gcd`, which takes the rows as integer coefficient
@@ -31,8 +32,17 @@ maximal minor by a sign and the gcd not at all; eliminating the
 low-degree columns first keeps the pseudo-remainders small, where the
 matrix's own column order let their coefficients swell far past those of
 the gcd.  `bundles` hands it the integer columns of its generation walk,
-so no form matrix is ever cleared for it; the tests keep the echelon and
-the minor gcds on rows of rational forms as oracles.
+so no form matrix is ever cleared for it, and it returns the normalized
+gcd as an integer form, which `bundles.base_locus` multiplies with
+`add_product`; the tests keep the echelon and the minor gcds on rows of
+rational forms as oracles.
+
+The display factoring (`factor_binary_form`) clears its form once and
+then works on integers: the s- and t-powers are the zeros at the ends,
+each rational root p/q of the primitive core is divided out as q t - p
+exactly (Gauss's lemma), and the factors are checked against the form by
+cross-multiplication.  Only the factors it returns are forms; the tests
+keep the former factoring on rational forms as its oracle.
 
 Every rank-only question about a form matrix is asked of integer data.
 `generic_pivot_columns` and `fiber_rank` take a matrix as integer
@@ -276,14 +286,8 @@ def poly_gcd(p: HomogPoly, q: HomogPoly) -> HomogPoly:
 
 
 def _normalized(p: HomogPoly) -> HomogPoly:
-    if p.is_zero():
-        return p
-    a, b, core = _split(p)
-    core = _primitive(core)
-    coeffs = [ZERO] * (p.degree + 1)
-    for i, c in enumerate(core):
-        coeffs[b + i] = c
-    return HomogPoly.of(p.degree, coeffs)
+    (ints,), _ = linalg.cleared((p.coeffs,))
+    return form(_int_primitive(ints))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +548,7 @@ def _sub_multiple(row: _IntRow, pivot_row: _IntRow, c: int) -> _IntRow:
     of row and v of pivot_row in column c, the row becomes
     (lc v / g) * row - (lc u / g) * t^off * pivot_row, until deg u < deg v.
     The result is divided by the gcd of its coefficients, signed so that
-    its last nonzero coefficient is positive (`_primitive`'s convention).
+    its last nonzero coefficient is positive (`_int_primitive`'s convention).
     """
     v = pivot_row[c]
     while len(row[c]) >= len(v):
@@ -573,10 +577,12 @@ def _combine(f: int, x: tuple[int, ...], h: int, off: int, y: tuple[int, ...]) -
     return _trimmed(out)
 
 
-def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> HomogPoly:
+def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> tuple[int, ...]:
     """The normalized gcd of the maximal minors of the form matrix with
     these rows, which must have full column rank over Q(t); an entry is
-    the integer coefficient tuple of a form, ascending in t, () for zero.
+    the integer coefficient tuple of a form, ascending in t, () for zero,
+    and so is the gcd: content divided out, last nonzero coefficient
+    positive (`_int_primitive`, `_normalized`'s convention).
 
     The echelons run on sub, the columns sorted stably by ascending
     largest entry degree, so that the low-degree columns are eliminated
@@ -585,7 +591,7 @@ def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> HomogPoly:
     that of the matrix.  The echelon of sub on the chart s = 1 is
     triangular with the pivots on the diagonal after unimodular steps, so
     on the chart the gcd is their product (Kannan & Bachem, SIAM J.
-    Comput. 8(4), 1979), and `_normalized` fixes its constant.
+    Comput. 8(4), 1979), and `_int_primitive` fixes its constant.
     Homogenizing it misses only s^m, m the order of the gcd at [0:1]: zero
     when the fiber of sub there, the top coefficients, has full rank, else
     the summed order at s = 0 of the pivots of sub on the chart t = 1.  An
@@ -604,7 +610,19 @@ def _int_full_rank_minor_gcd(rows: Sequence[_IntRow]) -> HomogPoly:
     if linalg.rank([[p[-1] if p else 0 for p in row] for row in sub]) < n:
         at_t = _int_echelon([[_trimmed(p[::-1]) for p in row] for row in sub])[1]
         g += [0] * sum(next(k for k, x in enumerate(p) if x) for p in at_t)  # times s^m
-    return _normalized(form(g))
+    return _int_primitive(g)
+
+
+def _int_primitive(p: Sequence[int]) -> tuple[int, ...]:
+    """The integer form p divided by the gcd of its coefficients, signed so
+    that its last nonzero coefficient is positive (`_normalized`'s
+    convention); () for zero."""
+    g = int_gcd(*p)
+    if not g:
+        return ()
+    if next(x for x in reversed(p) if x) < 0:
+        g = -g
+    return tuple(p) if g == 1 else tuple([x // g for x in p])
 
 
 # ---------------------------------------------------------------------------
@@ -617,37 +635,49 @@ def factor_binary_form(p: HomogPoly) -> tuple[Fraction, list[tuple[HomogPoly, in
     Returns (constant, [(primitive_factor, multiplicity), ...]) with
     constant * product == p exactly; a rational-root-free remainder, when
     present, is the last factor with multiplicity 1.
+
+    p is cleared once (`linalg.cleared`) to the integer form P = L p, and
+    every step is on integers: s^a t^b splits off as the zeros at the two
+    ends of P, the core between them is made primitive (`_int_primitive`),
+    and each rational root u/q in lowest terms (`_rational_root`) is
+    divided out as the factor q t - u, exactly, by Gauss's lemma
+    (`_deflate`).  The product Q of the factors must be proportional to
+    P, which is checked by cross-multiplication, P[k] Q[b] = P[b] Q[k]
+    for every k; the constant is then P[b] / (L Q[b]).  Only the returned
+    factors are forms.
     """
     if p.is_zero():
         return ZERO, []
-    a, b, core_t = _split(p)
+    (ints,), den = linalg.cleared((p.coeffs,))
+    nonzero = [k for k, x in enumerate(ints) if x]
+    b, a = nonzero[0], len(ints) - 1 - nonzero[-1]
     factors: list[tuple[HomogPoly, int]] = []
     if a:
         factors.append((HomogPoly.monomial(1, 0), a))
     if b:
         factors.append((HomogPoly.monomial(1, 1), b))
-    core = list(_primitive(core_t))
+    core = _int_primitive(ints[b : len(ints) - a])
     lin: dict[Fraction, int] = {}
     while len(core) > 1:
         root = _rational_root(core)
         if root is None:
             break
-        core = list(_primitive(_deflate(core, root)))
+        core = _int_primitive(_deflate(core, root))
         lin[root] = lin.get(root, 0) + 1
+    product = [1]
     for root in sorted(lin):
-        factor = HomogPoly.of(1, (Fraction(-root.numerator), Fraction(root.denominator)))
-        factors.append((factor, lin[root]))
+        linear = (-root.numerator, root.denominator)
+        factors.append((form(linear), lin[root]))
+        for _ in range(lin[root]):
+            product = add_product(None, product, linear)
     if len(core) > 1:
-        factors.append((HomogPoly.of(len(core) - 1, core), 1))
-    prod = HomogPoly.constant(1)
-    for f, mult in factors:
-        for _ in range(mult):
-            prod = prod * f
-    idx = next(k for k, c in enumerate(prod.coeffs) if c != 0)
-    const = p.coeffs[idx] / prod.coeffs[idx]
-    if p != prod.scaled(const):
+        factors.append((form(core), 1))
+        product = add_product(None, product, core)
+    product = [0] * b + product + [0] * a
+    top = product[b]
+    if len(product) != len(ints) or any(x * top != ints[b] * y for x, y in zip(ints, product)):
         raise InvariantError(f"factors of {p} do not multiply back to it")
-    return const, factors
+    return Fraction(ints[b], den * top), factors
 
 
 def format_factored(p: HomogPoly) -> str:
@@ -693,16 +723,25 @@ def _rational_root(core: Sequence[Fraction]) -> Fraction | None:
     return None
 
 
-def _deflate(core: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (t - root), ascending coefficients
-    desc = list(reversed(core))
-    out = [desc[0]]
-    for c in desc[1:-1]:
-        out.append(c + root * out[-1])
-    rem = desc[-1] + root * out[-1]
-    if rem != 0:
-        raise InvariantError(f"{root} is not a root: remainder {rem}")
-    return list(reversed(out))
+def _deflate(core: Sequence[int], root: Fraction) -> list[int]:
+    """The integer polynomial core, ascending coefficients, divided by
+    q t - p, root = p / q in lowest terms.  q t - p is primitive, so when
+    root is a root of core the quotient has integer coefficients (Gauss's
+    lemma) and every step divides exactly; a step that does not, or a
+    nonzero remainder, shows that root is not a root."""
+    p, q = root.as_integer_ratio()
+    out = []
+    acc = 0
+    for c in core[:0:-1]:  # b_(k-1) = (c_k + p b_k) / q from the top
+        acc, r = divmod(c + p * acc, q)
+        if r:
+            break
+        out.append(acc)
+    else:
+        if core[0] + p * acc == 0:
+            return out[::-1]
+    rem = Fraction(at(core, p, q), q ** (len(core) - 1))  # core at root
+    raise InvariantError(f"{root} is not a root: remainder {rem}")
 
 
 def _divisors(n: int) -> list[int]:

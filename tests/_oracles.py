@@ -3,8 +3,9 @@
 The library keeps only what its API, the CLI, the demos and the bench
 tracer reach (`test_layering.py` walks the names).  What the tests alone
 need lives here, one section per library module it builds on: the Q[t]
-echelon on rational forms and the minor gcds over it, the generation
-matrices as forms, the rational central charge and its slope, stability
+echelon on rational forms and the minor gcds over it, the display
+factoring on rational forms (the oracle of the integer
+`polynomials.factor_binary_form`), the generation matrices as forms, the rational central charge and its slope, stability
 weights and torus elements with what acts by them, the seeded closure,
 the dense moment map (the oracle of `representations.moment`), its
 derivative, the gauge action and the symplectic form (the oracles of
@@ -27,13 +28,17 @@ from quiverbundles.polynomials import (
     PolyMatrix,
     _int_echelon,
     _int_full_rank_minor_gcd,
+    _primitive,
+    _rational_root,
+    _split,
     _trimmed,
     _Univ,
+    form,
     generic_pivot_columns,
     integer_columns,
     poly_matmul,
 )
-from quiverbundles.quivers import DimensionVector, DoubleQuiver, Quiver
+from quiverbundles.quivers import DimensionVector, DoubleQuiver, InvariantError, Quiver
 from quiverbundles.representations import (
     FramedRep,
     LieElement,
@@ -90,7 +95,62 @@ def _full_rank_minor_gcd(a: PolyMatrix) -> HomogPoly:
     column by a positive constant multiplies each maximal minor by a
     constant, the same for all of them, so their gcd changes by that
     constant only, and `_normalized` fixes it."""
-    return _int_full_rank_minor_gcd([linalg.cleared([e.coeffs for e in row])[0] for row in a])
+    return form(_int_full_rank_minor_gcd([linalg.cleared([e.coeffs for e in row])[0] for row in a]))
+
+
+# ---------------------------------------------------------------------------
+# polynomials: display factoring on rational forms
+
+
+def fraction_factor_binary_form(p: HomogPoly) -> tuple[Fraction, list[tuple[HomogPoly, int]]]:
+    """Split off s, t and rational linear factors.
+
+    Returns (constant, [(primitive_factor, multiplicity), ...]) with
+    constant * product == p exactly; a rational-root-free remainder, when
+    present, is the last factor with multiplicity 1.
+    """
+    if p.is_zero():
+        return ZERO, []
+    a, b, core_t = _split(p)
+    factors: list[tuple[HomogPoly, int]] = []
+    if a:
+        factors.append((HomogPoly.monomial(1, 0), a))
+    if b:
+        factors.append((HomogPoly.monomial(1, 1), b))
+    core = list(_primitive(core_t))
+    lin: dict[Fraction, int] = {}
+    while len(core) > 1:
+        root = _rational_root(core)
+        if root is None:
+            break
+        core = list(_primitive(_fraction_deflate(core, root)))
+        lin[root] = lin.get(root, 0) + 1
+    for root in sorted(lin):
+        factor = HomogPoly.of(1, (Fraction(-root.numerator), Fraction(root.denominator)))
+        factors.append((factor, lin[root]))
+    if len(core) > 1:
+        factors.append((HomogPoly.of(len(core) - 1, core), 1))
+    prod = HomogPoly.constant(1)
+    for f, mult in factors:
+        for _ in range(mult):
+            prod = prod * f
+    idx = next(k for k, c in enumerate(prod.coeffs) if c != 0)
+    const = p.coeffs[idx] / prod.coeffs[idx]
+    if p != prod.scaled(const):
+        raise InvariantError(f"factors of {p} do not multiply back to it")
+    return const, factors
+
+
+def _fraction_deflate(core: Sequence[Fraction], root: Fraction) -> list[Fraction]:
+    # synthetic division by (t - root), ascending coefficients
+    desc = list(reversed(core))
+    out = [desc[0]]
+    for c in desc[1:-1]:
+        out.append(c + root * out[-1])
+    rem = desc[-1] + root * out[-1]
+    if rem != 0:
+        raise InvariantError(f"{root} is not a root: remainder {rem}")
+    return list(reversed(out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from quiverbundles.bundles import (
     validate,
 )
 from quiverbundles.complexes import build_complex
-from quiverbundles.generators import sample_points
+from quiverbundles.generators import InstanceSpec, gen_bundle, sample_points
 from quiverbundles.polynomials import HomogPoly, poly_mat_is_zero, poly_zeros
 from quiverbundles.quivers import HypothesisError
 from quiverbundles.representations import is_stable_framed, moment
@@ -208,6 +209,18 @@ def test_full_rank_base_locus_reads_no_pivot_columns():
     doc = json.loads((FIXTURES / "bundle_adhm_stable.json").read_text())
     report = base_locus(parse_document(doc).bundle)
     assert report.stable and polynomials.format_factored(report.polynomial) == "(s + 3*t)"
+
+
+def test_full_rank_base_locus_within_budget():
+    # `_int_full_rank_minor_gcd` eliminates the low-degree columns first:
+    # the echelon of this 12 x 12 gcd takes milliseconds in ascending order
+    # of largest entry degree and 8-12 s in generation or descending order
+    e = gen_bundle(InstanceSpec("adhm", (12,), framing=2, degree_bound=12, seed=2))
+    start = time.perf_counter()
+    report = base_locus(e)
+    elapsed = time.perf_counter() - start
+    assert report.stable and report.polynomial.degree == 30
+    assert elapsed < 2.0, f"{elapsed:.1f} s"
 
 
 def test_base_locus_two_summand_word_generation():

@@ -9,7 +9,9 @@ on `integer_columns`.  Ranks, verdicts, summaries, base loci, the first
 points off the base locus and `sample_points` must be equal.
 
 A guard test then makes every form-building step raise while the public
-verdicts run, which shows that the verdict path builds no forms.
+verdicts run, which shows that the verdict path builds no forms but the
+ones a `base_locus` report returns: one per ordinary vertex and one for
+their product, built in `bundles` from integer forms.
 
 The record of the last bundle is kept in one slot and shared by the
 verdicts asked of that bundle in a row.  The record-sharing tests count
@@ -23,6 +25,7 @@ import json
 import sys
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count, islice
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -220,32 +223,75 @@ def test_generation_record_matches_the_form_pipeline_under_a_rational_gauge():
     assert kinds["stable"] > 50 and kinds["below full rank"] > 5
 
 
+def test_base_locus_report_fields_match_the_form_reference():
+    # the report is built from integer forms; the reference multiplies the
+    # vertex forms of `_full_rank_minor_gcd` as `HomogPoly`s
+    specs = [
+        InstanceSpec("adhm", (r,), framing=f, degree_bound=r, seed=s)
+        for r in range(2, 8)
+        for f in (1, 2)
+        for s in range(4)
+    ] + [bundle_spec(k, 1) for k in range(96)]
+    kinds: dict[str, int] = {}
+    for e in [gen_bundle(spec) for spec in specs] + _zero_rank_cases():
+        want = _outcome(_reference_base_locus, e)
+        got = _outcome(base_locus, e)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert got.stable is want.stable
+        assert got.vertex_ranks == want.vertex_ranks
+        assert got.vertex_polynomials == want.vertex_polynomials
+        assert got.polynomial == want.polynomial
+        for f in [got.polynomial] + [g for _, g in got.vertex_polynomials]:
+            assert type(f) is HomogPoly and all(type(c) is Fraction for c in f.coeffs)
+        kind = _kind(e, dict(want.vertex_ranks), want.stable)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["stable"] > 60 and kinds["unstable"] > 10
+    assert kinds["below full rank"] > 30 and kinds["zero rank"] >= 3
+
+
 def _raise(*args, **kwargs):
     raise AssertionError("a form was built on the verdict path")
 
 
 def test_verdicts_build_no_forms(monkeypatch):
+    # the forms of a `base_locus` report, one per ordinary vertex and one
+    # for their product, are the only forms a verdict builds: `bundles`
+    # builds them from the integer gcds, and `polynomials` builds none
     instances = _corpus()[:3] + [
         gen_bundle(InstanceSpec("adhm", (r,), framing=2, degree_bound=r, seed=s))
         for r in (4, 6)
         for s in range(4)
     ] + [gen_bundle(bundle_spec(k, 3)) for k in range(64)] + _zero_rank_cases()
+    report_forms = []
+
+    def report_form(p, den=1, build=polynomials.form):
+        report_forms.append(p)
+        return build(p, den)
+
     for name in ("form", "generation_columns"):
         monkeypatch.setattr(bundles, name, _raise)
-    for name in ("integer_columns", "generic_rank"):
+    for name in ("form", "integer_columns", "generic_rank"):
         monkeypatch.setattr(polynomials, name, _raise)
-    verdicts = below = 0
+    verdicts = below = reports = 0
     for e in instances:
         for fn in (
             is_stable_quasimap,
-            base_locus,
             generated_subsheaf_summary,
             asymptotic_equivalence_check,
             lambda e: sample_points(e, 3),
         ):
             verdicts += not isinstance(_outcome(fn, e), tuple)
         below += not is_stable_quasimap(e)
-    assert verdicts > 300 and below > 10
+        monkeypatch.setattr(bundles, "form", report_form)
+        report = _outcome(base_locus, e)
+        monkeypatch.setattr(bundles, "form", _raise)
+        if not isinstance(report, tuple):
+            assert len(report_forms) == len(e.double.ordinary_vertices) + 1
+            reports += 1
+        report_forms.clear()
+    assert verdicts + reports > 300 and below > 10
 
 
 def test_the_guard_sees_a_form_pipeline(monkeypatch):
@@ -258,6 +304,10 @@ def test_the_guard_sees_a_form_pipeline(monkeypatch):
     monkeypatch.setattr(bundles, "form", _raise)
     with pytest.raises(AssertionError, match="a form was built"):
         bundles.generation_columns(e)
+    # and a product of forms, as the report's total once was
+    monkeypatch.setattr(polynomials, "form", _raise)
+    with pytest.raises(AssertionError, match="a form was built"):
+        HomogPoly.constant(2) * HomogPoly.constant(3)
 
 
 ENTRY_POINTS = (
