@@ -8,7 +8,8 @@ the base locus of framing generation, quasimap stability, the split
 Harder-Narasimhan filtration, and the numerical class of the subsheaf
 generated by the framing.  The relation is summed by
 `representations._residual`, the moment map's one sum, on the arrows'
-integer rows; `bundles` imports `representations`, never the reverse.
+integer rows over one common denominator; `bundles` imports
+`representations`, never the reverse.
 """
 
 from __future__ import annotations
@@ -173,11 +174,13 @@ def moment_residual_sheaf(e: TwistedQuiverBundle) -> dict[str, PolyMatrix]:
     """Relation residual per ordinary vertex, valued in forms of degree
     a_{i,k} - a_{i,l} - 2; the zero matrix everywhere iff the data is a
     quiver-bundle point of the relation's zero locus.  The residual at a
-    vertex is D^-1 times its integer residual
-    (`representations._residual`)."""
+    vertex is L^-2 times its integer residual (`representations._residual`)
+    on the arrows' integer rows over their common denominator L
+    (`_arrow_rows`)."""
+    rows, den = _arrow_rows(e)
     return {
-        i: tuple(tuple(form(p, den) for p in row) for row in residual)
-        for i, (residual, den) in _residual(e.double, e.rank_vector(), _arrow_rows(e)).items()
+        i: tuple(tuple(form(p, den * den) for p in row) for row in residual)
+        for i, residual in _residual(e.double, e.rank_vector(), rows).items()
     }
 
 
@@ -185,22 +188,24 @@ def residual_is_zero(e: TwistedQuiverBundle) -> bool:
     return relation_rows(e) is not None
 
 
-def relation_rows(e: TwistedQuiverBundle) -> dict[str, tuple[IntRows, int]] | None:
-    """The integer rows of every arrow matrix and their denominators L_a
-    (`_arrow_rows`) if the moment residual, computed on those rows,
+def relation_rows(e: TwistedQuiverBundle) -> tuple[dict[str, IntRows], int] | None:
+    """The integer rows of every arrow matrix and their common denominator
+    L (`_arrow_rows`) if the moment residual, computed on those rows,
     vanishes; None if it does not.  The callers that need the data on the
-    relation take their rows from here, so each arrow is cleared once."""
-    rows = _arrow_rows(e)
-    return rows if _vanishes(_residual(e.double, e.rank_vector(), rows)) else None
+    relation take their rows from here, so the arrows are cleared once."""
+    rows, den = _arrow_rows(e)
+    residual = _residual(e.double, e.rank_vector(), rows)
+    return None if any(any(row) for m in residual.values() for row in m) else (rows, den)
 
 
-def _arrow_rows(e: TwistedQuiverBundle) -> dict[str, tuple[IntRows, int]]:
-    """`integer_rows` of every arrow matrix: its rows over Z and L_a."""
-    return {a.name: integer_rows(e.phi[a.name]) for a in e.double.arrows}
-
-
-def _vanishes(residuals: Mapping[str, tuple[list[list[tuple[int, ...]]], int]]) -> bool:
-    return not any(any(row) for residual, _ in residuals.values() for row in residual)
+def _arrow_rows(e: TwistedQuiverBundle) -> tuple[dict[str, IntRows], int]:
+    """The rows L Phi_a over Z of every arrow matrix, with L the common
+    denominator of all their coefficients (one `integer_rows` call on the
+    matrices stacked), and L."""
+    arrows = e.double.arrows
+    stacked, den = integer_rows([row for a in arrows for row in e.phi[a.name]])
+    it = iter(stacked)
+    return {a.name: [next(it) for _ in e.phi[a.name]] for a in arrows}, den
 
 
 def fiber_at(e: TwistedQuiverBundle, z: tuple[object, object]) -> FramedRep:
@@ -234,15 +239,15 @@ def generation_columns(
 ) -> dict[str, list[tuple[int, tuple[HomogPoly, ...]]]]:
     """Images of the framing sections under all arrow words, as (twist,
     column) pairs per ordinary vertex: the columns of `_walk`, each divided
-    by the product of the denominators L_a along its word."""
+    by its denominator."""
     return {
         i: [(twist, tuple(form(p, den) for p in column)) for twist, column, den in columns]
-        for i, columns in _walk(e, _arrow_rows(e)).items()
+        for i, columns in _walk(e, *_arrow_rows(e)).items()
     }
 
 
 def _walk(
-    e: TwistedQuiverBundle, rows: Mapping[str, tuple[IntRows, int]]
+    e: TwistedQuiverBundle, rows: Mapping[str, IntRows], den: int
 ) -> dict[str, list[tuple[int, IntColumn, int]]]:
     """The generation walk: per ordinary vertex, the kept word images of
     the framing sections as (twist, integer column, denominator).
@@ -254,11 +259,11 @@ def _walk(
     kept columns of the same twist is dropped and not extended: both its
     minors contribution and all its downstream images are redundant.
 
-    The arithmetic is on integers.  Each arrow matrix is Phi_a = R_a / L_a
-    with integer rows R_a (`_arrow_rows`), and a column is carried as
-    integer coefficient lists, the image of the framing section under the
-    R_a along its word, so an image is a sum of integer products
-    (`_convolve`); the product of the L_a along the word is its
+    The arithmetic is on integers.  Each arrow matrix is Phi_a = R_a / L
+    with integer rows R_a over the common denominator L (`_arrow_rows`),
+    and a column is carried as integer coefficient lists, the image of the
+    framing section under the R_a along its word, so an image is a sum of
+    integer products (`_convolve`); L to the length of the word is its
     denominator.  Columns of one twist share a forced per-row degree
     pattern, so they flatten to aligned coefficient vectors, and the
     flattened integers go to the pivot table of their (vertex, twist): a
@@ -276,15 +281,15 @@ def _walk(
     arrows: dict[str, list] = {v: [] for v in e.double.vertices}
     for a in e.double.arrows:
         if a.head != framing:
-            arrows[a.tail].append((a.head, e.twist.degree(a.name), *rows[a.name]))
+            arrows[a.tail].append((a.head, e.twist.degree(a.name), rows[a.name]))
     tables: dict[tuple[str, int], dict[int, dict[int, int]]] = {}
     frontier: list[tuple[str, int, IntColumn, int]] = [
         (framing, 0, [(1,) if r == c else () for r in range(v0)], 1) for c in range(v0)
     ]
     for _ in range(cap):
         nxt: list[tuple[str, int, IntColumn, int]] = []
-        for vertex, twist, col, den in frontier:
-            for head, step, arrow_rows, arrow_den in arrows[vertex]:
+        for vertex, twist, col, col_den in frontier:
+            for head, step, arrow_rows in arrows[vertex]:
                 image = [_convolve(row, col) for row in arrow_rows]
                 if not any(image):
                     continue
@@ -293,8 +298,8 @@ def _walk(
                 pivots = tables.setdefault((head, new_twist), {})
                 if not linalg.add_row(pivots, row):
                     continue
-                out[head].append((new_twist, image, den * arrow_den))
-                nxt.append((head, new_twist, image, den * arrow_den))
+                out[head].append((new_twist, image, col_den * den))
+                nxt.append((head, new_twist, image, col_den * den))
         frontier = nxt
         if not frontier:
             break
@@ -418,11 +423,11 @@ class _Generation:
     denominator, which changes no rank over Q(t) or in any fiber, so the
     ranks and pivots are those of the generation matrix; the fibers are
     taken on the integer columns.  The record also keeps the arrows'
-    integer rows and denominators L_a (`relation_rows`), from which
-    `fiber_generated` reads the sample fiber."""
+    integer rows over their common denominator (`relation_rows`), from
+    which `fiber_generated` reads the sample fiber."""
 
     e: TwistedQuiverBundle
-    rows: Mapping[str, tuple[IntRows, int]]
+    rows: Mapping[str, IntRows]
     columns: Mapping[str, list[tuple[int, IntColumn, int]]]
     pivots: Mapping[str, list[int]]
 
@@ -485,14 +490,14 @@ class _Generation:
 
     def fiber_generated(self, k: int) -> bool:
         """`is_stable_framed(fiber_at(e, (1, k))).stable`, on the arrows'
-        integer rows: R_a = L_a Phi_a evaluated at [1 : k]
-        (`polynomials.dense_at`) is L_a Phi_a(1, k), a positive scale of
+        integer rows: R_a = L Phi_a evaluated at [1 : k]
+        (`polynomials.dense_at`) is L Phi_a(1, k), a positive scale of
         the fiber's matrix, which changes no span, so the framing closure
         (`representations._framing_closure`) has the fiber's dimensions."""
         e = self.e
         ranks = {v: e.bundles[v].rank for v in e.double.vertices}
         fiber = {
-            a.name: dense_at(self.rows[a.name][0], ranks[a.tail], k) for a in e.double.arrows
+            a.name: dense_at(self.rows[a.name], ranks[a.tail], k) for a in e.double.arrows
         }
         kept = _framing_closure(e.double, ranks, fiber)
         return all(len(kept[v]) == n for v, n in ranks.items())
@@ -521,10 +526,11 @@ def _generation(e: TwistedQuiverBundle) -> _Generation:
     recent = _recent  # one read: a concurrent caller swaps the slot whole
     if recent is not None and recent.e is e:
         return recent
-    rows = relation_rows(e)
-    if rows is None:
+    cleared = relation_rows(e)
+    if cleared is None:
         raise HypothesisError("moment residual nonzero; not quasimap data")
-    columns = _walk(e, rows)
+    rows, den = cleared
+    columns = _walk(e, rows, den)
     pivots = {}
     for i, cols in columns.items():
         order = sorted(range(len(cols)), key=lambda j: cols[j][0])

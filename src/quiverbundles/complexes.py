@@ -65,11 +65,10 @@ scale, so the Schur argument above holds as it stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .bundles import SplitBundle, TwistedQuiverBundle, is_stable_quasimap, relation_rows
 from .linalg import sparse_rank
-from .polynomials import IntRows, PolyMatrix, form, scaled_rows
+from .polynomials import IntRows, PolyMatrix, form
 from .quivers import HypothesisError, InvariantError
 from .representations import Label, linearization, linearization_bases
 
@@ -149,20 +148,15 @@ def build_complex(e: TwistedQuiverBundle) -> DeformationComplex:
     zero-residual hypothesis, which is refused up front;
     `run_suite("defcomplex")` multiplies the composition out.
 
-    Each arrow is cleared to integer rows once, by `bundles.relation_rows`,
-    which also checks the relation on those rows.  Every arrow is then
-    rescaled to L, the lcm of their denominators L_a
-    (`polynomials.scaled_rows`), so one L serves both differentials.
+    The arrows are cleared once, to integer rows over one common
+    denominator L, by `bundles.relation_rows`, which also checks the
+    relation on those rows; so one L serves both differentials.
     """
-    rows = relation_rows(e)
-    if rows is None:
+    cleared = relation_rows(e)
+    if cleared is None:
         raise HypothesisError("moment residual nonzero; no deformation complex")
-    den = lcm(*(l for _, l in rows.values()))
-    labels_m1, labels_0, kappa, mu = linearization(
-        e.double,
-        e.rank_vector(),
-        {a: scaled_rows(r, den // l) for a, (r, l) in rows.items()},
-    )
+    rows, den = cleared
+    labels_m1, labels_0, kappa, mu = linearization(e.double, e.rank_vector(), rows)
     degs_m1, degs_0 = _summand_degrees(e, labels_m1, labels_0)
     degs_1 = tuple(d + CANONICAL_DEGREE for d in degs_m1)
     entry_max = max(

@@ -51,7 +51,7 @@ which changes no rank: `integer_columns` clears a form matrix's columns
 (`linalg.cleared`, one call per column) for `generic_rank`, and
 `bundles` passes the integer columns of its generation walk directly.
 `integer_rows` clears a whole matrix by one denominator (one
-`linalg.cleared` call): each arrow of `bundles`, once,
+`linalg.cleared` call): all the arrows of a bundle at once, over one L,
 for the residual, the generation walk and the deformation complex of
 `complexes`, which is assembled and ranked on those rows.  The generic
 rank is one fiber at a point beyond every root of every minor, by

@@ -8,8 +8,8 @@ framing fiber, the coordinate-subspace brute-force oracle, and the
 reduced tangent space at a moment-map level.
 
 `_residual` is the one sum of the relation, on integer rows of constants
-or of form coefficients: `moment` reads it at a rational point and
-`bundles` on the form matrices of a bundle.  `linearization` assembles
+or of form coefficients over one common denominator: `moment` reads it
+at a rational point and `bundles` on the form matrices of a bundle.  `linearization` assembles
 the gauge action derivative kappa and the moment derivative dmu as
 matrices in unit-matrix bases, on the same kind of rows; the reduced
 tangent space and the pairing identity (`hamiltonian_residual`, with the
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -155,60 +154,49 @@ def _moment(
     x: FramedRep, level: Mapping[str, object] | None, rows: Mapping[str, IntRows], den: int
 ) -> dict[str, Matrix]:
     """`moment` of x from its `_constant_rows`: the integer residual over
-    its denominator, minus level_i on the diagonal."""
+    the square of its denominator, minus level_i on the diagonal."""
     lam = _level_map(x, level)
-    residual = _residual(x.double, x.dims, {a: (r, den) for a, r in rows.items()})
     return {
         i: tuple(
             tuple(
-                Fraction(p[0] if p else 0, d) - (lam[i] if k == l else ZERO)
+                Fraction(p[0] if p else 0, den * den) - (lam[i] if k == l else ZERO)
                 for l, p in enumerate(row)
             )
             for k, row in enumerate(m)
         )
-        for i, (m, d) in residual.items()
+        for i, m in _residual(x.double, x.dims, rows).items()
     }
 
 
 def _residual(
-    dq: DoubleQuiver, ranks: Mapping[str, int], rows: Mapping[str, tuple[IntRows, int]]
-) -> dict[str, tuple[list[list[tuple[int, ...]]], int]]:
-    """The moment residual per ordinary vertex i as an integer matrix of
-    forms (ascending t-coefficients, () for zero) and a denominator D.
+    dq: DoubleQuiver, ranks: Mapping[str, int], rows: Mapping[str, IntRows]
+) -> dict[str, list[list[tuple[int, ...]]]]:
+    """L^2 times the moment residual per ordinary vertex i, as an integer
+    matrix of forms (ascending t-coefficients, () for zero), from the rows
+    R_a = L x_a of every arrow over one common denominator L.
 
-    With Phi_a = R_a / L_a, R_a the integer rows of arrow a and L_a their
-    denominator, each term Phi_a Phi_abar of the relation at i is
-    R_a R_abar / (L_a L_abar).  Over the common denominator D, the lcm of
-    the L_a L_abar of the arrows a into i, the residual is the sum of the
-    signed integer products (D / (L_a L_abar)) R_a R_abar, divided by D:
-    exact, and zero exactly when that sum is.  Each entry accumulates its
-    products by `polynomials.add_product`.  A product through a zero-rank
-    vertex is zero and is skipped.  This is the one place where the
-    relation is summed: `moment` reads it at a rational point, and
+    Each term x_a x_abar of the relation at i is R_a R_abar / L^2, so the
+    residual is the signed sum of the integer products R_a R_abar over
+    L^2: exact, and zero exactly when that sum is.  Each entry accumulates
+    its products by `polynomials.add_product`.  A product through a
+    zero-rank vertex is zero and is skipped.  This is the one place where
+    the relation is summed: `moment` reads it at a rational point, and
     `bundles` on the form matrices of a bundle.
     """
     out = {}
     for i in dq.ordinary_vertices:
-        terms = []
-        for a in dq.arrows:
-            if a.head == i and ranks[a.tail]:
-                (r_a, l_a), (r_bar, l_bar) = rows[a.name], rows[a.opposite]
-                terms.append((-1 if a.sign else 1, l_a * l_bar, r_a, r_bar))
-        den = lcm(*(l for _, l, _, _ in terms))
         n = ranks[i]
         acc: list[list[list[int] | None]] = [[None] * n for _ in range(n)]
-        for sign, l, r_a, r_bar in terms:
-            f = sign * (den // l)
-            for k, row in enumerate(r_a):
+        for a in dq.arrows:
+            if a.head != i or not ranks[a.tail]:
+                continue
+            r_bar = rows[a.opposite]
+            for k, row in enumerate(scaled_rows(rows[a.name], -1 if a.sign else 1)):
                 out_row = acc[k]
                 for m, p in row:
-                    p = [f * x for x in p]
                     for c, q in r_bar[m]:
                         out_row[c] = add_product(out_row[c], p, q)
-        out[i] = (
-            [[tuple(p) if p and any(p) else () for p in row] for row in acc],
-            den,
-        )
+        out[i] = [[tuple(p) if p and any(p) else () for p in row] for row in acc]
     return out
 
 

@@ -78,6 +78,20 @@ def chain_bundle(deg1, deg2, f=None, e=None, r=1) -> TwistedQuiverBundle:
     return TwistedQuiverBundle(CHAIN_DOUBLE, bundles, CHAIN_TWIST, phi)
 
 
+def coprime_adhm() -> TwistedQuiverBundle:
+    """Stable ADHM data whose nonzero arrows have pairwise coprime
+    denominators: loop+ = N / 2 and loop- = N / 3, which commute, and an
+    integral frame+, so their common denominator 6 is none of theirs."""
+    zero, one = HomogPoly.zero(), HomogPoly.constant(1)
+    n = [[zero, one, form(1, 1, 1)], [zero, zero, one], [zero, zero, zero]]
+    return adhm_bundle(
+        (2, 1, 0),
+        b1=[[p.scaled(Fraction(1, 2)) for p in row] for row in n],
+        b2=[[p.scaled(Fraction(1, 3)) for p in row] for row in n],
+        iota=[[form(2, 1, 0, -1)], [form(1, 2, 1)], [one]],
+    )
+
+
 GAUGE = (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2), Fraction(7, 3))
 
 

@@ -203,9 +203,8 @@ def test_loop_entries_of_mixed_degree_raise_degree_mismatch(entry):
     assert str(info.value) == "degree mismatch 0 + 1"
 
 
-def test_full_rank_base_locus_reads_no_pivot_columns():
-    # generic_rank(M) == n already makes every column of the transposed M a
-    # pivot column; the verdict and the locus are read off that full rank
+def test_stable_fixture_base_locus_factors_as_one_point():
+    # the stable ADHM fixture fails framing generation only at [3 : -1]
     doc = json.loads((FIXTURES / "bundle_adhm_stable.json").read_text())
     report = base_locus(parse_document(doc).bundle)
     assert report.stable and polynomials.format_factored(report.polynomial) == "(s + 3*t)"

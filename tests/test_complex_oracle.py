@@ -1,7 +1,7 @@
 """The integer deformation complex against the form pipeline it replaced.
 
-`build_complex` clears each arrow once to integer rows, rescales them to
-one common denominator L and assembles L kappa and L dmu on integers
+`build_complex` clears the arrows once to integer rows over one common
+denominator L and assembles L kappa and L dmu on integers
 (`representations.linearization`); `hypercoh_dims` scatters those rows
 as stored.  The references here are the former form path, kept
 verbatim: `linearization` over matrices of forms, `build_complex` on
@@ -9,10 +9,11 @@ it, and the minimal model that cleared both differentials back to
 integers (`integer_rows`).  `d_kappa`, `d_mu` and the hypercohomology
 reports must be equal on both `cohomology` lists of the benchmark, the
 generator rotations, adhm ranks 3-8, rational gauges (a different
-denominator per arrow, so L > 1), a zero-rank vertex and a loop whose
+denominator per arrow, so L > 1), arrows with pairwise coprime
+denominators (so L is none of them), a zero-rank vertex and a loop whose
 kappa entries cancel; off the relation both refuse.  `reduced_tangent`
 must equal the former one on rational matrices, and a guard shows that
-the integer path builds no form and clears each arrow once.
+the integer path builds no form and clears each bundle once.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from quiverbundles.representations import (
     reduced_tangent,
 )
 
-from _builders import ADHM_DOUBLE, chain_bundle, form, poly_mat, rational_gauge
+from _builders import ADHM_DOUBLE, chain_bundle, coprime_adhm, form, poly_mat, rational_gauge
 from test_residual_oracle import perturbed
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -377,6 +378,7 @@ def _corpus() -> list[TwistedQuiverBundle]:
     ]
     out += [rational_gauge(e, Fraction(3, 5)) for e in out[::9]]
     out += [_zero_rank_chain(), rational_gauge(_zero_rank_chain()), _scalar_loop_adhm()]
+    out.append(coprime_adhm())
     return out
 
 
@@ -454,7 +456,7 @@ def test_reduced_tangent_equals_the_rational_reference():
     assert len(reports) > 3
 
 
-def test_no_form_is_built_and_each_arrow_is_cleared_once(monkeypatch):
+def test_no_form_is_built_and_each_bundle_is_cleared_once(monkeypatch):
     corpus = [gen_bundle(bundle_spec(k, 0)) for k in range(40)]
     cleared = []
     real = polynomials.integer_rows
@@ -473,6 +475,6 @@ def test_no_form_is_built_and_each_arrow_is_cleared_once(monkeypatch):
     for e in corpus:
         cleared.clear()
         hypercoh_dims(build_complex(e))
-        assert len(cleared) == len(e.double.arrows)
+        assert len(cleared) == 1
     with pytest.raises(AssertionError):
         build_complex(corpus[0]).d_kappa

@@ -54,7 +54,7 @@ from quiverbundles.polynomials import (
 from quiverbundles.quivers import HypothesisError
 from quiverbundles.serialization import parse_document
 
-from _builders import adhm_bundle, chain_bundle, form, rational_gauge
+from _builders import adhm_bundle, chain_bundle, coprime_adhm, form, rational_gauge
 from _oracles import _full_rank_minor_gcd, _generation_matrices, _minor_gcd
 from test_residual_oracle import reference_residual_is_zero
 
@@ -170,7 +170,7 @@ def _corpus() -> list[TwistedQuiverBundle]:
         for f in (1, 2)
         for s in range(4)
     ]
-    return out + _zero_rank_cases()
+    return out + _zero_rank_cases() + [coprime_adhm()]
 
 
 def _assert_equal(e: TwistedQuiverBundle) -> str:

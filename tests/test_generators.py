@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from quiverbundles import linalg
+from quiverbundles import generators, linalg
 from quiverbundles.bundles import is_stable_quasimap, residual_is_zero, validate
 from quiverbundles.generators import (
     InstanceSpec,
@@ -26,7 +26,7 @@ from quiverbundles.generators import (
     zero_arrow_rep,
 )
 from quiverbundles.polynomials import poly_mat_is_zero
-from quiverbundles.quivers import HypothesisError
+from quiverbundles.quivers import HypothesisError, InvariantError
 from quiverbundles.representations import (
     brute_force_framed_check,
     hamiltonian_residual,
@@ -132,6 +132,15 @@ def test_gen_bundle_valid_zero_residual_deterministic():
         assert poly_mat_is_zero(e.phi[framing_back])
 
 
+def test_gen_bundle_checks_its_construction(monkeypatch):
+    # each mode lies on the relation by construction (`gen_bundle`), so a
+    # nonzero residual is a broken construction, never a retry
+    monkeypatch.setattr(generators, "residual_is_zero", lambda e: False)
+    for spec in (bundle_spec(0, seed=7), bundle_spec(4, seed=7)):  # adhm, chain
+        with pytest.raises(InvariantError, match="off the moment relation"):
+            gen_bundle(spec)
+
+
 def test_gen_bundle_reaches_nonzero_chain_return_arrow():
     hits = [
         k
@@ -144,7 +153,7 @@ def test_gen_bundle_reaches_nonzero_chain_return_arrow():
 
 
 def test_vanishing_product_solutions_match_the_form_products():
-    # the chain's e+ and return-arrow grid as `_try_bundle_chain` draws
+    # the chain's e+ and return-arrow grid as `_bundle_chain` draws
     # them, also with rational, sparse and zero e+; the slots and the
     # canonical nullspace must be equal to those of the unit-matrix products
     rng = random.Random(11)

@@ -12,7 +12,9 @@ Rationals become integers over a common denominator in one place,
 `linalg.cleared`.  Every other function in `src/` that reads
 `.denominator` splits a single rational into numerator and denominator,
 and is listed in DENOMINATOR_READERS, so a second clearing step shows up
-here.
+here.  Only `linalg` takes `math.lcm`, so a second clearing convention,
+data over per-part denominators brought to a common one, shows up here
+too.
 
 Every top-level definition in `src/` is reached, by the names that
 definitions read, from an entry point: `__all__`, a definition in `cli`, a
@@ -211,6 +213,63 @@ def test_only_cleared_takes_a_common_denominator():
     found = set().union(*(denominator_readers(p) for p in sorted(PACKAGE.glob("*.py"))))
     assert found - DENOMINATOR_READERS == set()
     assert DENOMINATOR_READERS - found == set(), "readers that no longer read `.denominator`"
+
+
+def lcm_uses(path: Path) -> set[tuple[str, str]]:
+    """The (module, scope) pairs of a module that import `math.lcm` or
+    read it, under any alias or as an attribute of an imported `math`
+    (scopes as in `_scopes`)."""
+    names, modules = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "lcm"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "math"}
+    found = set()
+    for name, scope in _scopes(path):
+        for node in ast.walk(scope):
+            imported = isinstance(node, ast.ImportFrom) and node.module == "math" and any(
+                alias.name == "lcm" for alias in node.names
+            )
+            read = (isinstance(node, ast.Name) and node.id in names) or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "lcm"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            )
+            if imported or read:
+                found.add((path.stem, name))
+    return found
+
+
+def test_only_linalg_takes_an_lcm():
+    # one clearing convention: every common denominator is the one that
+    # `linalg.cleared` takes
+    found = set().union(*(lcm_uses(p) for p in sorted(PACKAGE.glob("*.py"))))
+    assert found == {("linalg", "<module>"), ("linalg", "cleared")}
+
+
+def test_lcm_use_detection(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math as m\n"
+        "from math import gcd, lcm as l\n"
+        "def aliased(xs):\n"
+        "    return l(*xs)\n"
+        "def attribute(xs):\n"
+        "    return m.lcm(*xs)\n"
+        "def local(xs):\n"
+        "    from math import lcm\n"
+        "    return lcm(*xs)\n"
+        "def untouched(xs):\n"
+        "    return gcd(*xs)\n"
+    )
+    assert lcm_uses(probe) == {
+        ("probe", "<module>"),
+        ("probe", "aliased"),
+        ("probe", "attribute"),
+        ("probe", "local"),
+    }
 
 
 def test_denominator_reader_detection(tmp_path):

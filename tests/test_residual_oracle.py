@@ -2,12 +2,13 @@
 
 `representations._residual`, which `bundles` calls, sums the signed
 integer products of the arrows' integer rows over one common denominator
-per vertex.  The reference here
+L of all the arrows.  The reference here
 is the former `moment_residual_sheaf`, kept verbatim: the sum of the
 products Phi_a Phi_abar of `Fraction`-valued forms (`poly_matmul`).
 `moment_residual_sheaf` and `residual_is_zero` must equal it entrywise on
 data on and off the relation, under rational gauges whose denominators
-differ per arrow, and with zero-rank vertices.
+differ per arrow, on arrows with pairwise coprime denominators, and with
+zero-rank vertices.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from quiverbundles.polynomials import (
 )
 from quiverbundles.serialization import parse_document
 
-from _builders import chain_bundle, form, poly_mat, rational_gauge
+from _builders import chain_bundle, coprime_adhm, form, poly_mat, rational_gauge
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -93,7 +94,7 @@ def _corpus() -> list[TwistedQuiverBundle]:
         for f in (1, 2)
         for s in range(4)
     ]
-    return out
+    return out + [coprime_adhm()]
 
 
 def _assert_equal(e: TwistedQuiverBundle) -> bool:
