@@ -5,7 +5,8 @@ stability routines, slope and threshold arithmetic, the deformation
 complex, instance generation, and named property suites.  Machine output
 is a single JSON object with sorted keys and exact "p/q" scalars; exit 0
 on computed verdicts, 1 for refuted verdicts under --strict, 2 on input
-problems, 3 when an internal invariant fails.
+problems, 3 when an internal invariant fails.  Each handler imports the
+library names it runs when it runs, so a subcommand loads only its modules.
 """
 
 from __future__ import annotations
@@ -16,47 +17,15 @@ import json
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bundles import (
-    TwistedQuiverBundle,
-    base_locus,
-    is_stable_quasimap,
-    moment_residual_sheaf,
-    residual_is_zero,
-    validate,
-)
-from .complexes import build_complex, euler_char_rr, hypercoh_dims
-from .generators import InstanceSpec, gen_bundle, gen_rep, run_suite
-from .polynomials import format_factored, poly_mat_is_zero
 from .quivers import HypothesisError, InvariantError
-from .representations import is_stable_framed, moment
-from .serialization import (
-    DocumentError,
-    InstanceDocument,
-    bundle_to_doc,
-    dumps,
-    encode_form_matrix,
-    encode_scalar_matrix,
-    parse_document,
-    rep_to_doc,
-)
-from .stability import (
-    DeltaVerdict,
-    NumericalClass,
-    Slope,
-    asymptotic_equivalence_check,
-    check_delta_stability,
-    delta_threshold,
-    hn_quotient_bound_check,
-    instance_threshold,
-    numerical_class,
-    slopes,
-    subobject_family,
-    subsheaf_degree_bound,
-)
-from . import linalg
+
+if TYPE_CHECKING:
+    from .bundles import TwistedQuiverBundle
+    from .serialization import InstanceDocument
+    from .stability import DeltaVerdict, NumericalClass, Slope
 
 
 class _InputError(Exception):
@@ -89,6 +58,8 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def _load(path: str) -> InstanceDocument:
+    from .serialization import parse_document
+
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as err:
@@ -100,6 +71,8 @@ def _load(path: str) -> InstanceDocument:
 
 def _need_bundle(item: InstanceDocument) -> TwistedQuiverBundle:
     """The document's bundle, refused unless `validate` finds no violation."""
+    from .bundles import validate
+
     if item.kind != "bundle" or item.bundle is None:
         raise _InputError("this subcommand needs a bundle document")
     violations = validate(item.bundle).violations
@@ -137,6 +110,8 @@ def _verdict_json(v: DeltaVerdict) -> dict:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .bundles import validate
+
     item = _load(args.input)
     violations: list[str] = []
     if item.kind == "bundle":
@@ -149,11 +124,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
+    from .bundles import moment_residual_sheaf
+    from .linalg import is_zero_matrix
+    from .polynomials import poly_mat_is_zero
+    from .representations import moment
+    from .serialization import encode_form_matrix, encode_scalar_matrix
+
     item = _load(args.input)
     if item.kind == "rep":
         residual = moment(item.rep, item.level or None)
         payload = {i: encode_scalar_matrix(m) for i, m in residual.items()}
-        zero = all(linalg.is_zero_matrix(m) for m in residual.values())
+        zero = all(is_zero_matrix(m) for m in residual.values())
     else:
         e = _need_bundle(item)
         residual = moment_residual_sheaf(e)
@@ -164,6 +145,10 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    from .bundles import is_stable_quasimap
+    from .representations import is_stable_framed
+    from .stability import check_delta_stability, subobject_family
+
     item = _load(args.input)
     refuted = False
     if item.kind == "rep":
@@ -189,6 +174,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_base_locus(args: argparse.Namespace) -> int:
+    from .bundles import base_locus
+    from .polynomials import format_factored
+
     e = _need_bundle(_load(args.input))
     report = base_locus(e)
     factored = functools.cache(format_factored)  # equal forms are factored once
@@ -204,6 +192,8 @@ def _cmd_base_locus(args: argparse.Namespace) -> int:
 
 
 def _cmd_slope(args: argparse.Namespace) -> int:
+    from .stability import NumericalClass, instance_threshold, numerical_class, slopes
+
     flags = (args.v0, args.v1, args.d)
     if args.input is not None:
         if any(f is not None for f in flags):
@@ -234,6 +224,10 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta_threshold(args: argparse.Namespace) -> int:
+    from .stability import (
+        delta_threshold, instance_threshold, numerical_class, subsheaf_degree_bound,
+    )
+
     flags = (args.v0, args.v1, args.mu1, args.N)
     if args.input is not None:
         if any(f is not None for f in flags):
@@ -255,6 +249,8 @@ def _cmd_delta_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_asym_check(args: argparse.Namespace) -> int:
+    from .stability import asymptotic_equivalence_check
+
     e = _need_bundle(_load(args.input))
     report = asymptotic_equivalence_check(e, args.delta)
     _emit(
@@ -273,6 +269,9 @@ def _cmd_asym_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_hn_bound(args: argparse.Namespace) -> int:
+    from .bundles import residual_is_zero
+    from .stability import hn_quotient_bound_check, instance_threshold
+
     e = _need_bundle(_load(args.input))
     if not residual_is_zero(e):
         raise HypothesisError("moment residual nonzero; not quasimap data")
@@ -283,6 +282,8 @@ def _cmd_hn_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_defcomplex(args: argparse.Namespace) -> int:
+    from .complexes import build_complex, euler_char_rr, hypercoh_dims
+
     e = _need_bundle(_load(args.input))
     c = build_complex(e)
     report = hypercoh_dims(c, args.window)
@@ -312,6 +313,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import InstanceSpec, gen_bundle, gen_rep
+    from .serialization import bundle_to_doc, dumps, rep_to_doc
+
     spec = InstanceSpec(
         args.preset,
         _parse_dims(args.dims),
@@ -344,6 +348,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from .generators import run_suite
+
     report = run_suite(args.name, count=args.count, seed=args.seed)
     _emit(
         {
@@ -449,6 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     if args.schema:
+        from importlib import resources
+
         text = resources.files("quiverbundles").joinpath("schema/instance-v1.json").read_text()
         sys.stdout.write(text)
         return 0
@@ -463,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DocumentError, HypothesisError, RuntimeError, ValueError) as err:
+    except (HypothesisError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

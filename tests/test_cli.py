@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from quiverbundles import bundles, cli, complexes
+from quiverbundles import bundles, cli, complexes, polynomials
 from quiverbundles.bundles import base_locus
 from quiverbundles.cli import main
 from quiverbundles.generators import comparison_corpus
@@ -155,7 +155,7 @@ def test_base_locus_factors_each_distinct_form_once(tmp_path, monkeypatch):
         calls.append(p)
         return format_factored(p)
 
-    monkeypatch.setattr(cli, "format_factored", counting)
+    monkeypatch.setattr(polynomials, "format_factored", counting)
     for path in (CHAIN_STABLE, BUNDLE_STABLE, str(_large_coefficient_document(tmp_path))):
         calls.clear()
         assert run(["base-locus", "--input", path])[0] == 0
@@ -537,10 +537,11 @@ def test_fresh_process_prints_what_the_in_process_call_prints():
         assert (proc.returncode, proc.stdout) == run(argv)[:2], argv
 
 
-def _imports_jsonschema(args: list[str]) -> bool:
+def _imported(args: list[str]) -> set[str]:
+    """The modules a fresh process imports, read from `-X importtime`."""
     proc = _fresh(["-X", "importtime", *args])
     assert proc.returncode == 0, proc.stderr
-    return any(line.split("|")[-1].strip() == "jsonschema" for line in proc.stderr.splitlines())
+    return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
 
 
 def test_gen_to_a_path_that_cannot_be_written_exits_2(tmp_path):
@@ -553,26 +554,34 @@ def test_gen_to_a_path_that_cannot_be_written_exits_2(tmp_path):
 
 
 def test_the_parser_loads_on_first_use_and_jsonschema_never():
+    # and each invocation loads only the library modules its handler runs
     probe = "import quiverbundles.cli as c; print(c._build_parser.cache_info().misses)"
     assert _fresh(["-c", probe]).stdout == "0\n"
-    assert not _imports_jsonschema(["-c", "import quiverbundles"])
-    for argv in (
-        ["delta-threshold", "--v0", "1", "--v1", "2", "--mu1", "0", "--N", "9"],
-        ["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "5"],
-        ["validate", "--input", CHAIN_STABLE],
-        ["moment", "--input", REP_STABLE],
-        ["stability", "--input", BUNDLE_STABLE],
-        ["base-locus", "--input", BUNDLE_UNSTABLE],
-        ["slope", "--input", CHAIN_STABLE],
-        ["delta-threshold", "--input", CHAIN_STABLE],
-        ["asym-check", "--input", BUNDLE_STABLE],
-        ["hn-bound", "--input", CHAIN_STABLE],
-        ["defcomplex", "--input", CHAIN_STABLE],
-        ["gen", "--kind", "bundle", "--preset", "chain", "--dims", "1,1", "--out", "-"],
-        ["suite", "--name", "moment-zero", "--count", "3"],
-        ["--schema"],
+    loaded = _imported(["-c", "import quiverbundles"])
+    assert "jsonschema" not in loaded
+    assert {m for m in loaded if m.startswith("quiverbundles.")} == set()
+    by_flags = {"complexes", "generators", "serialization"}
+    for argv, unused in (
+        (["delta-threshold", "--v0", "1", "--v1", "2", "--mu1", "0", "--N", "9"], by_flags),
+        (["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "5"], by_flags),
+        (["validate", "--input", CHAIN_STABLE], {"stability", "complexes", "generators"}),
+        (["moment", "--input", REP_STABLE], {"stability", "complexes", "generators"}),
+        (["stability", "--input", BUNDLE_STABLE], {"complexes", "generators"}),
+        (["base-locus", "--input", BUNDLE_UNSTABLE], {"stability", "complexes", "generators"}),
+        (["slope", "--input", CHAIN_STABLE], {"complexes", "generators"}),
+        (["delta-threshold", "--input", CHAIN_STABLE], {"complexes", "generators"}),
+        (["asym-check", "--input", BUNDLE_STABLE], {"complexes", "generators"}),
+        (["hn-bound", "--input", CHAIN_STABLE], {"complexes", "generators"}),
+        (["defcomplex", "--input", CHAIN_STABLE], {"stability", "generators"}),
+        (["gen", "--kind", "bundle", "--preset", "chain", "--dims", "1,1", "--out", "-"],
+         {"stability"}),
+        (["suite", "--name", "moment-zero", "--count", "3"], set()),
+        (["--schema"], {"linalg", "polynomials", "representations", "bundles", "stability",
+                        "complexes", "generators", "serialization"}),
     ):
-        assert not _imports_jsonschema(["-m", "quiverbundles.cli", *argv]), argv
+        loaded = _imported(["-m", "quiverbundles.cli", *argv])
+        assert "jsonschema" not in loaded, argv
+        assert {f"quiverbundles.{m}" for m in unused} & loaded == set(), argv
 
 
 DOCUMENT_COMMANDS = (

@@ -17,8 +17,9 @@ data over per-part denominators brought to a common one, shows up here
 too.
 
 Every top-level definition in `src/` is reached, by the names that
-definitions read, from an entry point: `__all__`, a definition in `cli`, a
-name that a demo imports, or a function that the bench tracer wraps.  What
+definitions read, from an entry point: an `__all__` name at its home module
+in the package's `_HOMES` table, a definition in `cli`, a name that a demo
+imports, or a function that the bench tracer wraps.  What
 only the tests need lives beside them in the helper modules HELPERS, whose
 imports are checked as the package's are.
 """
@@ -314,31 +315,44 @@ def _bound(statement: ast.stmt) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+def _sibling_imports(nodes) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """What the relative imports among nodes bind: local name -> (sibling
+    module, name), and local alias -> sibling module for `from . import m`."""
+    imported: dict[str, tuple[str, str]] = {}
+    modules: dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (source := _relative(node)) is not None:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == "":
+                    modules[local] = alias.name
+                else:
+                    imported[local] = (source, alias.name)
+    return imported, modules
+
+
 def name_graph(paths: list[Path]) -> tuple[set[tuple[str, str]], dict[tuple[str, str], set]]:
     """The top-level definitions of a package's modules as (module, name),
     and the (module, name) pairs that each one reads: its own module's
     names, names imported from a sibling, and attributes of an imported
-    sibling module.  An imported name reads its source; code that binds no
-    name reads under (module, "<module>")."""
+    sibling module.  An import inside a definition (a handler that loads
+    its modules when it runs) counts for that definition.  An imported
+    name reads its source; code that binds no name reads under
+    (module, "<module>")."""
     definitions: set[tuple[str, str]] = set()
     reads: dict[tuple[str, str], set] = {}
     for path in paths:
         module, tree = path.stem, ast.parse(path.read_text())
         own = {name for statement in tree.body for name in _bound(statement)}
-        imported: dict[str, tuple[str, str]] = {}
-        modules: dict[str, str] = {}  # local alias -> imported sibling module
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and (source := _relative(node)) is not None:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    if source == "":
-                        modules[local] = alias.name
-                    else:
-                        imported[local] = (source, alias.name)
-                        reads[(module, local)] = {(source, alias.name)}
+        top_imported, top_modules = _sibling_imports(tree.body)
+        for local, source in top_imported.items():
+            reads[(module, local)] = {source}
         for statement in tree.body:
             if isinstance(statement, (ast.Import, ast.ImportFrom)):
                 continue
+            inner_imported, inner_modules = _sibling_imports(ast.walk(statement))
+            imported = {**top_imported, **inner_imported}
+            modules = {**top_modules, **inner_modules}
             names = set()
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name):
@@ -373,16 +387,29 @@ def unreached(paths: list[Path], roots: set[tuple[str, str]]) -> list[tuple[str,
     return sorted(definitions - seen)
 
 
+def table_roots(init: Path) -> set[tuple[str, str]]:
+    """The public names of a package's `_HOMES` table, each at its home
+    module, as (module, name)."""
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and _bound(node) == ["_HOMES"]:
+            table = ast.literal_eval(node.value)
+            return {(module, name) for module, names in table.items() for name in names}
+    raise AssertionError(f"{init} has no _HOMES table")
+
+
 def entry_points() -> set[tuple[str, str]]:
-    """`__all__`, every definition in `cli`, the names that the demos
-    import and the (module, function) pairs of the bench tracer's LAYERS,
-    the tracer loaded read-only."""
-    roots = {("__init__", name) for name in quiverbundles.__all__}
+    """`__all__` at the home modules of its names, every definition in
+    `cli`, the names that the demos import and the (module, function)
+    pairs of the bench tracer's LAYERS, the tracer loaded read-only."""
+    roots = table_roots(PACKAGE / "__init__.py")
+    assert {name for _, name in roots} == set(quiverbundles.__all__)
+    home = {name: module for module, name in roots}
     roots |= name_graph([PACKAGE / "cli.py"])[0]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         for node in ast.walk(ast.parse(demo.read_text())):
             if isinstance(node, ast.ImportFrom) and (source := _relative(node)) is not None:
-                roots |= {(source or "__init__", alias.name) for alias in node.names}
+                roots |= {(source or home.get(alias.name, "__init__"), alias.name)
+                          for alias in node.names}
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -397,15 +424,21 @@ def test_src_holds_only_what_an_entry_point_reaches():
 
 
 def test_unreached_definition_detection(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "_HOMES = {'b': ('public',)}\n"
+        "__all__ = [name for names in _HOMES.values() for name in names]\n"
+    )
     (tmp_path / "a.py").write_text(
         "from . import b\n"
         "from .b import shared, _helper as helper\n"
         "__version__ = '1'\n"
         "LIMIT = 3\n"
         "def api():\n"
-        "    return shared() + b.by_attribute() + helper()\n"
+        "    from .b import lazy\n"
+        "    return shared() + b.by_attribute() + helper() + lazy()\n"
         "def dead():\n"
-        "    return LIMIT\n"
+        "    from .b import only_dead\n"
+        "    return LIMIT + only_dead()\n"
         "class Orphan:\n"
         "    def method(self):\n"
         "        return api()\n"
@@ -418,15 +451,26 @@ def test_unreached_definition_detection(tmp_path):
         "    return 2\n"
         "def _helper():\n"
         "    return 3\n"
+        "def lazy():\n"
+        "    return 4\n"
+        "def only_dead():\n"
+        "    return 5\n"
+        "def public():\n"
+        "    return 6\n"
         "def only_tests():\n"
         "    return shared()\n"
         "print(len(REGISTRY))\n"
     )
     paths = sorted(tmp_path.glob("*.py"))
-    assert unreached(paths, {("a", "api")}) == [
+    public = table_roots(tmp_path / "__init__.py")
+    assert public == {("b", "public")}
+    assert unreached(paths, {("a", "api")} | public) == [
         ("a", "LIMIT"),
         ("a", "Orphan"),
         ("a", "dead"),
+        ("b", "only_dead"),
         ("b", "only_tests"),
     ]
-    assert unreached(paths, {("a", "api"), ("a", "Orphan"), ("a", "dead"), ("b", "only_tests")}) == []
+    assert ("b", "public") in unreached(paths, {("a", "api")})
+    assert unreached(paths, {("a", "api"), ("a", "Orphan"), ("a", "dead"), ("b", "only_tests")}
+                     | public) == []

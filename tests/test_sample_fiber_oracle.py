@@ -100,7 +100,12 @@ def _raise(*args, **kwargs):
 
 
 def _forbid(monkeypatch, fn) -> None:
-    """Make fn raise under every name a `quiverbundles` module binds it to."""
+    """Make fn raise under every name a `quiverbundles` module binds it to.
+    The package binds its public names on the first access to one; that
+    access comes first, so the package's binding is patched and restored
+    too rather than bound to the patch for good."""
+    package = sys.modules["quiverbundles"]
+    getattr(package, package.__all__[0])
     for module in list(sys.modules.values()):
         if module is None or not module.__name__.startswith("quiverbundles"):
             continue
@@ -145,3 +150,5 @@ def test_the_guard_sees_the_rational_routes(monkeypatch):
         sys.modules["quiverbundles.bundles"].fiber_at(e, (1, 1))
     with pytest.raises(AssertionError, match="a rational fiber"):
         sys.modules["quiverbundles"].is_stable_framed(None)
+    monkeypatch.undo()
+    assert sys.modules["quiverbundles"].is_stable_framed is is_stable_framed
