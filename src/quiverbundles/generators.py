@@ -33,7 +33,6 @@ from .bundles import (
     residual_is_zero,
     validate,
 )
-from .complexes import build_complex
 from .linalg import Matrix
 from .polynomials import (
     HomogPoly,
@@ -766,6 +765,8 @@ def run_suite(name: str, count: int = 50, seed: int = 0) -> SuiteReport:
             elif not residual_is_zero(e):
                 failures.append(f"instance {k}: nonzero sheaf residual")
     elif name == "defcomplex":
+        from .complexes import build_complex
+
         for k in range(count):
             instances += 1
             e = gen_bundle(bundle_spec(k, seed))

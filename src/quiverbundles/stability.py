@@ -7,24 +7,21 @@ by im/re; quasimap stability is the large-delta limit of that order,
 and the crossover threshold is computable from any bound on subsheaf
 degrees.  Family checks here are one-sided by design: a refutation is
 exact, while consistency only covers the family supplied.
+
+The numerical side needs no bundle, so each bundle verdict imports the
+`bundles` names it calls when it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .bundles import (
-    GeneratedSummary,
-    TwistedQuiverBundle,
-    _generation,
-    generated_subsheaf_summary,
-    hn_filtration_split,
-    hn_step_indices,
-    subbundle_is_arrow_invariant,
-)
 from .quivers import HypothesisError
+
+if TYPE_CHECKING:
+    from .bundles import GeneratedSummary, TwistedQuiverBundle
 
 Rational = Fraction | int
 
@@ -330,6 +327,8 @@ def subobject_family(e: TwistedQuiverBundle) -> tuple[NumericalClass, ...]:
     exact invariance check; including them would refute instances that
     are genuinely stable.
     """
+    from .bundles import generated_subsheaf_summary
+
     return _subobject_family(e, generated_subsheaf_summary(e))
 
 
@@ -337,6 +336,8 @@ def _subobject_family(
     e: TwistedQuiverBundle, summary: GeneratedSummary
 ) -> tuple[NumericalClass, ...]:
     """`subobject_family` from the generated subsheaf's summary."""
+    from .bundles import hn_filtration_split, hn_step_indices, subbundle_is_arrow_invariant
+
     total = numerical_class(e)
     framing = e.double.framing
     fam: list[NumericalClass] = []
@@ -409,6 +410,8 @@ def asymptotic_equivalence_check(
     `is_stable_quasimap` or `base_locus`, asked of the same bundle just
     before, left in the slot of `_generation`, so it is not built again.
     """
+    from .bundles import _generation
+
     delta0 = instance_threshold(e)
     delta = delta0 if delta is None else Fraction(delta)
     gen = _generation(e)
@@ -435,6 +438,8 @@ def hn_quotient_bound_check(e: TwistedQuiverBundle, delta: Rational) -> bool:
     Delta-dependent: small delta can fail the bound even on stable
     instances, so callers pick delta at or above the instance threshold.
     """
+    from .bundles import hn_filtration_split
+
     c = numerical_class(e)
     delta = Fraction(delta)
     mu = _mu(c, delta.numerator, delta.denominator)

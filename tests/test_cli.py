@@ -560,7 +560,8 @@ def test_the_parser_loads_on_first_use_and_jsonschema_never():
     loaded = _imported(["-c", "import quiverbundles"])
     assert "jsonschema" not in loaded
     assert {m for m in loaded if m.startswith("quiverbundles.")} == set()
-    by_flags = {"complexes", "generators", "serialization"}
+    by_flags = {"linalg", "polynomials", "representations", "bundles", "complexes",
+                "generators", "serialization"}
     for argv, unused in (
         (["delta-threshold", "--v0", "1", "--v1", "2", "--mu1", "0", "--N", "9"], by_flags),
         (["slope", "--v0", "1", "--v1", "2", "--d", "3", "--delta", "5"], by_flags),
@@ -574,7 +575,7 @@ def test_the_parser_loads_on_first_use_and_jsonschema_never():
         (["hn-bound", "--input", CHAIN_STABLE], {"complexes", "generators"}),
         (["defcomplex", "--input", CHAIN_STABLE], {"stability", "generators"}),
         (["gen", "--kind", "bundle", "--preset", "chain", "--dims", "1,1", "--out", "-"],
-         {"stability"}),
+         {"stability", "complexes"}),
         (["suite", "--name", "moment-zero", "--count", "3"], set()),
         (["--schema"], {"linalg", "polynomials", "representations", "bundles", "stability",
                         "complexes", "generators", "serialization"}),
