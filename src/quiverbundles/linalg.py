@@ -7,10 +7,13 @@ pivot rows and reduces each new row fraction-free against it, removing
 the row's content once, when it stores it (a positive factor per step
 changes no primitive part; `add_row` has the argument).
 `pivot_columns` feeds it the rows of a {column: value} matrix shortest
-first and stops once every column holds a pivot, `sparse_rank` counts
-those columns, and `rank` is `sparse_rank` of a dense matrix; `_rref`
-back-substitutes its table into the reduced row echelon form, from which
-`nullspace`, `solve` and `row_space_basis` read their answers.
+first and stops once every column holds a pivot; a row of nonzero ints
+enters as a copy and any other row through `integer_row`, told apart by
+the type of the row's sum (`_int_row`), and no argument row is changed.
+`sparse_rank` counts those columns, and `rank` is `sparse_rank` of a
+dense matrix; `_rref` back-substitutes its table into the reduced row
+echelon form, from which `nullspace`, `solve` and `row_space_basis` read
+their answers.
 
 `cleared` is the package's one clearing step: it scales groups of
 rationals by the lcm L of their denominators to integers and returns L.
@@ -234,9 +237,11 @@ def add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
 
 def _int_row(row: Mapping[int, Fraction]) -> dict[int, int]:
     """A copy of a row whose values are all nonzero ints; `integer_row`
-    of any other."""
+    of any other.  The test is exact without a per-value type check: a
+    sum of ints is an int, and a sum with a `Fraction` in it is a
+    `Fraction`, also when its value is integral."""
     values = row.values()
-    if 0 not in values and all(map(int.__instancecheck__, values)):
+    if 0 not in values and type(sum(values)) is int:
         return dict(row)
     return integer_row(row)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -268,11 +268,13 @@ def linearization(
     `polynomials.integer_rows`: per row, the nonzero entries as (column,
     ascending integer t-coefficients).  `rows` holds L x_a for every
     arrow, over one common L, so the output is L kappa and L dmu; at a
-    rational point every entry is a 1-tuple.  The signs, (-1)^sign in dmu
-    and the minus of x_a g_tail, scale whole arrows
-    (`polynomials.scaled_rows`).
-    Placements that land on one entry add coefficientwise, and a sum that
-    cancels is dropped: on a loop a at i, kappa has x_ll - x_kk from
+    rational point every entry is a 1-tuple.  The blocks of vertex i and
+    arrow a start at the running sums of n_j^2 over the vertices before i
+    and of n_head n_tail over the arrows before a.  Each entry is
+    placed straight into its row, with its sign ((-1)^sign in dmu, the
+    minus of x_a g_tail) applied once per entry.  A placement that lands
+    on an entry already there adds coefficientwise (`_place`), and a sum
+    that cancels is dropped: on a loop a at i, kappa has x_ll - x_kk from
     (i, k, l) to (a, k, l), and dmu meets the terms of both arrows of a
     loop pair.
 
@@ -286,8 +288,11 @@ def linearization(
     """
     ranks = {v: ranks[v] for v in dq.vertices}
     gauge, tangent = linearization_bases(dq, ranks)
-    g_at = {i: c for c, (i, k, l) in enumerate(gauge) if k == l == 0}
-    t_at = {a: c for c, (a, k, l) in enumerate(tangent) if k == l == 0}
+    # each block starts where the blocks before it end
+    g_sizes = [ranks[i] * ranks[i] for i in dq.ordinary_vertices]
+    g_at = dict(zip(dq.ordinary_vertices, accumulate(g_sizes, initial=0)))
+    t_sizes = [ranks[a.head] * ranks[a.tail] for a in dq.arrows]
+    t_at = dict(zip([a.name for a in dq.arrows], accumulate(t_sizes, initial=0)))
     kappa: list[dict[int, tuple[int, ...]]] = [{} for _ in tangent]
     mu: list[dict[int, tuple[int, ...]]] = [{} for _ in gauge]
     framing = dq.framing
@@ -301,28 +306,44 @@ def linearization(
             head_at = g_at[a.head]
             for m, row in enumerate(x):
                 for l, p in row:
-                    # g_head x_a: E_km of the head moves row m to row k
+                    # g_head x_a: E_km of the head moves row m to row k;
+                    # the first placements in the rows of a, all distinct
                     for k in range(n_h):
-                        _place(kappa[at + k * n_t + l], head_at + k * n_h + m, p)
-            sign = -1 if a.sign else 1
-            signed, signed_bar = scaled_rows(x, sign), scaled_rows(x_bar, sign)
-            for m, row in enumerate(signed_bar):
+                        kappa[at + k * n_t + l][head_at + k * n_h + m] = p
+            for m, row in enumerate(x_bar):
                 for l, p in row:
                     # xi_a x_abar: E_km of a meets row m of x_abar
+                    if a.sign:
+                        p = tuple([-v for v in p])
                     for k in range(n_h):
-                        _place(mu[head_at + k * n_h + l], at + k * n_t + m, p)
-            for k, row in enumerate(signed):
+                        out, c = mu[head_at + k * n_h + l], at + k * n_t + m
+                        if c in out:
+                            _place(out, c, p)
+                        else:
+                            out[c] = p
+            for k, row in enumerate(x):
                 for m, p in row:
                     # x_a xi_abar: E_ml of abar meets column m of x_a
+                    if a.sign:
+                        p = tuple([-v for v in p])
                     for l in range(n_h):
-                        _place(mu[head_at + k * n_h + l], bar_at + m * n_h + l, p)
+                        out, c = mu[head_at + k * n_h + l], bar_at + m * n_h + l
+                        if c in out:
+                            _place(out, c, p)
+                        else:
+                            out[c] = p
         if a.tail != framing:
             tail_at = g_at[a.tail]
-            for k, row in enumerate(scaled_rows(x, -1)):
+            for k, row in enumerate(x):
                 for m, p in row:
                     # x_a g_tail: E_ml of the tail moves column m to column l
+                    p = tuple([-v for v in p])
                     for l in range(n_t):
-                        _place(kappa[at + k * n_t + l], tail_at + m * n_t + l, p)
+                        out, c = kappa[at + k * n_t + l], tail_at + m * n_t + l
+                        if c in out:
+                            _place(out, c, p)
+                        else:
+                            out[c] = p
     return gauge, tangent, _sorted(kappa), _sorted(mu)
 
 
@@ -331,13 +352,12 @@ def _sorted(rows: list[dict[int, tuple[int, ...]]]) -> IntRows:
 
 
 def _place(row: dict[int, tuple[int, ...]], c: int, p: tuple[int, ...]) -> None:
-    """Add p to entry c of row; a sum that cancels is removed."""
-    got = row.get(c)
-    if got is None:
-        row[c] = p
-    elif len(got) != len(p):
+    """Add p to the entry c that row already holds; a sum that cancels is
+    removed."""
+    got = row[c]
+    if len(got) != len(p):
         raise ValueError(f"degree mismatch {len(got) - 1} + {len(p) - 1}")
-    elif any(s := tuple([u + v for u, v in zip(got, p)])):
+    if any(s := tuple([u + v for u, v in zip(got, p)])):
         row[c] = s
     else:
         del row[c]

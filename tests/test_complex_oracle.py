@@ -10,10 +10,13 @@ integers (`integer_rows`).  `d_kappa`, `d_mu` and the hypercohomology
 reports must be equal on both `cohomology` lists of the benchmark, the
 generator rotations, adhm ranks 3-8, rational gauges (a different
 denominator per arrow, so L > 1), arrows with pairwise coprime
-denominators (so L is none of them), a zero-rank vertex and a loop whose
-kappa entries cancel; off the relation both refuse.  `reduced_tangent`
-must equal the former one on rational matrices, and a guard shows that
-the integer path builds no form and clears each bundle once.
+denominators (so L is none of them), a zero-rank vertex, a loop whose
+kappa entries cancel, and a chain quiver that lists its framing vertex
+between the ordinary ones and its arrows out of chain order, so the
+blocks sit in another order in the bases; off the relation both refuse.
+`reduced_tangent` must equal the former one on rational matrices, on
+that quiver too, and a guard shows that the integer path builds no form
+and clears each bundle once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from typing import Mapping, Sequence, TypeVar
 import pytest
 
 from quiverbundles import bundles, complexes, linalg, polynomials
-from quiverbundles.bundles import SplitBundle, TwistData, TwistedQuiverBundle, residual_is_zero
+from quiverbundles.bundles import (
+    SplitBundle,
+    TwistData,
+    TwistedQuiverBundle,
+    is_stable_quasimap,
+    residual_is_zero,
+)
 from quiverbundles.complexes import (
     CANONICAL_DEGREE,
     CohomologyReport,
@@ -38,7 +47,15 @@ from quiverbundles.complexes import (
 from quiverbundles.generators import InstanceSpec, bundle_spec, gen_bundle, gen_rep, rep_spec
 from quiverbundles.linalg import sparse_rank
 from quiverbundles.polynomials import HomogPoly, IntRows, PolyMatrix, integer_rows, poly_zeros
-from quiverbundles.quivers import DoubleQuiver, HypothesisError, InvariantError
+from quiverbundles.quivers import (
+    Arrow,
+    DimensionVector,
+    DoubleQuiver,
+    HypothesisError,
+    InvariantError,
+    Quiver,
+    double,
+)
 from quiverbundles.representations import (
     ZERO,
     FramedRep,
@@ -50,7 +67,15 @@ from quiverbundles.representations import (
     reduced_tangent,
 )
 
-from _builders import ADHM_DOUBLE, chain_bundle, coprime_adhm, form, poly_mat, rational_gauge
+from _builders import (
+    ADHM_DOUBLE,
+    chain_bundle,
+    coprime_adhm,
+    form,
+    mat,
+    poly_mat,
+    rational_gauge,
+)
 from test_residual_oracle import perturbed
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -368,6 +393,29 @@ def _scalar_loop_adhm(c: Fraction = Fraction(5, 3)) -> TwistedQuiverBundle:
     return TwistedQuiverBundle(ADHM_DOUBLE, bundles_, twist, phi)
 
 
+# the chain 0 -f-> 1 -e-> 2 with the framing vertex listed between the
+# ordinary ones and e before f, so vertex 1 and arrow f have blocks after
+# others in the bases; every other test quiver lists its framing first
+REORDERED_CHAIN = double(
+    Quiver(("2", "0", "1"), (Arrow("e", "1", "2"), Arrow("f", "0", "1")), framing="0")
+)
+
+
+def _reordered_chain() -> TwistedQuiverBundle:
+    """A stable bundle on `REORDERED_CHAIN` of ranks (2, 2, 2), with the
+    reverse arrows zero."""
+    zero, one = HomogPoly.zero(), HomogPoly.constant(1)
+    phi = {
+        "e+": poly_mat([[form(1, 1, 1), form(2, 0, 3, 1)], [one, form(1, 2, Fraction(1, 2))]]),
+        "e-": poly_zeros(2, 2),
+        "f+": poly_mat([[form(1, 1, 2), form(1, 0, 1)], [one, zero]]),
+        "f-": poly_zeros(2, 2),
+    }
+    bundles_ = {"2": SplitBundle((2, 1)), "0": SplitBundle((0, 0)), "1": SplitBundle((1, 0))}
+    twist = TwistData.of({"e+": 0, "e-": -2, "f+": 0, "f-": -2})
+    return TwistedQuiverBundle(REORDERED_CHAIN, bundles_, twist, phi)
+
+
 def _corpus() -> list[TwistedQuiverBundle]:
     out = _cohomology_lists()
     out += [gen_bundle(bundle_spec(k, s)) for s in (0, 3, 9) for k in range(192)]
@@ -379,6 +427,7 @@ def _corpus() -> list[TwistedQuiverBundle]:
     out += [rational_gauge(e, Fraction(3, 5)) for e in out[::9]]
     out += [_zero_rank_chain(), rational_gauge(_zero_rank_chain()), _scalar_loop_adhm()]
     out.append(coprime_adhm())
+    out += [_reordered_chain(), rational_gauge(_reordered_chain())]
     return out
 
 
@@ -424,6 +473,15 @@ def test_zero_rank_vertex_and_cancelling_loop():
     assert all(not any(row) for row in k.d_kappa[:4])
 
 
+def test_blocks_in_another_vertex_and_arrow_order():
+    e = _reordered_chain()
+    assert is_stable_quasimap(e)
+    k = _assert_equal(e)
+    assert [i for i, _, _ in k.labels_minus1] == ["2"] * 4 + ["1"] * 4
+    assert [a for a, _, _ in k.labels_zero[::4]] == ["e+", "e-", "f+", "f-"]
+    assert k.den == 2 and hypercoh_dims(k).h == ((-1, 0), (0, 6), (1, 6), (2, 0))
+
+
 def test_off_the_relation_both_refuse():
     specs = [bundle_spec(k, s) for s in (0, 9) for k in range(96)] + [
         InstanceSpec("adhm", (r,), framing=2, degree_bound=r, seed=s)
@@ -454,6 +512,18 @@ def test_reduced_tangent_equals_the_rational_reference():
             assert reduced_tangent(x, level) == want
             reports.add(want)
     assert len(reports) > 3
+    x = FramedRep(
+        REORDERED_CHAIN,
+        DimensionVector(("2", "0", "1"), (1, 2, 2)),
+        {
+            "e+": mat([[1, Fraction(1, 3)]]),
+            "e-": mat([[0], [0]]),
+            "f+": mat([[2, 1], [1, 0]]),
+            "f-": mat([[0, 0], [0, 0]]),
+        },
+    )
+    want = _reference_reduced_tangent(x)
+    assert reduced_tangent(x) == want == ReducedTangentReport(2, True, True)
 
 
 def test_no_form_is_built_and_each_bundle_is_cleared_once(monkeypatch):

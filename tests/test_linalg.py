@@ -221,6 +221,63 @@ def test_pivot_columns_and_sparse_rank_leave_their_rows_unchanged():
             assert repr(rows) == before, kind
 
 
+def _reference_int_row(row):
+    """`_int_row` as it was, with a per-value type check."""
+    values = row.values()
+    if 0 not in values and all(map(int.__instancecheck__, values)):
+        return dict(row)
+    return linalg.integer_row(row)
+
+
+def test_int_row_dispatch_matches_the_per_value_type_check(monkeypatch):
+    # the sum-type test copies exactly the rows the per-value check copied:
+    # bools are ints, and an integral Fraction such as Fraction(4) is not
+    rng = random.Random(32)
+    cleared = []
+    real = linalg.integer_row
+
+    def counting(row):
+        cleared.append(1)
+        return real(row)
+
+    monkeypatch.setattr(linalg, "integer_row", counting)
+    draws = (
+        lambda: rng.choice((-1, 1)) * rng.randint(1, 9),
+        lambda: rng.choice((True, False, 0)),
+        lambda: rng.choice((-1, 1)) * rng.randint(2**62, 2**90),
+        lambda: Fraction(rng.randint(-9, 9)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+    )
+    copied = 0
+    for _ in range(3000):
+        kinds = rng.sample(draws, rng.randint(1, len(draws)))
+        row = {c: rng.choice(kinds)() for c in range(rng.randint(0, 6))}
+        before = repr(row)
+        cleared.clear()
+        want = _reference_int_row(row)
+        assert len(cleared) <= 1
+        through = bool(cleared)
+        cleared.clear()
+        got = linalg._int_row(row)
+        assert bool(cleared) == through
+        assert got == want and got is not row and repr(row) == before
+        assert all(type(v) in (int, bool) for v in got.values())
+        copied += not through
+    assert 300 < copied < 2700
+    assert linalg._int_row({0: Fraction(4), 1: 2}) == {0: 2, 1: 1}
+    assert linalg._int_row({0: True, 1: 2}) == {0: True, 1: 2}
+
+    # the minimal model's rows are nonzero ints: none of them is cleared
+    from quiverbundles import complexes
+    from quiverbundles.generators import stable_bundles
+
+    corpus = list(stable_bundles(20, seed=23, degree_bound=4))
+    cleared.clear()
+    for e in corpus:
+        complexes.hypercoh_dims(complexes.build_complex(e))
+    assert not cleared
+
+
 def test_matmul_identity_and_trace():
     a = mat([[1, 2], [3, 4]])
     assert linalg.matmul(a, linalg.identity(2)) == a
