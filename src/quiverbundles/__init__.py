@@ -14,10 +14,8 @@ __version__ = "0.1.0"
 
 # the public names by home module
 _HOMES = {
-    "quivers": (
-        "Arrow", "DimensionVector", "DoubleQuiver", "HypothesisError", "InvariantError",
-        "Quiver", "double",
-    ),
+    "errors": ("HypothesisError", "InvariantError"),
+    "quivers": ("Arrow", "DimensionVector", "DoubleQuiver", "Quiver", "double"),
     "polynomials": ("HomogPoly", "PolyMatrix", "format_factored", "generic_rank"),
     "representations": (
         "FramedRep", "FramedStabilityVerdict", "ReducedTangentReport",

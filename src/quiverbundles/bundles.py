@@ -21,6 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from . import linalg
+from .errors import HypothesisError, InvariantError
 from .polynomials import (
     HomogPoly,
     IntColumn,
@@ -35,7 +36,7 @@ from .polynomials import (
     integer_rows,
     poly_mat_eval,
 )
-from .quivers import DimensionVector, DoubleQuiver, HypothesisError, InvariantError
+from .quivers import DimensionVector, DoubleQuiver
 from .representations import FramedRep, _framing_closure, _residual
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .quivers import HypothesisError, InvariantError
+from .errors import HypothesisError, InvariantError
 
 if TYPE_CHECKING:
     from .bundles import TwistedQuiverBundle

@@ -67,9 +67,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import SplitBundle, TwistedQuiverBundle, is_stable_quasimap, relation_rows
+from .errors import HypothesisError, InvariantError
 from .linalg import sparse_rank
 from .polynomials import IntRows, PolyMatrix, form
-from .quivers import HypothesisError, InvariantError
 from .representations import Label, linearization, linearization_bases
 
 CANONICAL_DEGREE = -2  # genus zero

@@ -33,6 +33,7 @@ from .bundles import (
     residual_is_zero,
     validate,
 )
+from .errors import HypothesisError, InvariantError
 from .linalg import Matrix
 from .polynomials import (
     HomogPoly,
@@ -42,15 +43,7 @@ from .polynomials import (
     poly_matmul,
     poly_zeros,
 )
-from .quivers import (
-    Arrow,
-    DimensionVector,
-    DoubleQuiver,
-    HypothesisError,
-    InvariantError,
-    Quiver,
-    double,
-)
+from .quivers import Arrow, DimensionVector, DoubleQuiver, Quiver, double
 from .representations import (
     FramedRep,
     LieElement,

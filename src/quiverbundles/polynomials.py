@@ -67,7 +67,7 @@ from math import gcd as int_gcd, prod
 from typing import Iterable, Sequence
 
 from . import linalg
-from .quivers import InvariantError
+from .errors import InvariantError
 
 ZERO = Fraction(0)
 # ascending coefficients of a polynomial in one variable, () for zero

@@ -1,4 +1,4 @@
-"""Quivers, double quivers, dimension vectors, and the library's error types.
+"""Quivers, double quivers and dimension vectors.
 
 Vertices and arrows carry stable string identifiers.  A quiver may declare
 a single framing vertex; the remaining vertices are the ordinary ones that
@@ -12,16 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-
-class HypothesisError(ValueError):
-    """A stated hypothesis of an operation fails (distinct from a negative verdict)."""
-
-
-class InvariantError(AssertionError):
-    """An internal invariant fails: a defect in the library, not in its input.
-
-    Raised explicitly, so the checks still run under `python -O`.
-    """
+from .errors import HypothesisError as HypothesisError, InvariantError as InvariantError
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
+from .errors import HypothesisError
 from .linalg import Matrix, Vector
 from .polynomials import IntRows, add_product, dense_at, scaled_rows
-from .quivers import DimensionVector, DoubleQuiver, HypothesisError
+from .quivers import DimensionVector, DoubleQuiver
 
 ZERO = Fraction(0)
 

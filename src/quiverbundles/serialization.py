@@ -23,9 +23,10 @@ from numbers import Number
 from typing import Callable, Mapping, Sequence
 
 from .bundles import SplitBundle, TwistData, TwistedQuiverBundle
+from .errors import InvariantError
 from .linalg import Matrix
 from .polynomials import HomogPoly, PolyMatrix
-from .quivers import Arrow, DimensionVector, DoubleQuiver, InvariantError, Quiver, double
+from .quivers import Arrow, DimensionVector, DoubleQuiver, Quiver, double
 from .representations import FramedRep
 
 VERSION = 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .quivers import HypothesisError
+from .errors import HypothesisError
 
 if TYPE_CHECKING:
     from .bundles import GeneratedSummary, TwistedQuiverBundle

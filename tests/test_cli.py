@@ -560,7 +560,7 @@ def test_the_parser_loads_on_first_use_and_jsonschema_never():
     loaded = _imported(["-c", "import quiverbundles"])
     assert "jsonschema" not in loaded
     assert {m for m in loaded if m.startswith("quiverbundles.")} == set()
-    by_flags = {"linalg", "polynomials", "representations", "bundles", "complexes",
+    by_flags = {"quivers", "linalg", "polynomials", "representations", "bundles", "complexes",
                 "generators", "serialization"}
     for argv, unused in (
         (["delta-threshold", "--v0", "1", "--v1", "2", "--mu1", "0", "--N", "9"], by_flags),
@@ -577,8 +577,8 @@ def test_the_parser_loads_on_first_use_and_jsonschema_never():
         (["gen", "--kind", "bundle", "--preset", "chain", "--dims", "1,1", "--out", "-"],
          {"stability", "complexes"}),
         (["suite", "--name", "moment-zero", "--count", "3"], set()),
-        (["--schema"], {"linalg", "polynomials", "representations", "bundles", "stability",
-                        "complexes", "generators", "serialization"}),
+        (["--schema"], {"quivers", "linalg", "polynomials", "representations", "bundles",
+                        "stability", "complexes", "generators", "serialization"}),
     ):
         loaded = _imported(["-m", "quiverbundles.cli", *argv])
         assert "jsonschema" not in loaded, argv

@@ -34,7 +34,7 @@ PUBLIC = [
 ]
 
 MODULES = {
-    "quivers", "linalg", "polynomials", "representations", "bundles", "stability",
+    "errors", "quivers", "linalg", "polynomials", "representations", "bundles", "stability",
     "complexes", "generators", "serialization",
 }
 
@@ -51,6 +51,11 @@ def test_each_public_name_is_its_home_modules_object():
         for name in names:
             assert getattr(quiverbundles, name) is getattr(module, name), name
             assert name in listed, name
+    # the error types' old home re-exports them
+    from quiverbundles import errors, quivers
+
+    for name in ("HypothesisError", "InvariantError"):
+        assert getattr(quiverbundles, name) is getattr(errors, name) is getattr(quivers, name)
 
 
 def test_star_import_binds_every_public_name():
